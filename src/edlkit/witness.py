@@ -9,15 +9,18 @@ minimizes the fidelity ``<psi| rho |psi>`` over states matching all the
 marginals of a pure target; value 1 means the marginals pin the state.
 
 Both are solved by the same first-order operator-splitting loop: alternate
-a projection onto the affine constraints (cached least-squares factors, or
-a closed form for the witness program's consensus structure) against a
-projection onto the semidefinite cones (batched eigenvalue clipping), with
-over-relaxation 1.5.  Iterations are deterministic; no external solver is
-used.
+a projection onto the affine constraints against a projection onto the
+semidefinite cones (batched eigenvalue clipping), with over-relaxation 1.5.
+Generic programs are svec-packed with a cached SVD of their constraints; the
+witness program and the certificate refit iterate on one complex stack of
+matrices with closed-form affine steps (partial transposes as cached index
+permutations, locality as a projector onto the allowed Pauli strings).
+Iterations are deterministic; no external solver is used.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,11 +42,20 @@ RELAX = 1.5
 # Hermitian <-> real vector packing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _triu(d):
+    """Strict upper-triangle indices of a d x d matrix, read-only."""
+    iu = np.triu_indices(d, 1)
+    for idx in iu:
+        idx.flags.writeable = False
+    return iu
+
+
 def svec(h):
     """Isometric real packing of a Hermitian matrix (diag, sqrt2*Re, sqrt2*Im)."""
     h = np.asarray(h)
     d = h.shape[0]
-    iu = np.triu_indices(d, 1)
+    iu = _triu(d)
     return np.concatenate([h.diagonal().real,
                            math.sqrt(2.0) * h[iu].real,
                            math.sqrt(2.0) * h[iu].imag])
@@ -52,7 +64,7 @@ def svec(h):
 def smat(v, d):
     """Inverse of :func:`svec`."""
     v = np.asarray(v, dtype=float)
-    iu = np.triu_indices(d, 1)
+    iu = _triu(d)
     k = iu[0].size
     out = np.zeros((d, d), dtype=complex)
     out[np.diag_indices(d)] = v[:d]
@@ -130,34 +142,37 @@ class SdpSolution:
     iterations: int
 
 
+def _clip_psd(stack):
+    """Project every matrix of a ``(k, d, d)`` stack onto the PSD cone."""
+    stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+    w, q = np.linalg.eigh(stack)
+    w = np.clip(w, 0.0, None)
+    return q * w[:, None, :] @ q.conj().transpose(0, 2, 1)
+
+
 def _make_cone_projector(blocks, slices):
     psd_groups = {}
-    for idx, (b, sl) in enumerate(zip(blocks, slices)):
+    for b, sl in zip(blocks, slices):
         if b.cone == "psd":
-            psd_groups.setdefault(b.dim, []).append((idx, sl))
+            psd_groups.setdefault(b.dim, []).append(sl)
 
     def project(v):
         out = v.copy()
         for d, members in psd_groups.items():
-            stack = np.empty((len(members), d, d), dtype=complex)
-            for row, (_idx, sl) in enumerate(members):
-                stack[row] = smat(v[sl], d)
-            stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-            w, q = np.linalg.eigh(stack)
-            w = np.clip(w, 0.0, None)
-            clipped = q * w[:, None, :] @ q.conj().transpose(0, 2, 1)
-            for row, (_idx, sl) in enumerate(members):
-                out[sl] = svec(clipped[row])
+            clipped = _clip_psd(np.array([smat(v[sl], d) for sl in members]))
+            for sl, block in zip(members, clipped):
+                out[sl] = svec(block)
         return out
 
     return project
 
 
-def _admm(c, project_affine, project_cone, dim, tol, max_iter, sigma=1.0):
-    """Shared over-relaxed splitting loop; returns (x, z, status, res_p, res_d, iters)."""
-    x = np.zeros(dim)
-    z = np.zeros(dim)
-    u = np.zeros(dim)
+def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
+    """Shared over-relaxed splitting loop on iterates shaped like ``c``; returns
+    (x, z, status, res_p, res_d, iters).  Norms of a Hermitian stack equal svec norms."""
+    x = np.zeros_like(c)
+    z = np.zeros_like(c)
+    u = np.zeros_like(c)
     shift = c / sigma
     stall_window = []
     status = "MAX_ITER"
@@ -216,8 +231,7 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
     project_cone = _make_cone_projector(problem.blocks, slices)
     c = problem.cost_vector()
-    x, z, status, res_p, res_d, iters = _admm(c, project_affine, project_cone,
-                                              problem.dim(), tol, max_iter)
+    x, z, status, res_p, res_d, iters = _admm(c, project_affine, project_cone, tol, max_iter)
     blocks = [smat(x[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
     cone_blocks = [smat(z[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
     return SdpSolution(status, float(c @ x), blocks, cone_blocks, res_p, res_d, iters)
@@ -250,14 +264,6 @@ def _allowed_strings(n, coll):
         if any(support & ~mask == 0 for mask in coll.edges):
             allowed.append("".join(labels))
     return allowed
-
-
-def _pauli_basis_rows(n, strings):
-    rows = np.empty((len(strings), (1 << n) ** 2))
-    norm = 2.0 ** (-n / 2.0)
-    for i, s in enumerate(strings):
-        rows[i] = svec(qcore.pauli_string(n, s)) * norm
-    return rows
 
 
 def _bipartition_masks(n):
@@ -398,9 +404,9 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Minimum witness value over unit-trace fully decomposable witnesses
     built from the marginals in ``subsets``.
 
-    Returns ``(alpha, witness)``.  The consensus structure of the program
-    (one shared W against per-bipartition decompositions) gives the affine
-    projection in closed form, so no constraint matrix is materialized.
+    Returns ``(alpha, witness)``.  The iterate is the stack ``(W, P_1..P_m,
+    Q_1..Q_m)``; its consensus structure (one shared W against per-bipartition
+    decompositions) gives the affine projection in closed form.
     """
     mat, n = qcore._as_matrix(rho)
     _check_sdp_size(n)
@@ -408,69 +414,54 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     d = 1 << n
     masks = _bipartition_masks(n)
     m = len(masks)
-    perms = [_pt_permutation(n, mask) for mask in masks]
+    # block i of an (m, d, d) stack, partially transposed on masks[i]
+    pt_index = np.array([_pt_permutation(n, mask) + i * d * d for i, mask in enumerate(masks)])
     strings = _allowed_strings(n, coll)
-    basis = _pauli_basis_rows(n, strings)
-    eye_sv = svec(np.eye(d))
+    paulis = np.array([qcore.pauli_string(n, s).ravel() for s in strings])
+    # Pauli coefficients of vec(W); paulis.T @ coeff_rows is the orthogonal
+    # projector onto the allowed span, applied in two factors (never d^4 in size)
+    coeff_rows = paulis.conj() / d
 
-    dsq = d * d
-    dim = (1 + 2 * m) * dsq
-    w_sl = slice(0, dsq)
-    p_sls = [slice((1 + i) * dsq, (2 + i) * dsq) for i in range(m)]
-    q_sls = [slice((1 + m + i) * dsq, (2 + m + i) * dsq) for i in range(m)]
-
-    def pt_apply(vec_sv, perm):
-        mtx = smat(vec_sv, d)
-        return svec(mtx.ravel()[perm].reshape(d, d))
+    def pt(blocks):
+        return blocks.ravel()[pt_index].reshape(m, d, d)
 
     def project_affine(v):
-        w0 = v[w_sl]
-        ks = []
-        for i in range(m):
-            ks.append(v[p_sls[i]] + pt_apply(v[q_sls[i]], perms[i]))
-        mvec = (w0 + 0.5 * np.sum(ks, axis=0)) / (1.0 + m / 2.0)
-        w = basis.T @ (basis @ mvec)
-        w += (1.0 - float(eye_sv @ w) / 1.0) / d * eye_sv  # eye_sv @ w = trace
-        out = np.empty_like(v)
-        out[w_sl] = w
-        for i in range(m):
-            r = w - ks[i]
-            out[p_sls[i]] = v[p_sls[i]] + 0.5 * r
-            out[q_sls[i]] = v[q_sls[i]] + pt_apply(0.5 * r, perms[i])
-        return out
+        p, q = v[1:1 + m], v[1 + m:]
+        ks = p + pt(q)
+        w = (v[0] + 0.5 * ks.sum(axis=0)) / (1.0 + m / 2.0)
+        w = (paulis.T @ (coeff_rows @ w.ravel())).reshape(d, d)
+        w.flat[::d + 1] += (1.0 - np.trace(w).real) / d
+        r = 0.5 * (w - ks)
+        return np.concatenate([w[None], p + r, q + pt(r)])
 
-    blocks = [SdpBlock(d, "free")] + [SdpBlock(d, "psd")] * (2 * m)
-    slices = [w_sl] + p_sls + q_sls
-    project_cone = _make_cone_projector(blocks, slices)
+    def project_cone(v):
+        return np.concatenate([v[:1], _clip_psd(v[1:])])
 
-    c = np.zeros(dim)
-    c[w_sl] = svec(mat)
-    x, z, status, res_p, res_d, iters = _admm(c, project_affine, project_cone, dim, tol, max_iter)
+    c = np.zeros((1 + 2 * m, d, d), dtype=complex)
+    c[0] = (mat + mat.conj().T) / 2.0
+    x, z, status, res_p, res_d, iters = _admm(c, project_affine, project_cone, tol, max_iter)
     if status != "OPTIMAL":
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
                           "witness program did not converge (%s, primal %.2e, dual %.2e, %d iters)"
                           % (status, res_p, res_d, iters))
-    w_mat = smat(x[w_sl], d)
+    w_mat = x[0]
     alpha = float(np.trace(w_mat @ mat).real)
-    witness = _witness_from_solution(n, coll, alpha, w_mat, strings,
-                                     masks, [smat(z[sl], d) for sl in p_sls],
-                                     [smat(z[sl], d) for sl in q_sls])
+    witness = _witness_from_solution(n, coll, alpha, strings, coeff_rows @ w_mat.ravel(),
+                                     masks, z[1:1 + m], z[1 + m:])
     return alpha, witness
 
 
-def _witness_from_solution(n, coll, alpha, w_mat, strings, masks, p_mats, q_mats):
+def _witness_from_solution(n, coll, alpha, strings, coeffs, masks, p_mats, q_mats):
     # expand W over the allowed strings; each string is charged to the first
     # collection subset containing its support (the identity to the first)
-    d = 1 << n
     block_terms = {mask: [] for mask in coll.edges}
-    for s in strings:
+    for s, coeff in zip(strings, coeffs):
+        if abs(coeff) < 1e-14:
+            continue
         support = 0
         for pos, ch in enumerate(s):
             if ch != "I":
                 support |= 1 << pos
-        coeff = complex(np.trace(qcore.pauli_string(n, s).conj().T @ w_mat)) / d
-        if abs(coeff) < 1e-14:
-            continue
         home = next(mask for mask in coll.edges if support & ~mask == 0)
         block_terms[home].append((s, coeff))
     blocks = []
@@ -517,29 +508,31 @@ def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Recompute the per-bipartition decompositions of a witness from its W.
 
     Each bipartition is an independent feasibility program: find PSD ``P, Q``
-    with ``P + Q^(T_S) = W``.  Returns a new witness with fresh certificates.
+    with ``P + Q^(T_S) = W``; partial transpose is an orthogonal involution, so
+    its projection is ``r = W - P - Q^(T_S); P += r/2; Q += r^(T_S)/2``.
+    Returns a new witness with fresh certificates.
     """
     n = witness.n
     _check_sdp_size(n)
     w = witness.assemble()
+    w = (w + w.conj().T) / 2.0
     d = 1 << n
-    eye_rows = np.eye(d * d)
     certificates = []
     for mask in _bipartition_masks(n):
+        perm = _pt_permutation(n, mask)
+
+        def project_affine(v, perm=perm):
+            r = 0.5 * (w - v[0] - v[1].ravel()[perm].reshape(d, d))
+            return np.stack([v[0] + r, v[1] + r.ravel()[perm].reshape(d, d)])
+
         subset = qcore.Subset(n, mask)
-        pt_rows = _linmap_matrix(d, d, lambda x: qcore.partial_transpose(x, subset))
-        problem = SdpProblem(
-            blocks=[SdpBlock(d, "psd"), SdpBlock(d, "psd")],
-            objective=[None, None],
-            rows=np.hstack([eye_rows, pt_rows]),
-            rhs=svec(w),
-        )
-        sol = solve_sdp(problem, tol=tol, max_iter=max_iter)
-        if sol.status != "OPTIMAL":
-            raise EdlkitError("INFEASIBLE" if sol.status == "INFEASIBLE" else "MAX_ITER",
+        z, status = _admm(np.zeros((2, d, d), dtype=complex), project_affine, _clip_psd,
+                          tol, max_iter)[1:3]
+        if status != "OPTIMAL":
+            raise EdlkitError("INFEASIBLE" if status == "INFEASIBLE" else "MAX_ITER",
                               "no decomposition found at bipartition %s (%s)"
-                              % (subset.indices, sol.status))
-        certificates.append((subset, sol.cone_blocks[0], sol.cone_blocks[1]))
+                              % (subset.indices, status))
+        certificates.append((subset, z[0], z[1]))
     return Witness(witness.n, witness.collection, witness.alpha, witness.blocks, certificates)
 
 

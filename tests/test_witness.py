@@ -10,6 +10,7 @@ from edlkit.errors import EdlkitError
 from edlkit.hypergraph import SubsetCollection, all_k_subsets
 from edlkit.symmetric import SymmetricCoeffs, check_compatibility, dicke_vector, to_dense
 from edlkit.witness import (
+    MAX_ITER,
     SdpBlock,
     SdpProblem,
     Witness,
@@ -198,11 +199,12 @@ def test_pair_chain_witness_value():
 
 def test_dense_path_matches_consensus_path():
     rho = dicke_mix_dense(3, (0, 0.5, 0.5, 0))
-    problem = build_fdw_problem(rho, PAIR_CHAIN)
-    sol = solve_sdp(problem)
-    assert sol.status == "OPTIMAL"
-    alpha, _ = fully_decomposable_alpha(rho, PAIR_CHAIN)
-    assert sol.objective == pytest.approx(alpha, abs=1e-6)
+    for subsets in (PAIR_CHAIN, all_k_subsets(3, 2), [(1, 2, 3)]):
+        problem = build_fdw_problem(rho, subsets)
+        sol = solve_sdp(problem)
+        assert sol.status == "OPTIMAL"
+        alpha, _ = fully_decomposable_alpha(rho, subsets)
+        assert sol.objective == pytest.approx(alpha, abs=1e-6)
     with pytest.raises(EdlkitError) as err:
         build_fdw_problem(np.eye(16) / 16, [(1, 2)])
     assert err.value.code == "TOO_LARGE"
@@ -283,6 +285,13 @@ def test_refit_certificates_roundtrip():
     verdict = verify_witness(refit, rho)
     assert verdict.ok, verdict.failures
     assert verdict.max_decomposition_dev < 1e-6
+    # -I/8 has negative trace, so no P + Q^(T_S) with P, Q >= 0 can match it
+    negative = Witness(3, SubsetCollection.from_lists(3, [[1, 2]]), float("nan"),
+                       [(qcore.Subset.from_indices(3, (1, 2)), -np.eye(4) / 8)], [])
+    for max_iter, code in ((50, "MAX_ITER"), (MAX_ITER, "INFEASIBLE")):
+        with pytest.raises(EdlkitError) as err:
+            refit_certificates(negative, max_iter=max_iter)
+        assert err.value.code == code
 
 
 def test_edl_upper_bound_scan():
