@@ -1,9 +1,17 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
-Everything in this module is written as plain loop nests over computational
-basis indices and deliberately shares no code with the implementations it
-checks (``qcore.partial_trace``, the Hankel criteria, the hypergraph
-counting formula).  Sizes are small, clarity wins over speed.
+The brute-force routines are plain loop nests over computational basis
+indices and deliberately share no code with the implementations they check
+(``qcore.partial_trace``, the Hankel criteria, the hypergraph counting
+formula).  Sizes are small, clarity wins over speed.
+
+The generic SDP references (:func:`build_fdw_problem`, :func:`_linmap_matrix`)
+state a program as svec-packed constraint rows for ``witness.solve_sdp``,
+which tests compare against the matrix-native fast paths.  They take Pauli
+strings and partial transposes from the Kronecker-product and index routines
+of ``qcore``.  What they share with the fast paths is the witness module's
+description of the program (``_collection_of``, ``_allowed_strings``,
+``_bipartition_masks``) and, through ``solve_sdp``, its splitting loop.
 
 Index convention matches the rest of the package: particle 1 is the most
 significant bit of a computational index.
@@ -16,7 +24,10 @@ import math
 
 import numpy as np
 
+from . import qcore
 from .errors import EdlkitError
+from .witness import (SdpBlock, SdpProblem, _allowed_strings, _bipartition_masks,
+                      _collection_of, smat, svec)
 
 
 def _popcount(x):
@@ -174,3 +185,62 @@ def exhaustive_min_connected_cover(n, k):
                 witness = tuple(tuple(sorted(s)) for s in combo)
                 return count, witness
     raise EdlkitError("SOLVER_FAIL", "no connected cover found (unreachable)")
+
+
+def _linmap_matrix(d_in, d_out, fn):
+    """Real matrix of a Hermitian-preserving linear map in svec coordinates."""
+    cols = d_in * d_in
+    out = np.zeros((d_out * d_out, cols))
+    for j in range(cols):
+        e = np.zeros(cols)
+        e[j] = 1.0
+        out[:, j] = svec(fn(smat(e, d_in)))
+    return out
+
+
+def build_fdw_problem(rho, subsets):
+    """The witness program as an explicit :class:`SdpProblem` (small n only).
+
+    The generic dense path that cross-checks the structured consensus path
+    of :func:`edlkit.witness.fully_decomposable_alpha`.
+    """
+    mat, n = qcore._as_matrix(rho)
+    if n > 3:
+        raise EdlkitError("TOO_LARGE", "dense witness assembly capped at 3 qubits")
+    coll = _collection_of(n, subsets)
+    d = 1 << n
+    dsq = d * d
+    masks = _bipartition_masks(n)
+    m = len(masks)
+    strings = set(_allowed_strings(n, coll))
+    disallowed = [s for s in ("".join(p) for p in itertools.product("IXYZ", repeat=n))
+                  if s not in strings]
+    blocks = [SdpBlock(d, "free")] + [SdpBlock(d, "psd")] * (2 * m)
+    nvar = (1 + 2 * m) * dsq
+    rows = []
+    rhs = []
+    # unit trace of W
+    row = np.zeros(nvar)
+    row[:dsq] = svec(np.eye(d))
+    rows.append(row)
+    rhs.append(1.0)
+    # locality: W orthogonal to every Pauli string outside the allowed span
+    norm = 2.0 ** (-n / 2.0)
+    for s in disallowed:
+        row = np.zeros(nvar)
+        row[:dsq] = svec(qcore.pauli_string(n, s)) * norm
+        rows.append(row)
+        rhs.append(0.0)
+    # W - P_i - Q_i^(T_i) = 0 for every bipartition
+    eye_rows = np.eye(dsq)
+    for i, mask in enumerate(masks):
+        subset = qcore.Subset(n, mask)
+        pt_rows = _linmap_matrix(d, d, lambda x: qcore.partial_transpose(x, subset))
+        block_rows = np.zeros((dsq, nvar))
+        block_rows[:, :dsq] = eye_rows
+        block_rows[:, (1 + i) * dsq:(2 + i) * dsq] = -eye_rows
+        block_rows[:, (1 + m + i) * dsq:(2 + m + i) * dsq] = -pt_rows
+        rows.append(block_rows)
+        rhs.extend([0.0] * dsq)
+    objective = [mat] + [None] * (2 * m)
+    return SdpProblem(blocks, objective, np.vstack(rows), np.array(rhs))

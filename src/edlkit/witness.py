@@ -11,11 +11,11 @@ marginals of a pure target; value 1 means the marginals pin the state.
 Both are solved by the same first-order operator-splitting loop: alternate
 a projection onto the affine constraints against a projection onto the
 semidefinite cones (batched eigenvalue clipping), with over-relaxation 1.5.
-Generic programs are svec-packed with a cached SVD of their constraints; the
-witness program and the certificate refit iterate on one complex stack of
-matrices with closed-form affine steps (partial transposes as cached index
-permutations, locality as a projector onto the allowed Pauli strings).
-Iterations are deterministic; no external solver is used.
+Every program iterates on a stack of complex matrices with a closed-form
+affine step: cached partial-transpose permutations, projectors onto the
+allowed Pauli strings, or a constraint span factored once per call.  Only the
+generic :func:`solve_sdp` packs its iterate with svec.  Iterations are
+deterministic; no external solver is used.
 """
 
 from __future__ import annotations
@@ -71,17 +71,6 @@ def smat(v, d):
     upper = (v[d:d + k] + 1j * v[d + k:]) / math.sqrt(2.0)
     out[iu] = upper
     out[(iu[1], iu[0])] = upper.conj()
-    return out
-
-
-def _linmap_matrix(d_in, d_out, fn):
-    """Real matrix of a Hermitian-preserving linear map in svec coordinates."""
-    cols = d_in * d_in
-    out = np.zeros((d_out * d_out, cols))
-    for j in range(cols):
-        e = np.zeros(cols)
-        e[j] = 1.0
-        out[:, j] = svec(fn(smat(e, d_in)))
     return out
 
 
@@ -150,23 +139,6 @@ def _clip_psd(stack):
     return q * w[:, None, :] @ q.conj().transpose(0, 2, 1)
 
 
-def _make_cone_projector(blocks, slices):
-    psd_groups = {}
-    for b, sl in zip(blocks, slices):
-        if b.cone == "psd":
-            psd_groups.setdefault(b.dim, []).append(sl)
-
-    def project(v):
-        out = v.copy()
-        for d, members in psd_groups.items():
-            clipped = _clip_psd(np.array([smat(v[sl], d) for sl in members]))
-            for sl, block in zip(members, clipped):
-                out[sl] = svec(block)
-        return out
-
-    return project
-
-
 def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
     """Shared over-relaxed splitting loop on iterates shaped like ``c``; returns
     (x, z, status, res_p, res_d, iters).  Norms of a Hermitian stack equal svec norms."""
@@ -201,6 +173,29 @@ def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
     return x, z, status, res_p, res_d, it
 
 
+def _factor_rows(A, b):
+    """Rank-cut thin SVD of ``A``, least-norm solution of ``A x = b``, its residual."""
+    u_svd, s_svd, vt_svd = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s_svd > max(1.0, s_svd[0] if s_svd.size else 1.0) * 1e-12))
+    ur, sr, vr = u_svd[:, :rank], s_svd[:rank], vt_svd[:rank]
+    x_ls = vr.T @ (ur.T @ b / sr)
+    return ur, sr, vr, x_ls, float(np.linalg.norm(A @ x_ls - b))
+
+
+def _solve_pinned(c, basis, rows, anchor, what, tol, max_iter):
+    """Minimize ``<c, X>`` over PSD ``X`` (shape ``(1, d, d)``) whose orthogonal projection
+    ``basis.T @ rows @ vec X`` equals that of ``anchor``; the affine step is
+    ``X - basis.T @ rows @ (vec X - anchor)``.  Returns a DeterminationResult."""
+    x, _z, status, res_p, res_d, iters = _admm(
+        c, lambda v: v - (basis.T @ (rows @ (v.ravel() - anchor))).reshape(v.shape),
+        _clip_psd, tol, max_iter)
+    if status != "OPTIMAL":
+        raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
+                          "%s did not converge (%s, primal %.2e, dual %.2e, %d iters)"
+                          % (what, status, res_p, res_d, iters))
+    return DeterminationResult(float(np.vdot(c, x).real), status, x[0], iters, res_p, res_d)
+
+
 def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Solve an :class:`SdpProblem` with the operator-splitting loop.
 
@@ -213,25 +208,26 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != problem.dim():
         raise EdlkitError("DIM_MISMATCH", "constraint matrix shape %r mismatch" % (A.shape,))
     slices = problem.block_slices()
-    u_svd, s_svd, vt_svd = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s_svd > max(1.0, s_svd[0] if s_svd.size else 1.0) * 1e-12))
-    ur, sr, vr = u_svd[:, :rank], s_svd[:rank], vt_svd[:rank]
-    # least-norm solution and linear consistency check
-    x_ls = vr.T @ (ur.T @ b / sr)
-    lin_res = float(np.linalg.norm(A @ x_ls - b))
+    ur, sr, vr, x_ls, lin_res = _factor_rows(A, b)
     if lin_res > 1e-8 * max(1.0, float(np.linalg.norm(b))):
-        return SdpSolution("INFEASIBLE", float("nan"),
-                           [smat(np.zeros(bl.dim * bl.dim), bl.dim) for bl in problem.blocks],
-                           [smat(np.zeros(bl.dim * bl.dim), bl.dim) for bl in problem.blocks],
-                           lin_res, 0.0, 0)
+        zeros = [np.zeros((bl.dim, bl.dim), dtype=complex) for bl in problem.blocks]
+        return SdpSolution("INFEASIBLE", float("nan"), zeros, [z.copy() for z in zeros], lin_res, 0.0, 0)
+    psd_groups = {}
+    for bl, sl in zip(problem.blocks, slices):
+        if bl.cone == "psd":
+            psd_groups.setdefault(bl.dim, []).append(sl)
 
-    def project_affine(v):
-        r = A @ v - b
-        return v - vr.T @ (ur.T @ r / sr)
+    def project_cone(v):
+        out = v.copy()
+        for d, members in psd_groups.items():
+            clipped = _clip_psd(np.array([smat(v[sl], d) for sl in members]))
+            for sl, block in zip(members, clipped):
+                out[sl] = svec(block)
+        return out
 
-    project_cone = _make_cone_projector(problem.blocks, slices)
     c = problem.cost_vector()
-    x, z, status, res_p, res_d, iters = _admm(c, project_affine, project_cone, tol, max_iter)
+    x, z, status, res_p, res_d, iters = _admm(
+        c, lambda v: v - vr.T @ (ur.T @ (A @ v - b) / sr), project_cone, tol, max_iter)
     blocks = [smat(x[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
     cone_blocks = [smat(z[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
     return SdpSolution(status, float(c @ x), blocks, cone_blocks, res_p, res_d, iters)
@@ -253,17 +249,35 @@ def _collection_of(n, subsets):
     return coll
 
 
+def _support(labels):
+    """Subset mask of the non-identity factors of a Pauli label string."""
+    return sum(1 << pos for pos, ch in enumerate(labels) if ch != "I")  # particle pos+1: bit pos
+
+
 def _allowed_strings(n, coll):
     """Pauli label strings whose support fits inside some subset of the collection."""
-    allowed = []
-    for labels in itertools.product("IXYZ", repeat=n):
-        support = 0
-        for pos, ch in enumerate(labels):
-            if ch != "I":
-                support |= 1 << pos  # particle pos+1 on bit pos
-        if any(support & ~mask == 0 for mask in coll.edges):
-            allowed.append("".join(labels))
-    return allowed
+    supports = ((labels, _support(labels)) for labels in itertools.product("IXYZ", repeat=n))
+    return ["".join(labels) for labels, support in supports
+            if any(support & ~mask == 0 for mask in coll.edges)]
+
+
+def _pauli_table(n, strings):
+    """Dense matrices of n-qubit Pauli strings as one ``(m, 2^n, 2^n)`` stack,
+    by a Kronecker product batched over the strings (particle 1 leftmost)."""
+    m = len(strings)
+    factors = np.array([[qcore.PAULI_1Q[ch] for ch in s] for s in strings]).reshape(m, n, 2, 2)
+    out = np.ones((m, 1, 1), dtype=complex)
+    for j in range(n):
+        out = (out[:, :, None, :, None] * factors[:, j, None, :, None, :]).reshape(m, 2 << j, 2 << j)
+    return out
+
+
+def _allowed_span(n, coll):
+    """Allowed strings of ``coll`` and both factors of the projector onto their span,
+    ``paulis.T @ (coeff_rows @ vec X)``, where ``coeff_rows @ vec X`` are Pauli coefficients."""
+    strings = _allowed_strings(n, coll)
+    paulis = _pauli_table(n, strings).reshape(len(strings), -1)
+    return strings, paulis, paulis.conj() / (1 << n)
 
 
 def _bipartition_masks(n):
@@ -416,11 +430,7 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     m = len(masks)
     # block i of an (m, d, d) stack, partially transposed on masks[i]
     pt_index = np.array([_pt_permutation(n, mask) + i * d * d for i, mask in enumerate(masks)])
-    strings = _allowed_strings(n, coll)
-    paulis = np.array([qcore.pauli_string(n, s).ravel() for s in strings])
-    # Pauli coefficients of vec(W); paulis.T @ coeff_rows is the orthogonal
-    # projector onto the allowed span, applied in two factors (never d^4 in size)
-    coeff_rows = paulis.conj() / d
+    strings, paulis, coeff_rows = _allowed_span(n, coll)
 
     def pt(blocks):
         return blocks.ravel()[pt_index].reshape(m, d, d)
@@ -458,21 +468,15 @@ def _witness_from_solution(n, coll, alpha, strings, coeffs, masks, p_mats, q_mat
     for s, coeff in zip(strings, coeffs):
         if abs(coeff) < 1e-14:
             continue
-        support = 0
-        for pos, ch in enumerate(s):
-            if ch != "I":
-                support |= 1 << pos
+        support = _support(s)
         home = next(mask for mask in coll.edges if support & ~mask == 0)
         block_terms[home].append((s, coeff))
     blocks = []
     for mask in coll.edges:
         labels = qcore.Subset(n, mask).indices
-        k = len(labels)
-        h = np.zeros((1 << k, 1 << k), dtype=complex)
-        for s, coeff in block_terms[mask]:
-            sub = "".join(s[j - 1] for j in labels)
-            h += coeff.real * qcore.pauli_string(k, sub)
-        blocks.append((qcore.Subset(n, mask), h))
+        terms = block_terms[mask]
+        table = _pauli_table(len(labels), ["".join(s[j - 1] for j in labels) for s, _c in terms])
+        blocks.append((qcore.Subset(n, mask), np.tensordot([c.real for _s, c in terms], table, axes=1)))
     certificates = [(qcore.Subset(n, mask), p, q)
                     for mask, p, q in zip(masks, p_mats, q_mats)]
     return Witness(n, coll, alpha, blocks, certificates)
@@ -536,54 +540,6 @@ def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     return Witness(witness.n, witness.collection, witness.alpha, witness.blocks, certificates)
 
 
-def build_fdw_problem(rho, subsets):
-    """The witness program as an explicit :class:`SdpProblem` (small n only).
-
-    Kept separate from :func:`fully_decomposable_alpha` so the generic dense
-    path can cross-check the structured consensus path.
-    """
-    mat, n = qcore._as_matrix(rho)
-    if n > 3:
-        raise EdlkitError("TOO_LARGE", "dense witness assembly capped at 3 qubits")
-    coll = _collection_of(n, subsets)
-    d = 1 << n
-    dsq = d * d
-    masks = _bipartition_masks(n)
-    m = len(masks)
-    strings = set(_allowed_strings(n, coll))
-    disallowed = [s for s in ("".join(p) for p in itertools.product("IXYZ", repeat=n))
-                  if s not in strings]
-    blocks = [SdpBlock(d, "free")] + [SdpBlock(d, "psd")] * (2 * m)
-    nvar = (1 + 2 * m) * dsq
-    rows = []
-    rhs = []
-    # unit trace of W
-    row = np.zeros(nvar)
-    row[:dsq] = svec(np.eye(d))
-    rows.append(row)
-    rhs.append(1.0)
-    # locality: W orthogonal to every Pauli string outside the allowed span
-    norm = 2.0 ** (-n / 2.0)
-    for s in disallowed:
-        row = np.zeros(nvar)
-        row[:dsq] = svec(qcore.pauli_string(n, s)) * norm
-        rows.append(row)
-        rhs.append(0.0)
-    # W - P_i - Q_i^(T_i) = 0 for every bipartition
-    eye_rows = np.eye(dsq)
-    for i, mask in enumerate(masks):
-        subset = qcore.Subset(n, mask)
-        pt_rows = _linmap_matrix(d, d, lambda x: qcore.partial_transpose(x, subset))
-        block_rows = np.zeros((dsq, nvar))
-        block_rows[:, :dsq] = eye_rows
-        block_rows[:, (1 + i) * dsq:(2 + i) * dsq] = -eye_rows
-        block_rows[:, (1 + m + i) * dsq:(2 + m + i) * dsq] = -pt_rows
-        rows.append(block_rows)
-        rhs.extend([0.0] * dsq)
-    objective = [mat] + [None] * (2 * m)
-    return SdpProblem(blocks, objective, np.vstack(rows), np.array(rhs))
-
-
 # ---------------------------------------------------------------------------
 # Pure-state determination program
 # ---------------------------------------------------------------------------
@@ -610,27 +566,12 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     n = psi.n
     _check_sdp_size(n)
     coll = _collection_of(n, subsets)
-    d = 1 << n
-    target = psi.to_density().matrix
-    rows = [svec(np.eye(d))[None, :]]
-    rhs = [np.array([1.0])]
-    for labels in coll:
-        keep = qcore.Subset.from_indices(n, labels)
-        lin = _linmap_matrix(d, 1 << keep.size, lambda x: qcore.partial_trace(x, keep))
-        rows.append(lin)
-        rhs.append(svec(qcore.partial_trace(target, keep)))
-    problem = SdpProblem(
-        blocks=[SdpBlock(d, "psd")],
-        objective=[target],
-        rows=np.vstack(rows),
-        rhs=np.concatenate(rhs),
-    )
-    sol = solve_sdp(problem, tol=tol, max_iter=max_iter)
-    if sol.status != "OPTIMAL":
-        raise EdlkitError("MAX_ITER" if sol.status == "MAX_ITER" else "SOLVER_FAIL",
-                          "determination program did not converge (%s)" % sol.status)
-    return DeterminationResult(sol.objective, sol.status, sol.blocks[0],
-                               sol.iterations, sol.primal_residual, sol.dual_residual)
+    target = psi.to_density().matrix[None]
+    # Tr rho = 1 and the marginals on coll pin the coefficients of rho on exactly
+    # the allowed Pauli strings (the identity among them) to those of psi
+    _strings, paulis, coeff_rows = _allowed_span(n, coll)
+    return _solve_pinned(target, paulis, coeff_rows, target.ravel(), "determination program",
+                         tol, max_iter)
 
 
 def sdl_pure(psi, tol=DEFAULT_TOL):
@@ -680,11 +621,14 @@ def symmetric_sdl_probe(coeffs, k, trials=8, tol=DEFAULT_TOL, seed=20240811):
     if not 1 <= k <= n:
         raise EdlkitError("BAD_LEVEL", "marginal size %d outside 1..%d" % (k, n))
     dd = n + 1
-    lin = _linmap_matrix(dd, k + 1, lambda x: _reduce_coeff_matrix(n, k, x))
-    target = svec(_reduce_coeff_matrix(n, k, coeffs.a))
-    trace_row = svec(np.eye(dd))[None, :]
-    rows = np.vstack([trace_row, lin])
-    rhs = np.concatenate([[1.0], target])
+    # (trace, level-k reduction) on row-major vec X, factored once for all solves
+    units = np.eye(dd * dd).reshape(-1, dd, dd)
+    rows = np.array([np.append(np.trace(e), _reduce_coeff_matrix(n, k, e).real) for e in units]).T
+    rhs = np.append(1.0, _reduce_coeff_matrix(n, k, coeffs.a))
+    _ur, _sr, vr, anchor, lin_res = _factor_rows(rows, rhs)
+    if lin_res > 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
+        raise EdlkitError("SOLVER_FAIL", "probe constraints are inconsistent (INFEASIBLE, "
+                          "residual %.2e, 0 iters)" % lin_res)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _t in range(trials):
@@ -693,12 +637,9 @@ def symmetric_sdl_probe(coeffs, k, trials=8, tol=DEFAULT_TOL, seed=20240811):
         f /= np.linalg.norm(f)
         base = float(np.trace(f @ coeffs.a).real)
         for sign in (1.0, -1.0):
-            problem = SdpProblem([SdpBlock(dd, "psd")], [sign * f], rows, rhs)
-            sol = solve_sdp(problem, tol=tol)
-            if sol.status != "OPTIMAL":
-                raise EdlkitError("MAX_ITER", "probe solve did not converge")
-            dev = abs(sign * sol.objective - base)
+            res = _solve_pinned(sign * f[None], vr, vr, anchor, "probe solve", tol, MAX_ITER)
+            dev = abs(sign * res.alpha - base)
             worst = max(worst, dev)
             if dev > 100.0 * tol:
-                return ProbeResult("NONUNIQUE", dev, sol.blocks[0], trials)
+                return ProbeResult("NONUNIQUE", dev, res.rho, trials)
     return ProbeResult("UNIQUE", worst, None, trials)

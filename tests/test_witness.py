@@ -1,20 +1,21 @@
 """Conic solver, witness programs, and determination SDPs."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from edlkit import oracle, qcore
+from edlkit import oracle, qcore, witness
 from edlkit.errors import EdlkitError
 from edlkit.hypergraph import SubsetCollection, all_k_subsets
-from edlkit.symmetric import SymmetricCoeffs, check_compatibility, dicke_vector, to_dense
+from edlkit.symmetric import (SymmetricCoeffs, _reduce_coeff_matrix, check_compatibility,
+                              dicke_vector, to_dense)
 from edlkit.witness import (
     MAX_ITER,
     SdpBlock,
     SdpProblem,
     Witness,
-    build_fdw_problem,
     edl_upper_bound,
     expand_operator,
     fully_decomposable_alpha,
@@ -27,7 +28,6 @@ from edlkit.witness import (
     svec,
     symmetric_sdl_probe,
     verify_witness,
-    _linmap_matrix,
 )
 
 PAIR_CHAIN = [(1, 2), (2, 3)]
@@ -62,7 +62,7 @@ def test_svec_roundtrip_and_isometry(rng):
 def test_linmap_matrix_represents_partial_trace(rng):
     n = 3
     keep = qcore.Subset.from_indices(n, (1, 3))
-    lin = _linmap_matrix(1 << n, 1 << 2, lambda x: qcore.partial_trace(x, keep))
+    lin = oracle._linmap_matrix(1 << n, 1 << 2, lambda x: qcore.partial_trace(x, keep))
     a = random_hermitian(rng, 1 << n)
     direct = svec(qcore.partial_trace(a, keep))
     assert np.max(np.abs(lin @ svec(a) - direct)) < 1e-12
@@ -157,6 +157,13 @@ def test_expand_operator_places_factors():
     assert np.max(np.abs(got2 - qcore.pauli_string(2, "IX"))) < 1e-13
 
 
+def test_pauli_table_matches_kron_strings():
+    for n in (1, 2, 3):
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+        ref = np.array([qcore.pauli_string(n, s) for s in strings])
+        assert np.array_equal(witness._pauli_table(n, strings), ref)
+
+
 def test_expand_operator_preserves_trace_scaling(rng):
     h = random_hermitian(rng, 4)
     big = expand_operator(4, (2, 4), h)
@@ -200,13 +207,13 @@ def test_pair_chain_witness_value():
 def test_dense_path_matches_consensus_path():
     rho = dicke_mix_dense(3, (0, 0.5, 0.5, 0))
     for subsets in (PAIR_CHAIN, all_k_subsets(3, 2), [(1, 2, 3)]):
-        problem = build_fdw_problem(rho, subsets)
+        problem = oracle.build_fdw_problem(rho, subsets)
         sol = solve_sdp(problem)
         assert sol.status == "OPTIMAL"
         alpha, _ = fully_decomposable_alpha(rho, subsets)
         assert sol.objective == pytest.approx(alpha, abs=1e-6)
     with pytest.raises(EdlkitError) as err:
-        build_fdw_problem(np.eye(16) / 16, [(1, 2)])
+        oracle.build_fdw_problem(np.eye(16) / 16, [(1, 2)])
     assert err.value.code == "TOO_LARGE"
 
 
@@ -346,6 +353,55 @@ def test_determination_solver_honours_iteration_cap():
     assert err.value.code == "MAX_ITER"
 
 
+def _generic_determination(psi, k):
+    """The determination program as svec rows for solve_sdp: the trace row and
+    one partial-trace map per k-subset."""
+    n, d = psi.n, 1 << psi.n
+    target = psi.to_density().matrix
+    rows, rhs = [svec(np.eye(d))[None, :]], [[1.0]]
+    for labels in all_k_subsets(n, k):
+        keep = qcore.Subset.from_indices(n, labels)
+        rows.append(oracle._linmap_matrix(d, 1 << k, lambda x: qcore.partial_trace(x, keep)))
+        rhs.append(svec(qcore.partial_trace(target, keep)))
+    problem = SdpProblem([SdpBlock(d, "psd")], [target], np.vstack(rows), np.concatenate(rhs))
+    return solve_sdp(problem)
+
+
+def _generic_probe_deviation(coeffs, k, trials=8, seed=20240811):
+    """Largest deviation of the probe's 2*trials solves, through svec rows and solve_sdp."""
+    n, dd = coeffs.n, coeffs.n + 1
+    lin = oracle._linmap_matrix(dd, k + 1, lambda x: _reduce_coeff_matrix(n, k, x))
+    rows = np.vstack([svec(np.eye(dd))[None, :], lin])
+    rhs = np.concatenate([[1.0], svec(_reduce_coeff_matrix(n, k, coeffs.a))])
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        f = random_hermitian(rng, dd)
+        f /= np.linalg.norm(f)
+        base = float(np.trace(f @ coeffs.a).real)
+        for sign in (1.0, -1.0):
+            sol = solve_sdp(SdpProblem([SdpBlock(dd, "psd")], [sign * f], rows, rhs))
+            assert sol.status == "OPTIMAL"
+            worst = max(worst, abs(sign * sol.objective - base))
+    return worst
+
+
+def test_determination_matches_generic_path():
+    amp = np.array([1.0, 1j]) @ np.random.default_rng(11).normal(size=(2, 8))
+    states = [qcore.ghz_vector(3), dicke_vector(3, 1), qcore.PureVector(3, amp / np.linalg.norm(amp))]
+    for psi in states:
+        for k in (1, 2):
+            sol = _generic_determination(psi, k)
+            res = pure_determination_alpha(psi, all_k_subsets(3, k))
+            assert sol.status == "OPTIMAL"
+            assert abs(res.alpha - sol.objective) <= 1e-9
+            assert res.iterations == sol.iterations
+    w3 = SymmetricCoeffs(3, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+    res = symmetric_sdl_probe(w3, 2)
+    assert res.verdict == "UNIQUE"
+    assert abs(res.max_deviation - _generic_probe_deviation(w3, 2)) <= 1e-9
+
+
 def test_sdp_size_cap():
     with pytest.raises(EdlkitError) as err:
         fully_decomposable_alpha(np.eye(64) / 64, [(1, 2)])
@@ -383,6 +439,26 @@ def test_probe_accepts_full_level_and_single_dicke():
     e1[1, 1] = 1.0
     res = symmetric_sdl_probe(SymmetricCoeffs(3, e1), 2, trials=4)
     assert res.verdict == "UNIQUE"
+
+
+def test_probe_reports_solver_status(monkeypatch):
+    w3 = SymmetricCoeffs(3, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+    monkeypatch.setattr(witness, "MAX_ITER", 3)
+    with pytest.raises(EdlkitError) as err:
+        symmetric_sdl_probe(w3, 2)
+    assert err.value.code == "MAX_ITER" and "3 iters" in err.value.message
+    monkeypatch.undo()
+    # a solve the stall heuristic flags INFEASIBLE is a failure, not an iteration cap
+    admm = witness._admm
+
+    def stalled(*args):
+        x, z, _status, res_p, res_d, iters = admm(*args)
+        return x, z, "INFEASIBLE", res_p, res_d, iters
+
+    monkeypatch.setattr(witness, "_admm", stalled)
+    with pytest.raises(EdlkitError) as err:
+        symmetric_sdl_probe(w3, 2)
+    assert err.value.code == "SOLVER_FAIL" and "INFEASIBLE" in err.value.message
 
 
 def test_probe_validation():
