@@ -13,6 +13,7 @@ survive a serialize/parse round trip bit for bit.  Floats round-trip within
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,13 +59,28 @@ def _matrix_pair(mat):
 
 
 def _matrix_from_pair(doc, key, shape):
-    re_part = np.asarray(doc.get(key + "_real"), dtype=float)
-    im = doc.get(key + "_imag")
-    im_part = np.zeros_like(re_part) if im is None else np.asarray(im, dtype=float)
+    try:
+        re_part = np.asarray(doc.get(key + "_real"), dtype=float)
+        im = doc.get(key + "_imag")
+        im_part = np.zeros_like(re_part) if im is None else np.asarray(im, dtype=float)
+    except (TypeError, ValueError):
+        raise EdlkitError("BAD_FORMAT", "%s payload is not a numeric array" % key)
     if re_part.shape != shape or im_part.shape != shape:
         raise EdlkitError("DIM_MISMATCH",
                           "%s payload shape %r, expected %r" % (key, re_part.shape, shape))
     return re_part + 1j * im_part
+
+
+def _is_int_list(x):
+    return isinstance(x, list) and all(isinstance(j, int) and not isinstance(j, bool) for j in x)
+
+
+def _index_array(doc, key, what):
+    """``doc[key]`` as a list of integer labels, or BAD_FORMAT."""
+    labels = doc.get(key) if isinstance(doc, dict) else None
+    if not _is_int_list(labels):
+        raise EdlkitError("BAD_FORMAT", "%s needs an integer index array %r" % (what, key))
+    return labels
 
 
 def _jsonable(x):
@@ -166,10 +182,12 @@ def witness_from_json(doc):
     n = doc.get("n")
     if not isinstance(n, int) or n < 1:
         raise EdlkitError("DIM_MISMATCH", "witness file needs a positive integer n")
+    if not all(isinstance(doc.get(key, []), list) for key in ("blocks", "certificates")):
+        raise EdlkitError("BAD_FORMAT", "witness blocks and certificates must be arrays")
     blocks = []
     subset_lists = []
     for b in doc.get("blocks", []):
-        labels = b.get("subset")
+        labels = _index_array(b, "subset", "witness block")
         subset_lists.append(labels)
         k = len(labels)
         h = _matrix_from_pair(b, "h", (1 << k, 1 << k))
@@ -179,13 +197,14 @@ def witness_from_json(doc):
     coll = hypergraph.SubsetCollection.from_lists(n, subset_lists)
     certs = []
     for c in doc.get("certificates", []):
-        subset = qcore.Subset.from_indices(n, c.get("s"))
+        subset = qcore.Subset.from_indices(n, _index_array(c, "s", "certificate"))
         d = 1 << n
         p = _matrix_from_pair(c, "p", (d, d))
         q = _matrix_from_pair(c, "q", (d, d))
         certs.append((subset, p, q))
     alpha = doc.get("alpha")
-    return wit.Witness(n, coll, float("nan") if alpha is None else float(alpha), blocks, certs)
+    return wit.Witness(n, coll, float("nan") if alpha is None else float(_parse_num(alpha)),
+                       blocks, certs)
 
 
 def graph_from_json(doc):
@@ -195,16 +214,22 @@ def graph_from_json(doc):
     if not isinstance(n, int) or n < 1:
         raise EdlkitError("DIM_MISMATCH", "graph file needs a positive integer n")
     edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise EdlkitError("BAD_FORMAT", "graph file needs an edges array")
+    if not isinstance(edges, list) or not all(_is_int_list(e) and len(e) == 2 for e in edges):
+        raise EdlkitError("BAD_FORMAT", "graph file needs an array of integer vertex pairs")
     return graphstate.SimpleGraph(n, tuple(tuple(e) for e in edges))
 
 
-def collection_from_json(doc, n=None):
-    if not isinstance(doc, list) or not all(isinstance(s, list) for s in doc):
+def _collection_labels(doc):
+    """All labels of a collection document, or BAD_FORMAT unless it is an
+    array of integer index arrays."""
+    if not isinstance(doc, list) or not all(_is_int_list(s) for s in doc):
         raise EdlkitError("BAD_FORMAT", "collection file must be an array of index arrays")
+    return [j for s in doc for j in s]
+
+
+def collection_from_json(doc, n=None):
+    labels = _collection_labels(doc)
     if n is None:
-        labels = [j for s in doc for j in s]
         if not labels:
             raise EdlkitError("EMPTY_SUBSET", "collection file is empty")
         n = max(labels)
@@ -317,15 +342,14 @@ def _cmd_marginal(args):
     state = state_from_json(_load_json(args.state))
     keep = _labels(args.keep)
     inputs = {"state": args.state, "keep": keep, "n": state.n}
-    k = len(set(keep))
+    sub = qcore.Subset.from_indices(state.n, keep)
     if isinstance(state, symmetric.DickeMixture):
         # permutation invariance: every k-subset gives the same marginal
-        out = symmetric.diagonal_marginal(state, k)
+        out = symmetric.diagonal_marginal(state, sub.size)
     elif isinstance(state, symmetric.SymmetricCoeffs):
-        out = symmetric.symmetric_marginal(state, k)
+        out = symmetric.symmetric_marginal(state, sub.size)
     else:
-        mat, n = _dense_matrix(state)
-        sub = qcore.Subset.from_indices(n, keep)
+        mat, _n = _dense_matrix(state)
         out = qcore.DenseState(sub.size, qcore.partial_trace(mat, sub), validate=False)
     doc = state_to_json(out)
     return {"n": doc["n"], "kind": doc["kind"], "state": doc}, None, [], inputs
@@ -386,7 +410,7 @@ def _cmd_determine(args):
 def _cmd_transitivity(args):
     coll_doc = _load_json(args.collection)
     target = _labels(args.target)
-    n = max([j for s in coll_doc for j in s] + target)
+    n = max(_collection_labels(coll_doc) + target)
     coll = collection_from_json(coll_doc, n)
     inputs = {"collection": args.collection, "target": target, "edl": args.edl, "n": n}
     query = hypergraph.TransitivityQuery(coll, tuple(target))
@@ -450,6 +474,7 @@ def _cmd_gap_demo(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="edlkit",

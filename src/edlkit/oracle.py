@@ -3,7 +3,10 @@
 The brute-force routines are plain loop nests over computational basis
 indices and deliberately share no code with the implementations they check
 (``qcore.partial_trace``, the Hankel criteria, the hypergraph counting
-formula).  Sizes are small, clarity wins over speed.
+formula).  Sizes are small, clarity wins over speed.  :func:`exact_det` is
+the cofactor-expansion determinant that freezes exact Hankel minors and,
+through Sylvester's criterion, checks the elimination in
+``symmetric._exact_psd``.
 
 The generic SDP references (:func:`build_fdw_problem`, :func:`_linmap_matrix`)
 state a program as svec-packed constraint rows for ``witness.solve_sdp``,
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -147,6 +151,22 @@ def is_swap_invariant(rho, n, tol=1e-10):
         if np.max(np.abs(mat[np.ix_(perm, perm)] - mat)) > tol:
             return False
     return True
+
+
+def exact_det(rows):
+    """Determinant of a small matrix of Fractions via cofactor expansion."""
+    d = len(rows)
+    if d == 1:
+        return rows[0][0]
+    if d == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = Fraction(0)
+    for j in range(d):
+        if rows[0][j] == 0:
+            continue
+        minor = [[rows[r][c] for c in range(d) if c != j] for r in range(1, d)]
+        total += (-1) ** j * rows[0][j] * exact_det(minor)
+    return total
 
 
 def _covers_and_connected(chosen, n):

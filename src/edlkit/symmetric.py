@@ -292,31 +292,22 @@ def hankel_pair(mix):
     return HankelPair(n, m0, m1)
 
 
-def _exact_det(rows):
-    """Determinant of a small matrix of Fractions via cofactor expansion."""
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Fraction(0)
-    for j in range(d):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[r][c] for c in range(d) if c != j] for r in range(1, d)]
-        total += (-1) ** j * rows[0][j] * _exact_det(minor)
-    return total
-
-
 def _exact_psd(rows):
-    """Exact PSD test for a symmetric rational matrix: all principal minors >= 0."""
-    d = len(rows)
-    frd = [[Fraction(x) for x in row] for row in rows]
-    for size in range(1, d + 1):
-        for sel in itertools.combinations(range(d), size):
-            sub = [[frd[r][c] for c in sel] for r in sel]
-            if _exact_det(sub) < 0:
-                return False
+    """Exact PSD test for a symmetric rational matrix by pivoted symmetric elimination.
+
+    Pivot on the largest remaining diagonal entry: a negative one refutes
+    PSD, a zero one leaves PSD iff the whole remaining block is zero, and a
+    positive one passes the test on to its Schur complement.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    while a:
+        p = max(range(len(a)), key=lambda i: a[i][i])
+        pivot = a[p][p]
+        if pivot <= 0:
+            return pivot == 0 and not any(x for row in a for x in row)
+        col = [row[p] for row in a]
+        a = [[a[r][c] - col[r] * col[c] / pivot for c in range(len(a)) if c != p]
+             for r in range(len(a)) if r != p]
     return True
 
 
@@ -331,7 +322,7 @@ class PptVerdict:
 def is_ppt_diagonal(mix, tol=PSD_TOL):
     """PPT (= full separability) test for a diagonal symmetric state.
 
-    Exact inputs are decided exactly through principal minors; float inputs
+    Exact inputs are decided exactly by symmetric elimination; float inputs
     compare the smallest Hankel eigenvalues against ``-tol``.
     """
     pair = hankel_pair(mix)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from edlkit import oracle, qcore
-from edlkit.errors import EdlkitError
 from edlkit.graphstate import SimpleGraph, graph_bounds, graph_state, uniformity_level
 from edlkit.hypergraph import SubsetCollection, all_k_subsets, min_marginal_count
 from edlkit.symmetric import (
@@ -34,7 +33,6 @@ from edlkit.symmetric import (
     sdl_full_level,
     symmetric_marginal,
     to_dense,
-    _exact_det,
 )
 from edlkit.witness import (
     Witness,
@@ -125,7 +123,7 @@ def test_criterion_04_ghz_dicke_coherent_mixture():
     reduced = diagonal_marginal(DickeMixture(3, (Fraction(1, 4), Fraction(1, 2),
                                                  Fraction(0), Fraction(1, 4))), 2)
     assert reduced.lam == (Fraction(5, 12), Fraction(1, 3), Fraction(1, 4))
-    det = _exact_det([list(r) for r in hankel_pair(reduced).m0])
+    det = oracle.exact_det([list(r) for r in hankel_pair(reduced).m0])
     assert det == Fraction(11, 144) and det > 0
 
 

@@ -243,6 +243,39 @@ def test_input_error_paths(tmp_path, capsys):
     assert code == 2
     assert doc["error"]["code"] == "NOT_DENSITY"
 
+    # malformed artifacts: each is an input error, not a crash
+    eye2 = [[1, 0], [0, 1]]
+    malformed = [
+        ("transitivity", "--collection", [1, 2], "--target", "1,2", "--edl", "2"),
+        ("transitivity", "--collection", {"a": [1]}, "--target", "1,2", "--edl", "2"),
+        ("verify-witness", "--witness",
+         {"format": cli.WITNESS_FORMAT, "n": 1, "alpha": -0.1,
+          "blocks": [{"h_real": eye2}], "certificates": []}),
+        ("verify-witness", "--witness",
+         {"format": cli.WITNESS_FORMAT, "n": 1, "alpha": -0.1,
+          "blocks": [{"subset": [1], "h_real": eye2}],
+          "certificates": [{"p_real": eye2, "q_real": eye2}]}),
+        ("verify-witness", "--witness",
+         {"format": cli.WITNESS_FORMAT, "n": 1, "alpha": "x",
+          "blocks": [{"subset": [1], "h_real": eye2}]}),
+        ("graph-bounds", "--graph", {"format": cli.GRAPH_FORMAT, "n": 3, "edges": [[1]]}),
+        ("marginal", "--state",
+         {"format": cli.STATE_FORMAT, "n": 1, "kind": "dense", "rho_real": [[1, 0], [0]]},
+         "--keep", "1"),
+    ]
+    for idx, (command, flag, payload, *rest) in enumerate(malformed):
+        path = write(tmp_path, "malformed%d.json" % idx, payload)
+        code, doc = run(capsys, command, flag, path, *rest)
+        assert code == 2, command
+        assert doc["error"]["code"] == "BAD_FORMAT", command
+
+    # a marginal on labels outside 1..n is refused for every state kind
+    path = write(tmp_path, "dicke.json", diagonal_state(2, ["1", "0", "0"]))
+    for keep in ("1,5", "0"):
+        code, doc = run(capsys, "marginal", "--state", path, "--keep", keep)
+        assert code == 2
+        assert doc["error"]["code"] == "BAD_VERTEX"
+
 
 def test_sdl_rejects_dense_mixed_state(tmp_path, capsys):
     rho = np.eye(8) / 8

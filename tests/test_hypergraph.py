@@ -1,6 +1,5 @@
 """Subset collections, connectivity, minimal covers, transitivity."""
 
-import itertools
 import math
 
 import pytest

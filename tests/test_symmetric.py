@@ -1,5 +1,6 @@
 """Symmetric-subspace machinery: marginals, Hankel criteria, both lengths."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from edlkit.symmetric import (
     solution_family,
     symmetric_marginal,
     to_dense,
-    _exact_det,
+    _exact_psd,
 )
 
 
@@ -169,7 +170,7 @@ def test_hankel_pair_exact_entries():
     assert pair.m0 == ((Fraction(1, 2), Fraction(1, 12), Fraction(1, 72)),
                        (Fraction(1, 12), Fraction(1, 72), Fraction(1, 96)),
                        (Fraction(1, 72), Fraction(1, 96), Fraction(1, 24)))
-    assert _exact_det([list(r) for r in pair.m0]) == Fraction(-49, 1492992)
+    assert oracle.exact_det([list(r) for r in pair.m0]) == Fraction(-49, 1492992)
     assert pair.min_eigenvalues()[0] < 0
 
 
@@ -200,6 +201,55 @@ def test_hankel_ppt_matches_dense_ppt():
     assert checked > 40
 
 
+def sylvester_psd(a):
+    """PSD by Sylvester's criterion: every principal minor is nonnegative."""
+    d = len(a)
+    return all(oracle.exact_det([[a[r][c] for c in sel] for r in sel]) >= 0
+               for size in range(1, d + 1)
+               for sel in itertools.combinations(range(d), size))
+
+
+def exact_psd_cases(rng):
+    """Seeded rational symmetric matrices with d = 1..6 around the PSD boundary."""
+    def ints(size):
+        return [int(x) for x in rng.integers(-2, 3, size=size)]
+
+    for d in range(1, 7):
+        yield [[Fraction(0)] * d for _ in range(d)]
+        if d > 1:
+            off = [[Fraction(0)] * d for _ in range(d)]
+            r, c = sorted(int(x) for x in rng.choice(d, size=2, replace=False))
+            off[r][c] = off[c][r] = Fraction(int(rng.choice([-3, -1, 1, 2])), 5)
+            yield off
+        for _ in range(12):
+            rank = int(rng.integers(1, d + 1))
+            q = int(rng.integers(1, 7))
+            g = [[Fraction(x, q) for x in ints(rank)] for _ in range(d)]
+            if rng.random() < 0.5:
+                g[int(rng.integers(d))] = [Fraction(0)] * rank
+            gram = [[sum(x * y for x, y in zip(g[r], g[c])) for c in range(d)]
+                    for r in range(d)]
+            yield gram
+            r, c = (int(x) for x in rng.integers(d, size=2))
+            for sign in (1, -1):
+                bumped = [row[:] for row in gram]
+                bumped[r][c] += Fraction(sign, int(rng.integers(1, 50)))
+                bumped[c][r] = bumped[r][c]
+                yield bumped
+            sym = [ints(d) for _ in range(d)]
+            yield [[Fraction(sym[min(r, c)][max(r, c)], q) for c in range(d)]
+                   for r in range(d)]
+
+
+def test_exact_psd_matches_sylvester_criterion():
+    verdicts = []
+    for a in exact_psd_cases(np.random.default_rng(31)):
+        verdict = _exact_psd(a)
+        assert verdict == sylvester_psd(a), a
+        verdicts.append(verdict)
+    assert sum(verdicts) > 100 and len(verdicts) - sum(verdicts) > 100
+
+
 def test_two_body_value_tracks_hankel_determinant_sign():
     rng = np.random.default_rng(25)
     for _ in range(40):
@@ -207,7 +257,7 @@ def test_two_body_value_tracks_hankel_determinant_sign():
         mix = random_exact_mixture(rng, n, zero_prob=0.3)
         ppt, value = marginal2_ppt(mix)
         reduced = diagonal_marginal(mix, 2) if n > 2 else mix
-        det = _exact_det([list(r) for r in hankel_pair(reduced).m0])
+        det = oracle.exact_det([list(r) for r in hankel_pair(reduced).m0])
         assert (value >= 0) == (det >= 0)
         assert ppt == (value >= 0)
 
@@ -279,8 +329,8 @@ def test_edl_symmetric_handles_coherent_state():
     assert res.value == 3 and res.flag == "EXACT"
     reduced = symmetric_marginal(SymmetricCoeffs(3, a), 2)
     assert reduced.is_diagonal()
-    det = _exact_det([[Fraction(5, 12), Fraction(1, 6)],
-                      [Fraction(1, 6), Fraction(1, 4)]])
+    det = oracle.exact_det([[Fraction(5, 12), Fraction(1, 6)],
+                            [Fraction(1, 6), Fraction(1, 4)]])
     assert det == Fraction(11, 144)
 
 

@@ -1,7 +1,6 @@
 """Conic solver, witness programs, and determination SDPs."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from edlkit import oracle, qcore, witness
 from edlkit.errors import EdlkitError
 from edlkit.hypergraph import SubsetCollection, all_k_subsets
 from edlkit.symmetric import (SymmetricCoeffs, _reduce_coeff_matrix, check_compatibility,
-                              dicke_vector, to_dense)
+                              dicke_vector)
 from edlkit.witness import (
     MAX_ITER,
     SdpBlock,
