@@ -71,8 +71,13 @@ def _matrix_from_pair(doc, key, shape):
     return re_part + 1j * im_part
 
 
+def _is_int(x):
+    """A JSON integer; ``true`` and ``false`` are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_int_list(x):
-    return isinstance(x, list) and all(isinstance(j, int) and not isinstance(j, bool) for j in x)
+    return isinstance(x, list) and all(_is_int(j) for j in x)
 
 
 def _index_array(doc, key, what):
@@ -139,7 +144,7 @@ def state_from_json(doc):
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise EdlkitError("BAD_FORMAT", "state file must carry format=%r" % STATE_FORMAT)
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise EdlkitError("DIM_MISMATCH", "state file needs a positive integer n")
     kind = doc.get("kind")
     if kind == "dicke_diagonal":
@@ -180,7 +185,7 @@ def witness_from_json(doc):
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise EdlkitError("BAD_FORMAT", "witness file must carry format=%r" % WITNESS_FORMAT)
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise EdlkitError("DIM_MISMATCH", "witness file needs a positive integer n")
     if not all(isinstance(doc.get(key, []), list) for key in ("blocks", "certificates")):
         raise EdlkitError("BAD_FORMAT", "witness blocks and certificates must be arrays")
@@ -211,7 +216,7 @@ def graph_from_json(doc):
     if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
         raise EdlkitError("BAD_FORMAT", "graph file must carry format=%r" % GRAPH_FORMAT)
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise EdlkitError("DIM_MISMATCH", "graph file needs a positive integer n")
     edges = doc.get("edges")
     if not isinstance(edges, list) or not all(_is_int_list(e) and len(e) == 2 for e in edges):

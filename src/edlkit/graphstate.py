@@ -7,6 +7,11 @@ unitaries, and local complementation at a vertex realizes exactly the local
 Clifford orbit of the state, so scanning that orbit for the smallest
 maximum degree tightens the generic upper bound 1 + max degree.  The lower
 bound 3 holds for every graph state on three or more qubits.
+
+Orbit work runs on adjacency bitmasks: a graph is a tuple of ``n`` integers
+whose entry ``v-1`` has bit ``u-1`` set iff ``u ~ v``.  The tuple is the
+canonical form the orbit search hashes; a ``SimpleGraph`` is built only for
+the result.
 """
 
 from __future__ import annotations
@@ -73,20 +78,50 @@ class SimpleGraph:
         return max((self.degree(v) for v in range(1, self.n + 1)), default=0)
 
     def is_connected(self):
-        if self.n == 1:
-            return True
-        seen = {1}
-        frontier = deque([1])
-        while frontier:
-            cur = frontier.popleft()
-            for nb in self.neighbors(cur):
-                if nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        return len(seen) == self.n
+        return _connected(_adjacency(self))
 
-    def _key(self):
-        return (self.n, self.edges)
+
+def _adjacency(graph):
+    """Adjacency bitmasks: entry ``v-1`` has bit ``u-1`` set iff ``u ~ v``."""
+    adj = [0] * graph.n
+    for u, v in graph.edges:
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    return tuple(adj)
+
+
+def _from_adjacency(adj):
+    n = len(adj)
+    return SimpleGraph(n, tuple((a + 1, b + 1) for a in range(n)
+                                for b in range(a + 1, n) if adj[a] >> b & 1))
+
+
+def _connected(adj):
+    """Whether vertex 1 reaches every vertex."""
+    seen = todo = 1
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new
+    return seen == (1 << len(adj)) - 1
+
+
+def _max_degree(adj):
+    return max(map(int.bit_count, adj))
+
+
+def _lc_step(adj, v):
+    """Local complement at 0-based ``v``: XOR-ing ``N(v)`` without ``a`` into
+    the row of each neighbour ``a`` toggles every pair inside ``N(v)``."""
+    nbs = rest = adj[v]
+    out = list(adj)
+    while rest:
+        low = rest & -rest  # bit of the next neighbour a
+        out[low.bit_length() - 1] ^= nbs ^ low
+        rest ^= low
+    return tuple(out)
 
 
 def graph_state(graph):
@@ -98,13 +133,11 @@ def graph_state(graph):
     n = graph.n
     if n > qcore.MAX_QUBITS:
         raise EdlkitError("TOO_LARGE", "n=%d exceeds the dense cap" % n)
-    d = 1 << n
-    amp = np.full(d, 2.0 ** (-n / 2.0), dtype=complex)
+    idx = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.int64)
     for u, v in graph.edges:
-        bu, bv = n - u, n - v  # particle j sits on index bit n-j
-        for idx in range(d):
-            if idx >> bu & 1 and idx >> bv & 1:
-                amp[idx] = -amp[idx]
+        parity ^= (idx >> (n - u)) & (idx >> (n - v))  # particle j sits on index bit n-j
+    amp = 2.0 ** (-n / 2.0) * (1 - 2 * (parity & 1)).astype(complex)
     psi = qcore.PureVector(n, amp)
     for v in range(1, n + 1):
         if np.max(np.abs(_apply_stabilizer(psi.amplitudes, graph, v) - psi.amplitudes)) > 1e-10:
@@ -115,32 +148,18 @@ def graph_state(graph):
 def _apply_stabilizer(amp, graph, v):
     """Apply X_v prod_{j ~ v} Z_j to a state vector."""
     n = graph.n
-    d = amp.shape[0]
-    bv = n - v
-    zmask = 0
+    src = np.arange(amp.shape[0]) ^ (1 << (n - v))
+    parity = np.zeros_like(src)
     for nb in graph.neighbors(v):
-        zmask |= 1 << (n - nb)
-    out = np.empty_like(amp)
-    for idx in range(d):
-        src = idx ^ (1 << bv)
-        sign = -1.0 if bin(src & zmask).count("1") % 2 else 1.0
-        out[idx] = sign * amp[src]
-    return out
+        parity ^= src >> (n - nb)
+    return (1 - 2 * (parity & 1)) * amp[src]
 
 
 def local_complement(graph, v):
     """Toggle every edge inside the neighborhood of ``v`` (an involution)."""
     if not 1 <= v <= graph.n:
         raise EdlkitError("BAD_VERTEX", "vertex %d outside 1..%d" % (v, graph.n))
-    nbs = sorted(graph.neighbors(v))
-    edges = set(graph.edges)
-    for a, b in itertools.combinations(nbs, 2):
-        pair = (a, b)
-        if pair in edges:
-            edges.remove(pair)
-        else:
-            edges.add(pair)
-    return SimpleGraph(graph.n, tuple(sorted(edges)))
+    return _from_adjacency(_lc_step(_adjacency(graph), v - 1))
 
 
 @dataclass(frozen=True)
@@ -154,36 +173,35 @@ class OrbitResult:
 def lc_orbit_min_max_degree(graph, budget=100000):
     """Smallest maximum degree over the local-complementation orbit.
 
-    Breadth-first search with the labeled edge set as canonical form.  The
-    result is exact (``exhausted=True``) when the orbit fits in the budget
-    or the theoretical minimum 2 is reached (a connected graph on three or
-    more vertices cannot have maximum degree below 2).
+    Breadth-first search with the tuple of adjacency bitmasks as canonical
+    form.  The result is exact (``exhausted=True``) when the orbit fits in the
+    budget or the theoretical minimum 2 is reached (a connected graph on three
+    or more vertices cannot have maximum degree below 2).
     """
-    if not graph.is_connected():
+    start = _adjacency(graph)
+    if not _connected(start):
         raise EdlkitError("DISCONNECTED", "local-complementation orbit scan needs a connected graph")
-    start = graph
-    best = start.max_degree()
-    best_graph = start
-    seen = {start._key()}
+    best = _max_degree(start)
+    best_adj = start
+    seen = {start}
     frontier = deque([start])
     floor = 2 if graph.n >= 3 else 1
     while frontier and len(seen) < budget and best > floor:
         cur = frontier.popleft()
-        for v in range(1, graph.n + 1):
-            nxt = local_complement(cur, v)
-            key = nxt._key()
-            if key in seen:
+        for v in range(graph.n):
+            nxt = _lc_step(cur, v)
+            if nxt in seen:
                 continue
-            seen.add(key)
+            seen.add(nxt)
             frontier.append(nxt)
-            deg = nxt.max_degree()
+            deg = _max_degree(nxt)
             if deg < best:
                 best = deg
-                best_graph = nxt
+                best_adj = nxt
             if best <= floor:
                 break
     exhausted = not frontier or best <= floor
-    return OrbitResult(best, exhausted, len(seen), best_graph)
+    return OrbitResult(best, exhausted, len(seen), _from_adjacency(best_adj))
 
 
 @dataclass(frozen=True)
@@ -198,12 +216,11 @@ def graph_bounds(graph, budget=100000):
     """Determination-length bounds (lo, hi) for a connected graph state.
 
     lo is always 3; hi is 1 plus the smallest maximum degree over the
-    local-complementation orbit (local unitaries preserve the length).
+    local-complementation orbit (local unitaries preserve the length).  A
+    disconnected graph raises ``DISCONNECTED`` from the orbit scan.
     """
     if graph.n < 3:
         raise EdlkitError("BAD_VERTEX", "bounds need n >= 3")
-    if not graph.is_connected():
-        raise EdlkitError("DISCONNECTED", "graph state bounds need a connected graph")
     orbit = lc_orbit_min_max_degree(graph, budget=budget)
     return GraphBounds(LOWER_BOUND, 1 + orbit.min_max_degree, orbit.exhausted, orbit)
 
@@ -212,18 +229,20 @@ def uniformity_level(psi, tol=1e-9):
     """Largest k such that every k-qubit marginal is maximally mixed (0 if none).
 
     A k-uniform state cannot be determined, nor its entanglement detected,
-    by marginals of k or fewer qubits.
+    by marginals of k or fewer qubits.  Each marginal is ``M M^dagger``, with
+    ``M`` the amplitude tensor with the kept qubits first, reshaped to
+    ``(2^k, 2^(n-k))``; so the scan needs only the ``2^n`` amplitudes and
+    runs up to the ``PureVector`` cap of ``qcore.MAX_QUBITS`` qubits.
     """
     n = psi.n
-    if n > 8:
-        raise EdlkitError("TOO_LARGE", "uniformity scan capped at 8 qubits")
-    rho = psi.to_density().matrix
+    tensor = psi.amplitudes.reshape([2] * n)  # axis j-1 is particle j
     level = 0
     for k in range(1, n):
         eye = np.eye(1 << k) / (1 << k)
-        for combo in itertools.combinations(range(1, n + 1), k):
-            marg = qcore.partial_trace(rho, combo)
-            if np.max(np.abs(marg - eye)) > tol:
+        for combo in itertools.combinations(range(n), k):
+            rest = [j for j in range(n) if j not in combo]
+            m = tensor.transpose(combo + tuple(rest)).reshape(1 << k, -1)
+            if np.max(np.abs(m @ m.conj().T - eye)) > tol:
                 return level
         level = k
     return level

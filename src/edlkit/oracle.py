@@ -6,7 +6,9 @@ indices and deliberately share no code with the implementations they check
 formula).  Sizes are small, clarity wins over speed.  :func:`exact_det` is
 the cofactor-expansion determinant that freezes exact Hankel minors and,
 through Sylvester's criterion, checks the elimination in
-``symmetric._exact_psd``.
+``symmetric._exact_psd``.  :func:`lc_orbit_edge_sets` runs the
+local-complementation orbit search on ``SimpleGraph`` edge sets, as a
+reference for the adjacency-bitmask search of ``graphstate``.
 
 The generic SDP references (:func:`build_fdw_problem`, :func:`_linmap_matrix`)
 state a program as svec-packed constraint rows for ``witness.solve_sdp``,
@@ -24,12 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from . import qcore
 from .errors import EdlkitError
+from .graphstate import OrbitResult, SimpleGraph
 from .witness import (SdpBlock, SdpProblem, _allowed_strings, _bipartition_masks,
                       _collection_of, smat, svec)
 
@@ -205,6 +209,42 @@ def exhaustive_min_connected_cover(n, k):
                 witness = tuple(tuple(sorted(s)) for s in combo)
                 return count, witness
     raise EdlkitError("SOLVER_FAIL", "no connected cover found (unreachable)")
+
+
+def local_complement_edges(graph, v):
+    """Local complement at ``v`` on the edge set: toggle every pair of
+    neighbours of ``v``."""
+    edges = set(graph.edges)
+    for pair in itertools.combinations(sorted(graph.neighbors(v)), 2):
+        edges ^= {pair}
+    return SimpleGraph(graph.n, tuple(sorted(edges)))
+
+
+def lc_orbit_edge_sets(graph, budget=100000):
+    """Local-complementation orbit search over ``SimpleGraph`` objects keyed
+    by their sorted edge tuples: the search order, early stop and budget
+    rule of ``graphstate.lc_orbit_min_max_degree``, so the two return equal
+    ``OrbitResult``s."""
+    best = graph.max_degree()
+    best_graph = graph
+    seen = {graph.edges}
+    frontier = deque([graph])
+    floor = 2 if graph.n >= 3 else 1
+    while frontier and len(seen) < budget and best > floor:
+        cur = frontier.popleft()
+        for v in range(1, graph.n + 1):
+            nxt = local_complement_edges(cur, v)
+            if nxt.edges in seen:
+                continue
+            seen.add(nxt.edges)
+            frontier.append(nxt)
+            if nxt.max_degree() < best:
+                best = nxt.max_degree()
+                best_graph = nxt
+            if best <= floor:
+                break
+    exhausted = not frontier or best <= floor
+    return OrbitResult(best, exhausted, len(seen), best_graph)
 
 
 def _linmap_matrix(d_in, d_out, fn):

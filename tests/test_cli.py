@@ -234,6 +234,22 @@ def test_input_error_paths(tmp_path, capsys):
     assert code == 2
     assert doc["error"]["code"] == "BAD_FORMAT"
 
+    # a JSON boolean is not an integer n
+    bool_n = [
+        ("marginal", "--state",
+         {"format": cli.STATE_FORMAT, "n": True, "kind": "dicke_diagonal",
+          "lambda": ["1/2", "1/2"]}, "--keep", "1"),
+        ("verify-witness", "--witness",
+         {"format": cli.WITNESS_FORMAT, "n": True, "alpha": -0.1,
+          "blocks": [{"subset": [1], "h_real": [[1, 0], [0, 1]]}]}),
+        ("graph-bounds", "--graph", {"format": cli.GRAPH_FORMAT, "n": True, "edges": []}),
+    ]
+    for idx, (command, flag, payload, *rest) in enumerate(bool_n):
+        path = write(tmp_path, "bool_n%d.json" % idx, payload)
+        code, doc = run(capsys, command, flag, path, *rest)
+        assert code == 2, command
+        assert doc["error"]["code"] == "DIM_MISMATCH", command
+
     # dense payload that is not a density matrix
     bad = np.eye(4).tolist()
     path = write(tmp_path, "dense.json",

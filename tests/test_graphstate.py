@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from edlkit import qcore
+from edlkit import oracle, qcore
 from edlkit.errors import EdlkitError
 from edlkit.graphstate import (
     SimpleGraph,
@@ -31,6 +31,47 @@ def stabilizer_matrix(graph, v):
     return qcore.kron(*ops)
 
 
+def random_connected_graph(rng, n, extra):
+    """Random labeled tree on 1..n with ``extra`` further random edges."""
+    perm = [int(x) + 1 for x in rng.permutation(n)]
+    edges = {tuple(sorted((perm[v], perm[int(rng.integers(0, v))]))) for v in range(1, n)}
+    rest = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2) if (a, b) not in edges]
+    for j in rng.choice(len(rest), size=min(extra, len(rest)), replace=False):
+        edges.add(rest[int(j)])
+    return SimpleGraph.from_edges(n, edges)
+
+
+STAR = SimpleGraph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+DIAMOND = SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
+PRISM = SimpleGraph.from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6),
+                                   (1, 4), (2, 5), (3, 6)])
+K33 = SimpleGraph.from_edges(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+
+
+def orbit_graphs():
+    rng = np.random.default_rng(606)
+    graphs = [STAR, DIAMOND, SimpleGraph.cycle(5), PRISM, K33]
+    for n in range(3, 9):
+        for extra in (0, 1, n // 2):
+            graphs.append(random_connected_graph(rng, n, extra))
+    return graphs
+
+
+def cut_rank(graph, part):
+    """GF(2) rank of the adjacency block between ``part`` and the rest."""
+    rows = []
+    for a in part:
+        rows.append(sum(1 << (b - 1) for b in graph.neighbors(a) if b not in part))
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
 def test_graph_normalization_and_errors():
     g = SimpleGraph.from_edges(3, [(2, 1), (1, 2), (2, 3)])
     assert g.edges == ((1, 2), (2, 3))
@@ -50,8 +91,13 @@ def test_path_cycle_builders():
 
 
 def test_graph_state_stabilized():
-    for g in (SimpleGraph.path(3), SimpleGraph.cycle(5),
-              SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])):
+    rng = np.random.default_rng(17)
+    graphs = [SimpleGraph.path(3), SimpleGraph.cycle(5), DIAMOND]
+    for n in range(1, 9):
+        graphs.append(random_connected_graph(rng, n, n // 2))
+        graphs.append(SimpleGraph(n, ()))
+        graphs.append(SimpleGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2)))
+    for g in graphs:
         psi = graph_state(g).amplitudes
         for v in range(1, g.n + 1):
             s = stabilizer_matrix(g, v)
@@ -74,6 +120,14 @@ def test_local_complement_involution_and_state_equivalence():
     assert h.n == 5 and h.is_connected()
 
 
+def test_local_complement_matches_edge_set_toggle():
+    for g in orbit_graphs():
+        for v in range(1, g.n + 1):
+            h = local_complement(g, v)
+            assert h == oracle.local_complement_edges(g, v), (g.edges, v)
+            assert local_complement(h, v) == g, (g.edges, v)
+
+
 def test_local_complement_preserves_marginal_spectra():
     # local Clifford equivalence: every marginal keeps its eigenvalues
     g = SimpleGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
@@ -93,6 +147,16 @@ def test_orbit_reaches_cycle_from_diamond():
     assert orbit.min_max_degree == 2
     w = orbit.witness
     assert all(w.degree(v) == 2 for v in range(1, 5)) and w.is_connected()
+
+
+def test_orbit_matches_edge_set_search():
+    truncated = 0
+    for g in orbit_graphs():
+        for budget in (5, 50, 100000):
+            orbit = lc_orbit_min_max_degree(g, budget=budget)
+            assert orbit == oracle.lc_orbit_edge_sets(g, budget=budget), (g.edges, budget)
+            truncated += not orbit.exhausted
+    assert truncated  # some budgets cut the search short
 
 
 def test_orbit_requires_connected_graph():
@@ -132,18 +196,30 @@ def test_uniformity_levels():
     assert uniformity_level(plus) == 0
 
 
+def test_uniformity_matches_cut_rank():
+    # a graph-state marginal on A is maximally mixed iff the cut rank of A is |A|
+    rng = np.random.default_rng(29)
+    graphs = [SimpleGraph.cycle(5), PRISM, K33]
+    for n in range(3, 11):
+        graphs += [random_connected_graph(rng, n, extra) for extra in (0, n // 2, n)]
+    for g in graphs:
+        level = 0
+        for k in range(1, g.n):
+            if any(cut_rank(g, part) < k
+                   for part in itertools.combinations(range(1, g.n + 1), k)):
+                break
+            level = k
+        assert uniformity_level(graph_state(g)) == level, g.edges
+
+
 def test_cubic_six_vertex_graphs():
-    prism = SimpleGraph.from_edges(6, [(1, 2), (2, 3), (1, 3),
-                                       (4, 5), (5, 6), (4, 6),
-                                       (1, 4), (2, 5), (3, 6)])
-    k33 = SimpleGraph.from_edges(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
     levels = {}
-    for name, g in (("prism", prism), ("k33", k33)):
+    for name, g in (("prism", PRISM), ("k33", K33)):
         assert all(g.degree(v) == 3 for v in range(1, 7))
         levels[name] = uniformity_level(graph_state(g))
     # exactly the prism is 3-uniform (two same-side K33 vertices share their
     # neighborhood, so a weight-2 stabilizer product survives on that pair)
     assert levels["prism"] == 3
     assert levels["k33"] == 1
-    b = graph_bounds(prism)
+    b = graph_bounds(PRISM)
     assert b.hi == 4  # with 3-uniformity this pins the determination length to 4
