@@ -41,12 +41,8 @@ def simplex_max(c, G, h, tol=1e-9, max_iter=20000):
     for _ in range(max_iter):
         cb = cc[basis]
         reduced = cc - cb @ T
-        entering = -1
-        for j in range(T.shape[1]):
-            if reduced[j] > tol:
-                entering = j
-                break
-        if entering < 0:
+        candidates = np.flatnonzero(reduced > tol)
+        if candidates.size == 0:
             value = float(cb @ b)
             y = np.zeros(p)
             for i, var in enumerate(basis):
@@ -55,12 +51,14 @@ def simplex_max(c, G, h, tol=1e-9, max_iter=20000):
                 elif var < 2 * p:
                     y[var - p] -= b[i]
             return value, y
-        col = T[:, entering]
+        entering = int(candidates[0])
+        col = T[:, entering].tolist()
+        rhs = b.tolist()
         best_ratio = None
         leaving = -1
         for i in range(m):
             if col[i] > tol:
-                ratio = b[i] / col[i]
+                ratio = rhs[i] / col[i]
                 if best_ratio is None or ratio < best_ratio - 1e-12 or (
                     abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leaving]
                 ):
@@ -71,12 +69,11 @@ def simplex_max(c, G, h, tol=1e-9, max_iter=20000):
         piv = T[leaving, entering]
         T[leaving] /= piv
         b[leaving] /= piv
-        for i in range(m):
-            if i != leaving and T[i, entering] != 0.0:
-                f = T[i, entering]
-                T[i] -= f * T[leaving]
-                b[i] -= f * b[leaving]
-                if -1e-12 < b[i] < 0.0:
-                    b[i] = 0.0  # clamp pivot round-off
+        f = T[:, entering].copy()
+        f[leaving] = 0.0
+        rows = f != 0.0
+        T[rows] -= np.outer(f[rows], T[leaving])
+        b[rows] -= f[rows] * b[leaving]
+        b[rows & (b > -1e-12) & (b < 0.0)] = 0.0  # clamp pivot round-off
         basis[leaving] = entering
     raise EdlkitError("SOLVER_FAIL", "simplex pivot budget exhausted")

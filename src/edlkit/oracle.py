@@ -3,7 +3,11 @@
 The brute-force routines are plain loop nests over computational basis
 indices and deliberately share no code with the implementations they check
 (``qcore.partial_trace``, the Hankel criteria, the hypergraph counting
-formula).  Sizes are small, clarity wins over speed.  :func:`exact_det` is
+formula, the Pascal-rule marginals of ``symmetric``).  Sizes are small,
+clarity wins over speed.  :func:`diagonal_marginal_binomial` builds each
+diagonal marginal weight from the full weights with one binomial Fraction per
+term, as a reference for the moment walk of
+``symmetric.diagonal_marginal``.  :func:`exact_det` is
 the cofactor-expansion determinant that freezes exact Hankel minors and,
 through Sylvester's criterion, checks the elimination in
 ``symmetric._exact_psd``.  :func:`lc_orbit_edge_sets` runs the
@@ -62,6 +66,26 @@ def dense_from_diagonal(lam, n):
             if i == _popcount(c):
                 out[r, c] = lam[i] / math.comb(n, i)
     return out
+
+
+def diagonal_marginal_binomial(lam, n, k):
+    """Dicke weights of the k-qubit marginal of ``sum_i lam[i] |D_n^i><D_n^i|``.
+
+    Each term is the hypergeometric factor ``C(k, s) C(n-k, i-s) / C(n, i)``,
+    taken as a Fraction when every weight is exact.
+    """
+    exact = all(isinstance(v, (int, Fraction)) for v in lam)
+    out = []
+    for s in range(k + 1):
+        acc = Fraction(0) if exact else 0.0
+        for i in range(s, n - k + s + 1):
+            num = math.comb(k, s) * math.comb(n - k, i - s)
+            if exact:
+                acc += lam[i] * Fraction(num, math.comb(n, i))
+            else:
+                acc += lam[i] * num / math.comb(n, i)
+        out.append(acc)
+    return tuple(out)
 
 
 def dense_from_symmetric(a, n):

@@ -150,6 +150,8 @@ class PureVector:
                 "DIM_MISMATCH",
                 "amplitude length %d does not match n=%d" % (amp.shape[0], self.n),
             )
+        if not np.isfinite(amp).all():
+            raise EdlkitError("DIM_MISMATCH", "amplitudes must be finite")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-9:
             raise EdlkitError("DIM_MISMATCH", "vector norm %.3e is not 1" % norm)

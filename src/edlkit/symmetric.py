@@ -9,8 +9,15 @@ an n-qubit problem lives in dimension n+1 rather than 2^n.
 Weights may be ``float`` or exact ``fractions.Fraction``/``int`` values.
 The support-pattern case analysis used by the determination-length routines
 is discontinuous in which weights vanish, so exact inputs are decided
-exactly (binomial arithmetic never leaves the rationals) and float inputs
-use a fixed nonzero threshold.
+exactly (their arithmetic never leaves the rationals) and float inputs use
+a fixed nonzero threshold.
+
+Diagonal states are handled through their Hankel moments
+``p_s = lam_s / C(n, s)``.  Tracing out one qubit is Pascal's rule on them,
+``p'_s = p_s + p_{s+1}``, so every marginal follows from the moments by
+additions alone, and the PPT test reads its two Hankel matrices straight off
+the moments of the marginal.  Exact PSD tests run a fraction-free
+elimination on Python integers.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ class DickeMixture:
                 raise EdlkitError("BAD_WEIGHT", "weights must sum to 1 exactly, got %s" % (total,))
         else:
             lam = tuple(float(v) for v in lam)
+            if not all(math.isfinite(v) for v in lam):
+                raise EdlkitError("BAD_WEIGHT", "Dicke weights must be finite")
             if min(lam) < -NONZERO_TOL:
                 raise EdlkitError("BAD_WEIGHT", "negative Dicke weight %.3e" % min(lam))
             if abs(total - 1.0) > 1e-10:
@@ -116,6 +125,8 @@ class SymmetricCoeffs:
         a = np.asarray(self.a, dtype=complex)
         if a.shape != (self.n + 1, self.n + 1):
             raise EdlkitError("DIM_MISMATCH", "coefficient matrix must be (n+1)x(n+1)")
+        if not np.isfinite(a).all():
+            raise EdlkitError("BAD_WEIGHT", "coefficient matrix entries must be finite")
         if np.max(np.abs(a - a.conj().T)) > 1e-10:
             raise EdlkitError("NOT_HERMITIAN", "coefficient matrix is not Hermitian")
         if abs(np.trace(a).real - 1.0) > 1e-10 or abs(np.trace(a).imag) > 1e-10:
@@ -222,27 +233,32 @@ def symmetric_marginal(coeffs, k):
     return SymmetricCoeffs(k, _reduce_coeff_matrix(n, k, coeffs.a))
 
 
+def _moments(mix):
+    """Hankel moments ``p_s = lam_s / C(n, s)``: Fractions for exact weights, else floats."""
+    num = Fraction if mix.exact else float
+    return [num(v) / _comb(mix.n, s) for s, v in enumerate(mix.lam)]
+
+
+def _trace_out_one(p):
+    """Moments of the marginal on one qubit fewer, by Pascal's rule ``p'_s = p_s + p_{s+1}``."""
+    return [a + b for a, b in zip(p, p[1:])]
+
+
 def diagonal_marginal(mix, k):
-    """k-qubit reduction of a diagonal symmetric state; exact for exact input."""
+    """k-qubit reduction of a diagonal symmetric state; exact for exact input.
+
+    Walks ``n - k`` Pascal steps down from the moments of ``mix`` and
+    multiplies the weights back, ``lam'_s = C(k, s) p'_s``.
+    """
     n = mix.n
     if not 1 <= k <= n:
         raise EdlkitError("DIM_MISMATCH", "marginal size %d outside 1..%d" % (k, n))
     if k == n:
         return mix
-    exact = mix.exact
-    out = []
-    for s in range(k + 1):
-        acc = Fraction(0) if exact else 0.0
-        for i in range(n + 1):
-            num = _comb(k, s) * _comb(n - k, i - s)
-            if num == 0:
-                continue
-            if exact:
-                acc += mix.lam[i] * Fraction(num, _comb(n, i))
-            else:
-                acc += mix.lam[i] * num / _comb(n, i)
-        out.append(acc)
-    return DickeMixture(k, tuple(out))
+    p = _moments(mix)
+    for _ in range(n - k):
+        p = _trace_out_one(p)
+    return DickeMixture(k, tuple(x * _comb(k, s) for s, x in enumerate(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +294,54 @@ class HankelPair:
                 float(np.linalg.eigvalsh(self.m1_array())[0]))
 
 
-def hankel_pair(mix):
-    n = mix.n
-    exact = mix.exact
-    if exact:
-        p = [Fraction(mix.lam[i]) / _comb(n, i) for i in range(n + 1)]
-    else:
-        p = [mix.lam[i] / _comb(n, i) for i in range(n + 1)]
+def _hankel(p):
+    """The Hankel pair of the diagonal state on ``len(p) - 1`` qubits with moments ``p``."""
+    n = len(p) - 1
     d0 = n // 2 + 1
     d1 = (n + 1) // 2
-    m0 = tuple(tuple(p[r + c] for c in range(d0)) for r in range(d0))
-    m1 = tuple(tuple(p[r + c + 1] for c in range(d1)) for r in range(d1))
+    m0 = tuple(tuple(p[r:r + d0]) for r in range(d0))
+    m1 = tuple(tuple(p[r + 1:r + 1 + d1]) for r in range(d1))
     return HankelPair(n, m0, m1)
+
+
+def hankel_pair(mix):
+    return _hankel(_moments(mix))
 
 
 def _exact_psd(rows):
     """Exact PSD test for a symmetric rational matrix by pivoted symmetric elimination.
 
-    Pivot on the largest remaining diagonal entry: a negative one refutes
-    PSD, a zero one leaves PSD iff the whole remaining block is zero, and a
-    positive one passes the test on to its Schur complement.
+    The rows are brought to their common denominator and eliminated on
+    Python integers.  Pivot on the largest remaining diagonal entry: a
+    negative one refutes PSD, a zero one leaves PSD iff the whole remaining
+    block is zero, and a positive one passes the test on to its Schur
+    complement.  The complement is taken fraction-free, scaled by the
+    pivot, and divided by the previous pivot (Bareiss); both factors are
+    positive, so PSD-ness, the pivot order and the signs are those of the
+    rational elimination.  Entries must be ``int`` or ``Fraction``.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    prev = 1
     while a:
         p = max(range(len(a)), key=lambda i: a[i][i])
         pivot = a[p][p]
         if pivot <= 0:
             return pivot == 0 and not any(x for row in a for x in row)
         col = [row[p] for row in a]
-        a = [[a[r][c] - col[r] * col[c] / pivot for c in range(len(a)) if c != p]
+        a = [[(pivot * a[r][c] - col[r] * col[c]) // prev for c in range(len(a)) if c != p]
              for r in range(len(a)) if r != p]
+        prev = pivot
     return True
+
+
+def _hankel_verdict(pair, exact, tol):
+    """``(is_ppt, min_eigs)``: exact pairs by elimination alone (``min_eigs`` None),
+    float pairs by their smallest eigenvalues against ``-tol``."""
+    if exact:
+        return _exact_psd(pair.m0) and _exact_psd(pair.m1), None
+    e0, e1 = pair.min_eigenvalues()
+    return e0 >= -tol and e1 >= -tol, (e0, e1)
 
 
 @dataclass(frozen=True)
@@ -326,11 +359,8 @@ def is_ppt_diagonal(mix, tol=PSD_TOL):
     compare the smallest Hankel eigenvalues against ``-tol``.
     """
     pair = hankel_pair(mix)
-    e0, e1 = pair.min_eigenvalues()
-    if pair.exact:
-        verdict = _exact_psd(pair.m0) and _exact_psd(pair.m1)
-    else:
-        verdict = e0 >= -tol and e1 >= -tol
+    verdict, eigs = _hankel_verdict(pair, pair.exact, tol)
+    e0, e1 = eigs or pair.min_eigenvalues()
     return PptVerdict(verdict, e0, e1, pair.exact)
 
 
@@ -397,22 +427,30 @@ def edl_diagonal(mix, tol=PSD_TOL):
 
     For diagonal symmetric states PPT equals full separability at every
     marginal size, so the first non-PPT marginal gives the exact answer.
+    The marginal moments come from one Pascal walk down from ``mix``; exact
+    levels are decided by elimination alone, and the smallest Hankel
+    eigenvalues are computed only for the level that is reported.
     """
     n = mix.n
     if n < 2:
         raise EdlkitError("DIM_MISMATCH", "need n >= 2")
-    for k in range(2, n + 1):
-        mu = diagonal_marginal(mix, k)
-        verdict = is_ppt_diagonal(mu, tol=tol)
-        if not verdict.is_ppt:
+    exact = mix.exact
+    levels = [_moments(mix)]
+    while len(levels[-1]) > 3:
+        levels.append(_trace_out_one(levels[-1]))
+    for p in reversed(levels):
+        pair = _hankel(p)
+        is_ppt, eigs = _hankel_verdict(pair, exact, tol)
+        if not is_ppt:
+            e0, e1 = eigs or pair.min_eigenvalues()
             cert = {
-                "level": k,
+                "level": pair.n,
                 "route": "hankel",
-                "min_eig_m0": verdict.min_eig_m0,
-                "min_eig_m1": verdict.min_eig_m1,
-                "exact": verdict.exact,
+                "min_eig_m0": e0,
+                "min_eig_m1": e1,
+                "exact": exact,
             }
-            return EdlResult(k, "EXACT", cert)
+            return EdlResult(pair.n, "EXACT", cert)
     return EdlResult(None, "NOT_ENTANGLED", {"levels_checked": list(range(2, n + 1))})
 
 

@@ -139,38 +139,45 @@ def _clip_psd(stack):
     return q * w[:, None, :] @ q.conj().transpose(0, 2, 1)
 
 
+def _sqnorm(a):
+    return np.vdot(a, a).real
+
+
 def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
     """Shared over-relaxed splitting loop on iterates shaped like ``c``; returns
-    (x, z, status, res_p, res_d, iters).  Norms of a Hermitian stack equal svec norms."""
+    (x, z, status, res_p, res_d, iters).  Norms of a Hermitian stack equal svec norms.
+    The stop test compares squared norms; square roots are taken only for the
+    stall window and the reported residuals."""
     x = np.zeros_like(c)
     z = np.zeros_like(c)
     u = np.zeros_like(c)
     shift = c / sigma
+    tol2 = tol * tol
     stall_window = []
     status = "MAX_ITER"
-    res_p = res_d = np.inf
+    rp2 = rd2 = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         x = project_affine(z - u - shift)
         xr = RELAX * x + (1.0 - RELAX) * z
         z_new = project_cone(xr + u)
         u += xr - z_new
-        res_p = float(np.linalg.norm(x - z_new))
-        res_d = float(sigma * np.linalg.norm(z_new - z))
+        rp2 = _sqnorm(x - z_new)
+        rd2 = sigma * sigma * _sqnorm(z_new - z)
         z = z_new
-        scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(z)))
-        if res_p <= tol * scale and res_d <= tol * scale:
+        scale2 = max(1.0, _sqnorm(x), _sqnorm(z))
+        if rp2 <= tol2 * scale2 and rd2 <= tol2 * scale2:
             status = "OPTIMAL"
             break
         if it % 200 == 0:
-            stall_window.append(res_p / scale)
+            stall_window.append(math.sqrt(rp2) / math.sqrt(scale2))
             if len(stall_window) > 12:
                 stall_window.pop(0)
                 flat = stall_window[0] < stall_window[-1] * 1.01
-                if flat and stall_window[-1] > 1000 * tol and res_d <= 10 * tol * scale:
+                if flat and stall_window[-1] > 1000 * tol and rd2 <= 100 * tol2 * scale2:
                     status = "INFEASIBLE"
                     break
-    return x, z, status, res_p, res_d, it
+    return x, z, status, math.sqrt(rp2), math.sqrt(rd2), it
 
 
 def _factor_rows(A, b):

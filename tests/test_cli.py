@@ -285,6 +285,25 @@ def test_input_error_paths(tmp_path, capsys):
         assert code == 2, command
         assert doc["error"]["code"] == "BAD_FORMAT", command
 
+    # non-finite numbers (JSON NaN literals) are refused, not propagated
+    nan = float("nan")
+    non_finite = [
+        ("edl", {"format": cli.STATE_FORMAT, "n": 2, "kind": "dicke_diagonal",
+                 "lambda": [0.5, nan, 0.5]}, "BAD_WEIGHT"),
+        ("marginal", {"format": cli.STATE_FORMAT, "n": 1, "kind": "symmetric",
+                      "a_real": [[0.5, nan], [nan, 0.5]]}, "BAD_WEIGHT"),
+        ("marginal", {"format": cli.STATE_FORMAT, "n": 1, "kind": "pure_dense",
+                      "amp_real": [1.0, nan]}, "DIM_MISMATCH"),
+    ]
+    for idx, (command, payload, want) in enumerate(non_finite):
+        name = "non_finite%d.json" % idx
+        path = write(tmp_path, name, payload)
+        assert "NaN" in (tmp_path / name).read_text()
+        extra = ["--keep", "1"] if command == "marginal" else []
+        code, doc = run(capsys, command, "--state", path, *extra)
+        assert code == 2, payload
+        assert doc["error"]["code"] == want, payload
+
     # a marginal on labels outside 1..n is refused for every state kind
     path = write(tmp_path, "dicke.json", diagonal_state(2, ["1", "0", "0"]))
     for keep in ("1,5", "0"):

@@ -217,6 +217,13 @@ def test_pure_vector_norm_check():
     assert np.max(np.abs(rho - 0.5 * np.ones((2, 2)))) < 1e-12
 
 
+def test_pure_vector_rejects_non_finite_amplitudes():
+    for bad in ([1.0, float("nan")], [float("nan"), 0.0], [float("inf"), 0.0]):
+        with pytest.raises(EdlkitError) as err:
+            qcore.PureVector(1, np.array(bad))
+        assert err.value.code == "DIM_MISMATCH"
+
+
 def test_max_qubits_guard():
     with pytest.raises(EdlkitError) as err:
         qcore.Subset.from_indices(qcore.MAX_QUBITS + 1, [1])

@@ -61,6 +61,11 @@ def test_mixture_validation():
         DickeMixture(2, (-0.1, 0.6, 0.5))      # negative weight
     with pytest.raises(EdlkitError):
         DickeMixture(2, (0.5, 0.5))            # wrong length
+    for bad in ((0.5, float("nan"), 0.5), (float("nan"),) * 3,
+                (float("inf"), 0.5, 0.5), (Fraction(1, 2), float("nan"), Fraction(1, 2))):
+        with pytest.raises(EdlkitError) as err:
+            DickeMixture(2, bad)               # non-finite weight
+        assert err.value.code == "BAD_WEIGHT"
     m = DickeMixture(2, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
     assert m.exact and m.support() == (0, 1)
     assert m.reversed().lam == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
@@ -69,6 +74,12 @@ def test_mixture_validation():
 def test_coeffs_validation_and_diagonal_path():
     with pytest.raises(EdlkitError):
         SymmetricCoeffs(2, np.array([[0.5, 1.0, 0], [0, 0.5, 0], [0, 0, 0]]))
+    nan = float("nan")
+    for bad in (np.diag([0.5, nan, 0.5]), np.array([[0.5, nan, 0], [nan, 0.5, 0], [0, 0, 0]]),
+                np.diag([0.5, 0.5, 0]) + 1j * np.diag([0, nan, 0])):
+        with pytest.raises(EdlkitError) as err:
+            SymmetricCoeffs(2, bad)
+        assert err.value.code == "BAD_WEIGHT"
     a = np.diag([0.25, 0.5, 0.25])
     co = SymmetricCoeffs(2, a)
     assert co.is_diagonal()
@@ -128,6 +139,22 @@ def test_diagonal_marginal_exact_values():
     # and the float path lands on the same numbers
     outf = diagonal_marginal(DickeMixture(4, (0.5, 0, 0.5, 0, 0)), 2)
     assert np.allclose(outf.floats, [7 / 12, 1 / 3, 1 / 12])
+
+
+def test_diagonal_marginal_matches_binomial_reference():
+    # the Pascal walk on moments equals the binomial-sum marginal exactly on
+    # rationals, and to rounding on floats, at every level
+    rng = np.random.default_rng(41)
+    for n in range(1, 11):
+        for trial in range(6):
+            mix = random_exact_mixture(rng, n, zero_prob=0.3 * (trial % 2))
+            fmix = DickeMixture(n, tuple(float(x) for x in mix.lam))
+            for k in range(1, n + 1):
+                assert diagonal_marginal(mix, k).lam == \
+                    oracle.diagonal_marginal_binomial(mix.lam, n, k), (mix.lam, k)
+                got = diagonal_marginal(fmix, k).lam
+                want = oracle.diagonal_marginal_binomial(fmix.lam, n, k)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, (fmix.lam, k)
 
 
 def test_diagonal_marginal_agrees_with_dense_reduction():
@@ -239,6 +266,26 @@ def exact_psd_cases(rng):
             sym = [ints(d) for _ in range(d)]
             yield [[Fraction(sym[min(r, c)][max(r, c)], q) for c in range(d)]
                    for r in range(d)]
+    # Hankel pairs of n = 10 mixtures over the prime denominator 211, whose
+    # moments have large, unequal denominators: random weights, and mixtures
+    # of two binomial (product-state) weight vectors, which are PSD of rank
+    # at most two, also with the last diagonal entry lowered by 1/211
+    n = 10
+    for _ in range(3):
+        raw = rng.multinomial(211, [1 / (n + 1)] * (n + 1))
+        pair = hankel_pair(DickeMixture(n, tuple(Fraction(int(x), 211) for x in raw)))
+        yield [list(r) for r in pair.m0]
+        yield [list(r) for r in pair.m1]
+    for _ in range(3):
+        ts = [Fraction(int(x), 211) for x in rng.integers(1, 211, size=2)]
+        lam = tuple(sum(Fraction(1, 2) * math.comb(n, i) * t ** i * (1 - t) ** (n - i)
+                        for t in ts) for i in range(n + 1))
+        pair = hankel_pair(DickeMixture(n, lam))
+        yield [list(r) for r in pair.m0]
+        yield [list(r) for r in pair.m1]
+        bumped = [list(r) for r in pair.m0]
+        bumped[-1][-1] -= Fraction(1, 211)
+        yield bumped
 
 
 def test_exact_psd_matches_sylvester_criterion():
