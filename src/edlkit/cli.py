@@ -407,7 +407,9 @@ def _cmd_determine(args):
     determined = res.alpha >= 1.0 - 100.0 * wit.DEFAULT_TOL
     re_part, im_part = _matrix_pair(res.rho)
     certs = {"compatible_state": {"format": STATE_FORMAT, "n": state.n, "kind": "dense",
-                                  "rho_real": re_part, "rho_imag": im_part}}
+                                  "rho_real": re_part, "rho_imag": im_part},
+             "solver": {"iterations": res.iterations, "primal_residual": res.primal_residual,
+                        "dual_residual": res.dual_residual, "penalty": res.penalty}}
     return ({"alpha": res.alpha, "determined": determined, "k": args.k},
             certs, [], inputs)
 

@@ -10,7 +10,10 @@ term, as a reference for the moment walk of
 ``symmetric.diagonal_marginal``.  :func:`exact_det` is
 the cofactor-expansion determinant that freezes exact Hankel minors and,
 through Sylvester's criterion, checks the elimination in
-``symmetric._exact_psd``.  :func:`lc_orbit_edge_sets` runs the
+``symmetric._exact_psd``.  :func:`reduce_coeff_matrix_loop` reduces a
+Dicke-basis coefficient matrix term by term, as a reference for the
+cached-weight contraction of ``symmetric._reduce_coeff_matrix``.
+:func:`lc_orbit_edge_sets` runs the
 local-complementation orbit search on ``SimpleGraph`` edge sets, as a
 reference for the adjacency-bitmask search of ``graphstate``.
 
@@ -101,6 +104,25 @@ def dense_from_symmetric(a, n):
             j = _popcount(c)
             out[r, c] = a[i, j] / math.sqrt(math.comb(n, i) * math.comb(n, j))
     return out
+
+
+def reduce_coeff_matrix_loop(n, k, a):
+    """k-qubit reduction of a Dicke-basis coefficient matrix, term by term:
+    ``|D_n^i><D_n^j|`` contributes ``C(n-k, i-s) sqrt(C(k,s) C(k,t)) / sqrt(C(n,i) C(n,j))``
+    to ``|D_k^s><D_k^t|`` with ``t = j - i + s``."""
+    b = np.zeros((k + 1, k + 1), dtype=complex)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if a[i, j] == 0:
+                continue
+            for s in range(k + 1):
+                t = j - i + s
+                if not 0 <= t <= k or not 0 <= i - s <= n - k:
+                    continue
+                w = (math.comb(n - k, i - s) * math.sqrt(math.comb(k, s) * math.comb(k, t))
+                     / math.sqrt(math.comb(n, i) * math.comb(n, j)))
+                b[s, t] += a[i, j] * w
+    return b
 
 
 def brute_marginal(rho, n, keep):

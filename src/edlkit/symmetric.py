@@ -22,6 +22,7 @@ elimination on Python integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -197,25 +198,29 @@ def to_dense(state):
     return qcore.DenseState(n, out, validate=False)
 
 
-def _reduce_coeff_matrix(n, k, a):
-    """Raw linear reduction map on coefficient matrices, no state validation."""
-    if k == n:
-        return np.array(a, dtype=complex)
-    b = np.zeros((k + 1, k + 1), dtype=complex)
+@functools.lru_cache(maxsize=64)
+def _reduction_weights(n, k):
+    """Real weights ``w[i, j, s, t]`` of ``|D_n^i><D_n^j| -> |D_k^s><D_k^t|`` under the
+    k-qubit reduction (see :func:`symmetric_marginal`), zero unless ``t - s = j - i``;
+    read-only."""
+    w = np.zeros((n + 1, n + 1, k + 1, k + 1))
     for i in range(n + 1):
         for j in range(n + 1):
-            if a[i, j] == 0:
-                continue
             for s in range(k + 1):
                 t = j - i + s
-                if not 0 <= t <= k:
-                    continue
                 c = _comb(n - k, i - s)
-                if c == 0:
-                    continue
-                w = c * math.sqrt(_comb(k, s) * _comb(k, t)) / math.sqrt(_comb(n, i) * _comb(n, j))
-                b[s, t] += a[i, j] * w
-    return b
+                if 0 <= t <= k and c:
+                    w[i, j, s, t] = (c * math.sqrt(_comb(k, s) * _comb(k, t))
+                                     / math.sqrt(_comb(n, i) * _comb(n, j)))
+    w.flags.writeable = False
+    return w
+
+
+def _reduce_coeff_matrix(n, k, a):
+    """Raw linear reduction map on coefficient matrices, no state validation: one
+    contraction with the cached weights of :func:`_reduction_weights`."""
+    flat = np.asarray(a, dtype=complex).ravel() @ _reduction_weights(n, k).reshape((n + 1) ** 2, -1)
+    return flat.reshape(k + 1, k + 1)
 
 
 def symmetric_marginal(coeffs, k):

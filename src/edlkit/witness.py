@@ -11,6 +11,10 @@ marginals of a pure target; value 1 means the marginals pin the state.
 Both are solved by the same first-order operator-splitting loop: alternate
 a projection onto the affine constraints against a projection onto the
 semidefinite cones (batched eigenvalue clipping), with over-relaxation 1.5.
+The penalty adapts by residual balancing (Boyd et al. 2011, sec. 3.4.1, in
+the normalised form of OSQP's adaptive rho): every 25 iterations it moves
+towards the point where the normalised primal and dual residuals agree, when
+that move exceeds a factor 5.  No single fixed penalty suits every input.
 Every program iterates on a stack of complex matrices with a closed-form
 affine step: cached partial-transpose permutations, projectors onto the
 allowed Pauli strings, or a constraint span factored once per call.  Only the
@@ -30,12 +34,15 @@ import numpy as np
 from . import qcore
 from .errors import EdlkitError
 from .hypergraph import SubsetCollection, all_k_subsets
-from .symmetric import SymmetricCoeffs, _reduce_coeff_matrix
+from .symmetric import SymmetricCoeffs, _reduce_coeff_matrix, _reduction_weights
 
 MAX_SDP_QUBITS = 5
 DEFAULT_TOL = 1e-7
 MAX_ITER = 50000
 RELAX = 1.5
+ADAPT_EVERY = 25
+SIGMA_MIN, SIGMA_MAX = 1e-6, 1e6
+SIGMA_STEP = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +152,23 @@ def _sqnorm(a):
 
 def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
     """Shared over-relaxed splitting loop on iterates shaped like ``c``; returns
-    (x, z, status, res_p, res_d, iters).  Norms of a Hermitian stack equal svec norms.
+    (x, z, status, res_p, res_d, iters, sigma).  Norms of a Hermitian stack equal svec norms.
     The stop test compares squared norms; square roots are taken only for the
-    stall window and the reported residuals."""
+    stall window and the reported residuals.
+
+    ``sigma`` is the initial penalty.  Every ``ADAPT_EVERY`` iterations it is
+    balanced against the normalised residuals ``pn = |x - z| / max(|x|, |z|)``
+    and ``dn = |sigma dz| / max(|sigma u|, |c|)``: the proposal
+    ``sigma sqrt(pn / dn)``, clamped to ``[SIGMA_MIN, SIGMA_MAX]``, is taken
+    only when it moves sigma by more than a factor ``SIGMA_STEP``; the scaled
+    dual ``u`` is then rescaled by ``sigma_old / sigma_new`` and ``shift``
+    recomputed.  Both projections are Euclidean, so neither depends on sigma.
+    The final penalty is returned."""
     x = np.zeros_like(c)
     z = np.zeros_like(c)
     u = np.zeros_like(c)
     shift = c / sigma
+    c2 = _sqnorm(c)
     tol2 = tol * tol
     stall_window = []
     status = "MAX_ITER"
@@ -165,7 +182,8 @@ def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
         rp2 = _sqnorm(x - z_new)
         rd2 = sigma * sigma * _sqnorm(z_new - z)
         z = z_new
-        scale2 = max(1.0, _sqnorm(x), _sqnorm(z))
+        x2, z2 = _sqnorm(x), _sqnorm(z)
+        scale2 = max(1.0, x2, z2)
         if rp2 <= tol2 * scale2 and rd2 <= tol2 * scale2:
             status = "OPTIMAL"
             break
@@ -177,7 +195,17 @@ def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
                 if flat and stall_window[-1] > 1000 * tol and rd2 <= 100 * tol2 * scale2:
                     status = "INFEASIBLE"
                     break
-    return x, z, status, math.sqrt(rp2), math.sqrt(rd2), it
+        if it % ADAPT_EVERY == 0:
+            # (pn / dn)^2 as one quotient of squared norms
+            num = rp2 * max(sigma * sigma * _sqnorm(u), c2)
+            den = rd2 * max(x2, z2)
+            if num > 0.0 and den > 0.0:
+                proposal = min(max(sigma * math.sqrt(math.sqrt(num / den)), SIGMA_MIN), SIGMA_MAX)
+                if not sigma / SIGMA_STEP <= proposal <= sigma * SIGMA_STEP:
+                    u *= sigma / proposal
+                    sigma = proposal
+                    shift = c / sigma
+    return x, z, status, math.sqrt(rp2), math.sqrt(rd2), it, sigma
 
 
 def _factor_rows(A, b):
@@ -193,14 +221,14 @@ def _solve_pinned(c, basis, rows, anchor, what, tol, max_iter):
     """Minimize ``<c, X>`` over PSD ``X`` (shape ``(1, d, d)``) whose orthogonal projection
     ``basis.T @ rows @ vec X`` equals that of ``anchor``; the affine step is
     ``X - basis.T @ rows @ (vec X - anchor)``.  Returns a DeterminationResult."""
-    x, _z, status, res_p, res_d, iters = _admm(
+    x, _z, status, res_p, res_d, iters, sigma = _admm(
         c, lambda v: v - (basis.T @ (rows @ (v.ravel() - anchor))).reshape(v.shape),
         _clip_psd, tol, max_iter)
     if status != "OPTIMAL":
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
                           "%s did not converge (%s, primal %.2e, dual %.2e, %d iters)"
                           % (what, status, res_p, res_d, iters))
-    return DeterminationResult(float(np.vdot(c, x).real), status, x[0], iters, res_p, res_d)
+    return DeterminationResult(float(np.vdot(c, x).real), status, x[0], iters, res_p, res_d, sigma)
 
 
 def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
@@ -233,7 +261,7 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         return out
 
     c = problem.cost_vector()
-    x, z, status, res_p, res_d, iters = _admm(
+    x, z, status, res_p, res_d, iters, _sigma = _admm(
         c, lambda v: v - vr.T @ (ur.T @ (A @ v - b) / sr), project_cone, tol, max_iter)
     blocks = [smat(x[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
     cone_blocks = [smat(z[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
@@ -456,7 +484,7 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
     c = np.zeros((1 + 2 * m, d, d), dtype=complex)
     c[0] = (mat + mat.conj().T) / 2.0
-    x, z, status, res_p, res_d, iters = _admm(c, project_affine, project_cone, tol, max_iter)
+    x, z, status, res_p, res_d, iters, _sigma = _admm(c, project_affine, project_cone, tol, max_iter)
     if status != "OPTIMAL":
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
                           "witness program did not converge (%s, primal %.2e, dual %.2e, %d iters)"
@@ -559,6 +587,7 @@ class DeterminationResult:
     iterations: int
     primal_residual: float
     dual_residual: float
+    penalty: float        # the ADMM penalty sigma the solve ended with
 
 
 def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
@@ -629,8 +658,7 @@ def symmetric_sdl_probe(coeffs, k, trials=8, tol=DEFAULT_TOL, seed=20240811):
         raise EdlkitError("BAD_LEVEL", "marginal size %d outside 1..%d" % (k, n))
     dd = n + 1
     # (trace, level-k reduction) on row-major vec X, factored once for all solves
-    units = np.eye(dd * dd).reshape(-1, dd, dd)
-    rows = np.array([np.append(np.trace(e), _reduce_coeff_matrix(n, k, e).real) for e in units]).T
+    rows = np.vstack([np.eye(dd).ravel(), _reduction_weights(n, k).reshape(dd * dd, -1).T])
     rhs = np.append(1.0, _reduce_coeff_matrix(n, k, coeffs.a))
     _ur, _sr, vr, anchor, lin_res = _factor_rows(rows, rhs)
     if lin_res > 1e-8 * max(1.0, float(np.linalg.norm(rhs))):

@@ -159,6 +159,11 @@ def test_determine_command(tmp_path, capsys):
     assert doc["result"]["alpha"] < 1e-4
     sibling = doc["certificates"]["compatible_state"]
     assert sibling["kind"] == "dense" and len(sibling["rho_real"]) == 8
+    solver = doc["certificates"]["solver"]
+    assert set(solver) == {"iterations", "primal_residual", "dual_residual", "penalty"}
+    assert isinstance(solver["iterations"], int) and solver["iterations"] > 0
+    assert max(solver["primal_residual"], solver["dual_residual"]) <= 1e-6
+    assert 1e-6 <= solver["penalty"] <= 1e6
     code, doc = run(capsys, "determine", "--state", path, "--k", "3")
     assert code == 0
     assert doc["result"]["determined"] is True

@@ -31,6 +31,7 @@ from edlkit.symmetric import (
     symmetric_marginal,
     to_dense,
     _exact_psd,
+    _reduce_coeff_matrix,
 )
 
 
@@ -118,6 +119,19 @@ def test_symmetric_marginal_matches_brute_force():
         slow = oracle.brute_marginal(to_dense(co).matrix, n, list(range(1, k + 1)))
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     assert worst < 1e-10
+
+
+def test_reduce_coeff_matrix_matches_loop_reference():
+    # the cached-weight contraction against the term-by-term loop, every level k
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for _ in range(3):
+                g = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+                a = (g + g.conj().T) / 2
+                fast = _reduce_coeff_matrix(n, k, a)
+                assert fast.shape == (k + 1, k + 1)
+                assert np.max(np.abs(fast - oracle.reduce_coeff_matrix_loop(n, k, a))) <= 1e-13
 
 
 def test_symmetric_marginal_is_subset_independent():

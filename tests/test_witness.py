@@ -352,6 +352,25 @@ def test_determination_solver_honours_iteration_cap():
     assert err.value.code == "MAX_ITER"
 
 
+def test_adaptive_penalty_cuts_iterations():
+    # criterion-09 probe state at pairs: the optimum 121/144 is known in closed
+    # form; a fixed penalty sigma = 1 takes 1,801 iterations here
+    amp = np.zeros(16, dtype=complex)
+    amp[[0b1000, 0b0100, 0b0010, 0b0001, 0b1111]] = np.sqrt([1 / 2, 1 / 3, 1 / 12, 1 / 24, 1 / 24])
+    res = pure_determination_alpha(qcore.PureVector(4, amp), all_k_subsets(4, 2))
+    assert res.status == "OPTIMAL"
+    assert abs(res.alpha - 121 / 144) <= 1e-6
+    assert res.iterations <= 600
+    # a random three-qubit state is fixed by its pairs; sigma = 1 takes 2,160 iterations
+    rng = np.random.default_rng(20240811)
+    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    res = pure_determination_alpha(qcore.PureVector(3, amp / np.linalg.norm(amp)),
+                                   all_k_subsets(3, 2))
+    assert res.alpha >= 1 - 1e-6
+    assert res.iterations <= 1000
+    assert res.penalty != 1.0
+
+
 def _generic_determination(psi, k):
     """The determination program as svec rows for solve_sdp: the trace row and
     one partial-trace map per k-subset."""
@@ -451,8 +470,8 @@ def test_probe_reports_solver_status(monkeypatch):
     admm = witness._admm
 
     def stalled(*args):
-        x, z, _status, res_p, res_d, iters = admm(*args)
-        return x, z, "INFEASIBLE", res_p, res_d, iters
+        x, z, _status, res_p, res_d, iters, sigma = admm(*args)
+        return x, z, "INFEASIBLE", res_p, res_d, iters, sigma
 
     monkeypatch.setattr(witness, "_admm", stalled)
     with pytest.raises(EdlkitError) as err:
