@@ -374,7 +374,7 @@ def _cmd_witness(args):
         inputs["out"] = args.out
     result = {"alpha": alpha, "k": args.k}
     flags = []
-    if alpha < 0:
+    if wit.negative_by_margin(alpha):
         result["threshold"] = wit.noise_threshold(alpha, n)
     else:
         result["threshold"] = None

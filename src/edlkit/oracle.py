@@ -13,6 +13,10 @@ through Sylvester's criterion, checks the elimination in
 ``symmetric._exact_psd``.  :func:`reduce_coeff_matrix_loop` reduces a
 Dicke-basis coefficient matrix term by term, as a reference for the
 cached-weight contraction of ``symmetric._reduce_coeff_matrix``.
+:func:`alternative_nonneg_point_lp` runs the full coordinate-LP search for an
+alternative diagonal solution, as a reference for the zero-pattern cone test
+in ``symmetric._alternative_nonneg_point``; it shares the kernel basis of
+``symmetric.solution_family`` and ``simplex_max`` with it.
 :func:`lc_orbit_edge_sets` runs the
 local-complementation orbit search on ``SimpleGraph`` edge sets, as a
 reference for the adjacency-bitmask search of ``graphstate``.
@@ -40,7 +44,9 @@ import numpy as np
 
 from . import qcore
 from .errors import EdlkitError
+from ._simplex import simplex_max
 from .graphstate import OrbitResult, SimpleGraph
+from .symmetric import solution_family
 from .witness import (SdpBlock, SdpProblem, _allowed_strings, _bipartition_masks,
                       _collection_of, smat, svec)
 
@@ -89,6 +95,26 @@ def diagonal_marginal_binomial(lam, n, k):
                 acc += lam[i] * num / math.comb(n, i)
         out.append(acc)
     return tuple(out)
+
+
+def alternative_nonneg_point_lp(mix, k, tol=1e-9):
+    """Coordinate search for a nonzero ``s`` with ``lam + N s >= 0`` at level k.
+
+    Maximizes and minimizes every free coordinate of ``solution_family(mix, k)``
+    by ``simplex_max`` and returns the first point whose value exceeds ``tol``,
+    or None.  It runs every coordinate LP at every level, with no zero-pattern
+    shortcut.
+    """
+    N = solution_family(mix, k).basis_array()
+    p = N.shape[1]
+    for j in range(p):
+        for sign in (1.0, -1.0):
+            c = np.zeros(p)
+            c[j] = sign
+            value, point = simplex_max(c, -N, mix.floats, tol=tol)
+            if value > tol:
+                return point
+    return None
 
 
 def dense_from_symmetric(a, n):

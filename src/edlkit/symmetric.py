@@ -535,6 +535,28 @@ class SolutionFamily:
         return np.array([[float(x) for x in row] for row in self.basis])
 
 
+@functools.lru_cache(maxsize=64)
+def _kernel_rows(n, k):
+    """Exact kernel basis of the level-k diagonal marginal map: n+1 rows of n-k
+    Fractions (closed form in :func:`solution_family`), nested tuples, so read-only."""
+    if not 1 <= k <= n - 1:
+        raise EdlkitError("BAD_LEVEL", "need 1 <= k <= n-1, got k=%d" % k)
+    rows = [[Fraction(0)] * (n - k) for _ in range(n + 1)]
+    for col, i in enumerate(range(k + 1, n + 1)):
+        for r in range(k + 1):
+            rows[r][col] = Fraction((-1) ** (k - r + 1) * _comb(i, k) * _comb(k, r) * (i - k), i - r)
+        rows[i][col] = Fraction(1)
+    return tuple(tuple(row) for row in rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_array(n, k):
+    """Float copy of :func:`_kernel_rows`, read-only."""
+    arr = np.array([[float(x) for x in row] for row in _kernel_rows(n, k)])
+    arr.flags.writeable = False
+    return arr
+
+
 def solution_family(mix, k):
     """General solution of the level-k marginal equations around ``mix``.
 
@@ -543,18 +565,45 @@ def solution_family(mix, k):
     ``(-1)^(k-r+1) C(i,k) C(k,r) (i-k)/(i-r)`` at rows ``r <= k``, 1 at row
     ``i`` and 0 elsewhere.
     """
-    n = mix.n
-    if not 1 <= k <= n - 1:
-        raise EdlkitError("BAD_LEVEL", "need 1 <= k <= n-1, got k=%d" % k)
-    basis_cols = []
-    for i in range(k + 1, n + 1):
-        col = [Fraction(0)] * (n + 1)
-        for r in range(k + 1):
-            col[r] = Fraction((-1) ** (k - r + 1) * _comb(i, k) * _comb(k, r) * (i - k), i - r)
-        col[i] = Fraction(1)
-        basis_cols.append(col)
-    basis_rows = tuple(tuple(basis_cols[c][r] for c in range(n - k)) for r in range(n + 1))
-    return SolutionFamily(n, k, tuple(mix.lam), basis_rows)
+    return SolutionFamily(mix.n, k, tuple(mix.lam), _kernel_rows(mix.n, k))
+
+
+def _exact_rank(rows):
+    """Rank of a list of equal-length Fraction rows, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@functools.lru_cache(maxsize=4096)
+def _level_has_directions(n, k, zero_mask):
+    """Whether the cone ``{s : N_Z s >= 0}`` of the level-k kernel rows at the
+    zero weights ``Z`` (bit i of ``zero_mask`` set iff weight i vanishes) is more
+    than ``{0}``.
+
+    Rows of exact rank below n-k leave a kernel line in the cone.  Otherwise the
+    cone is pointed and one normalised LP decides it: maximise ``1.A s`` subject
+    to ``A s >= 0`` and ``1.A s <= 1`` (``A = N_Z``), whose optimum is exactly 0
+    or 1.
+    """
+    rows = _kernel_rows(n, k)
+    zeros = [i for i in range(n + 1) if zero_mask >> i & 1]
+    if _exact_rank([rows[i] for i in zeros]) < n - k:
+        return True
+    a = _kernel_array(n, k)[zeros]
+    total = a.sum(axis=0)
+    value, _point = simplex_max(total, np.vstack([-a, total]), np.append(np.zeros(len(zeros)), 1.0))
+    return value > 0.5
 
 
 def _alternative_nonneg_point(mix, k, tol=1e-9):
@@ -562,14 +611,22 @@ def _alternative_nonneg_point(mix, k, tol=1e-9):
 
     Each free coordinate is maximized and minimized by the simplex over the
     polytope ``{s : lam + N s >= 0}``; the polytope is bounded (weights sum
-    to one) and always contains s = 0.
+    to one) and always contains s = 0.  It lies in the cone ``{s : N_Z s >= 0}``
+    of the rows at the weights the LPs see as zero (float weights at or below 0,
+    since ``simplex_max`` clamps tolerated round-off to 0), and a nonzero point
+    of that cone scaled down is a nonzero point of the polytope.  So whether any
+    coordinate LP can be positive depends only on ``(n, k, Z)``: the cached
+    :func:`_level_has_directions` answers it, and when the cone is ``{0}`` no
+    coordinate LP runs.
     """
-    fam = solution_family(mix, k)
-    N = fam.basis_array()
+    n = mix.n
     lam = mix.floats
-    G = -N                      # lam + N s >= 0  <=>  -N s <= lam
+    zero_mask = sum(1 << i for i in range(n + 1) if lam[i] <= 0.0)
+    if not _level_has_directions(n, k, zero_mask):
+        return None
+    G = -_kernel_array(n, k)    # lam + N s >= 0  <=>  -N s <= lam
     h = lam
-    p = N.shape[1]
+    p = n - k
     for j in range(p):
         for sign in (1.0, -1.0):
             c = np.zeros(p)
@@ -585,7 +642,9 @@ def has_alternative_nonneg(mix, k, tol=1e-9):
 
     By the general-solution lemma this holds iff the determination length
     exceeds k (for k >= 2, where marginal collections pin the symmetric
-    form).
+    form).  Levels whose zero pattern leaves no feasible direction are
+    answered from the cached cone test of :func:`_level_has_directions`
+    without a coordinate LP.
     """
     return _alternative_nonneg_point(mix, k, tol=tol) is not None
 
@@ -653,7 +712,10 @@ def sdl_diagonal(mix, tol=1e-9):
     smaller maximal support index k; closed form when at most one weight
     vanishes on {0..k}; otherwise a bracket from the level-m linear
     programs (lower bound from the largest m with an alternative solution,
-    upper bound from the smallest m >= k without one).
+    upper bound from the smallest m >= k without one).  A level whose zero
+    pattern admits no feasible direction is settled by one cached cone test
+    per ``(n, m, zero set)`` with no coordinate LP, and the solution family is
+    built only at the level that has an alternative.
     """
     n = mix.n
     full = sdl_full_level(mix)

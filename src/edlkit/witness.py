@@ -527,18 +527,28 @@ def noise_threshold(alpha, n):
     return float(scale / (scale - 1.0))
 
 
+def negative_by_margin(alpha, tol=DEFAULT_TOL):
+    """Whether a witness value solved to ``tol`` counts as negative: ``alpha < -10 tol``.
+
+    A separable state has true value 0 or more, yet its solve to tolerance
+    ``tol`` can land a little below 0, so a plain sign test is not enough.
+    NaN is never negative.
+    """
+    return alpha < -10.0 * tol
+
+
 def edl_upper_bound(rho, tol=DEFAULT_TOL):
     """Smallest k whose witness program already certifies entanglement.
 
     Returns ``(k, alpha, witness)`` or ``(None, last_alpha, None)`` when no
-    level is conclusive (the margin is ``alpha < -10 tol``).
+    level is conclusive (the margin of :func:`negative_by_margin`).
     """
     mat, n = qcore._as_matrix(rho)
     _check_sdp_size(n)
     alpha = float("nan")
     for k in range(2, n + 1):
         alpha, witness = fully_decomposable_alpha(mat, all_k_subsets(n, k), tol=tol)
-        if alpha < -10.0 * tol:
+        if negative_by_margin(alpha, tol):
             return k, alpha, witness
     return None, alpha, None
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edlkit import cli, qcore
+from edlkit import cli, hypergraph, qcore, witness
 from edlkit.errors import EdlkitError
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "flags", "timing_ms"}
@@ -135,6 +135,23 @@ def test_witness_nonnegative_flag(tmp_path, capsys):
     assert code == 0
     assert doc["result"]["threshold"] is None
     assert "NOT_NEGATIVE" in doc["flags"]
+
+
+def test_witness_threshold_needs_detection_margin(tmp_path, capsys, monkeypatch):
+    # a separable state solved past tol can land a hair below 0; only a value
+    # past the margin of edl_upper_bound gets a noise threshold
+    path = write(tmp_path, "state.json", diagonal_state(3, ["1/4", "1/4", "1/4", "1/4"]))
+    for value, detected in ((-1e-12, False), (-1e-3, True)):
+        w = witness.Witness(3, hypergraph.all_k_subsets(3, 2), value, [], [])
+        monkeypatch.setattr(witness, "fully_decomposable_alpha", lambda mat, coll, w=w: (w.alpha, w))
+        code, doc = run(capsys, "witness", "--state", path, "--k", "2")
+        assert code == 0 and doc["result"]["alpha"] == value
+        if detected:
+            assert doc["result"]["threshold"] == witness.noise_threshold(value, 3)
+            assert "NOT_NEGATIVE" not in doc["flags"]
+        else:
+            assert doc["result"]["threshold"] is None
+            assert "NOT_NEGATIVE" in doc["flags"]
 
 
 def test_witness_file_round_trip(tmp_path, capsys):

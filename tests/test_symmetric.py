@@ -30,9 +30,13 @@ from edlkit.symmetric import (
     solution_family,
     symmetric_marginal,
     to_dense,
+    _alternative_nonneg_point,
     _exact_psd,
+    _kernel_array,
+    _kernel_rows,
     _reduce_coeff_matrix,
 )
+from check_pattern_domain import pattern_mismatches
 
 
 def random_exact_mixture(rng, n, zero_prob=0.0):
@@ -442,6 +446,50 @@ def test_alternative_solutions_are_prefix_monotone():
         # once alternatives disappear at some level they stay gone
         for a, b in zip(flags, flags[1:]):
             assert a or not b, (mix.lam, flags)
+
+
+def test_kernel_rows_match_closed_form():
+    for n in range(2, 11):
+        for k in range(1, n):
+            rows = _kernel_rows(n, k)
+            for col, i in enumerate(range(k + 1, n + 1)):
+                want = [Fraction(0)] * (n + 1)
+                for r in range(k + 1):
+                    want[r] = Fraction((-1) ** (k - r + 1) * math.comb(i, k) * math.comb(k, r) * (i - k),
+                                       i - r)
+                want[i] = Fraction(1)
+                got = [rows[r][col] for r in range(n + 1)]
+                assert got == want and all(type(x) is Fraction for x in got), (n, k, i)
+                # a kernel vector: the level-k marginal of the column vanishes exactly
+                assert all(x == 0 for x in oracle.diagonal_marginal_binomial(got, n, k))
+            assert solution_family(DickeMixture(n, (Fraction(1),) + (0,) * n), k).basis is rows
+            assert not _kernel_array(n, k).flags.writeable
+    with pytest.raises(EdlkitError):
+        _kernel_rows(4, 4)
+
+
+def test_level_pattern_matches_coordinate_search():
+    # every n <= 6, level and nonempty proper zero set; CI runs n <= 10
+    # through tests/check_pattern_domain.py
+    checked, bad = pattern_mismatches(6)
+    assert checked == 1002 and not bad, bad
+
+
+def test_alternative_point_matches_coordinate_search():
+    rng = np.random.default_rng(30)
+    mixes = [DickeMixture(6, (Fraction(1, 7),) * 7),
+             DickeMixture(4, (0.5, 1e-13, 0.5 - 1e-13, 0.0, 0.0)),
+             DickeMixture(4, (0.5, -1e-13, 0.5 + 1e-13, 0.0, 0.0))]
+    for _ in range(40):
+        n = int(rng.integers(3, 11))
+        mix = random_exact_mixture(rng, n, zero_prob=float(rng.choice([0.0, 0.4, 0.7])))
+        mixes += [mix, DickeMixture(n, tuple(float(x) for x in mix.lam))]
+    for mix in mixes:
+        for m in range(1, mix.n):
+            got = _alternative_nonneg_point(mix, m)
+            want = oracle.alternative_nonneg_point_lp(mix, m)
+            assert (got is None) == (want is None), (mix.lam, m)
+            assert want is None or np.array_equal(got, want), (mix.lam, m)
 
 
 def test_full_level_conditions():
