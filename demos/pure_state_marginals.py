@@ -1,20 +1,27 @@
 """Which marginals determine a pure state among all density matrices?
 
-The test is a small SDP: minimize the fidelity with the target over all
-states sharing its k-body marginals.  Value 1 means the marginals already
-single the state out; anything less comes with a concrete second state.
+Every state sharing psi's k-body marginals lives on the face ker H, where H
+sums the projectors onto the kernels of those marginals.  When that face is
+the line through psi, or the marginal map is injective on it, the marginals
+single psi out with no solve.  Otherwise a small SDP minimizes the fidelity
+with psi over the compatible states on the face (over all states when the
+face is the whole space).  Value 1 means the marginals determine psi;
+anything less comes with a concrete second state.
 """
 
 import math
 
 import numpy as np
 
-from edlkit import PureVector, all_k_subsets, ghz_vector, pure_determination_alpha, sdl_pure
+from edlkit import (PureVector, all_k_subsets, determination_levels, ghz_vector,
+                    pure_determination_alpha, sdl_pure)
 
 ghz = ghz_vector(3)
 value, alphas = sdl_pure(ghz)
 print("GHZ_3 determination length:", value)
 print("program values by marginal size:", {k: round(a, 6) for k, a in alphas.items()})
+_value, levels = determination_levels(ghz)
+print("routes (face dimension):", {k: "%s (%d)" % (lv.route, lv.face_dim) for k, lv in levels.items()})
 
 # At k=2 the minimizer is an honest counterexample: same two-body
 # marginals, fidelity zero (the opposite-phase superposition).

@@ -64,6 +64,7 @@ from .graphstate import (
 )
 from .witness import (
     Witness,
+    determination_levels,
     edl_upper_bound,
     fully_decomposable_alpha,
     noise_threshold,
@@ -93,6 +94,7 @@ __all__ = [
     "basis_ket",
     "check_compatibility",
     "collection_decides",
+    "determination_levels",
     "diagonal_marginal",
     "dicke_vector",
     "edl_diagonal",

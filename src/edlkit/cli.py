@@ -335,10 +335,13 @@ def _cmd_sdl(args):
                   "exact": res.exact, "flag": res.flag}
         return result, _jsonable(res.certificate), [res.flag], inputs
     if isinstance(state, qcore.PureVector):
-        k, alphas = wit.sdl_pure(state)
+        k, levels = wit.determination_levels(state)
         result = {"sdl": k, "exact": False, "flag": "SDP_NUMERIC",
-                  "alphas": {str(a): float(b) for a, b in alphas.items()}}
-        return result, None, ["SDP_NUMERIC"], inputs
+                  "alphas": {str(a): float(lv.alpha) for a, lv in levels.items()}}
+        certs = {"levels": {str(a): {"route": lv.route, "face_dim": lv.face_dim, "gap": lv.gap,
+                                     "iterations": lv.iterations}
+                            for a, lv in levels.items()}}
+        return result, certs, ["SDP_NUMERIC"], inputs
     raise EdlkitError("BAD_KIND",
                       "determination length needs a diagonal symmetric or pure state")
 

@@ -28,6 +28,11 @@ strings and partial transposes from the Kronecker-product and index routines
 of ``qcore``.  What they share with the fast paths is the witness module's
 description of the program (``_collection_of``, ``_allowed_strings``,
 ``_bipartition_masks``) and, through ``solve_sdp``, its splitting loop.
+:func:`sdl_pure_full_program` scans the determination length of a pure
+state with the full program (``witness.pure_determination_alpha``) at every
+level, as a reference for the face step of ``witness.sdl_pure``.
+:func:`probe_face_rank` rebuilds the face of ``witness.symmetric_sdl_probe``
+from the term-by-term reduction in svec coordinates.
 
 Index convention matches the rest of the package: particle 1 is the most
 significant bit of a computational index.
@@ -47,8 +52,9 @@ from .errors import EdlkitError
 from ._simplex import simplex_max
 from .graphstate import OrbitResult, SimpleGraph
 from .symmetric import solution_family
-from .witness import (SdpBlock, SdpProblem, _allowed_strings, _bipartition_masks,
-                      _collection_of, smat, svec)
+from .hypergraph import all_k_subsets
+from .witness import (DEFAULT_TOL, SdpBlock, SdpProblem, _allowed_strings, _bipartition_masks,
+                      _collection_of, pure_determination_alpha, smat, svec)
 
 
 def _popcount(x):
@@ -376,3 +382,32 @@ def build_fdw_problem(rho, subsets):
         rhs.extend([0.0] * dsq)
     objective = [mat] + [None] * (2 * m)
     return SdpProblem(blocks, objective, np.vstack(rows), np.array(rhs))
+
+
+def sdl_pure_full_program(psi, tol=DEFAULT_TOL):
+    """Determination length of a pure state with the full ``2^n x 2^n`` program at
+    every level: ``(value, alphas)``, determination at ``alpha >= 1 - 100 tol``."""
+    alphas = {}
+    for k in range(1, psi.n + 1):
+        alphas[k] = pure_determination_alpha(psi, all_k_subsets(psi.n, k), tol=tol).alpha
+        if alphas[k] >= 1.0 - 100.0 * tol:
+            return k, alphas
+    return psi.n, alphas
+
+
+def probe_face_rank(coeffs, k, cut=1e-9):
+    """``(r, rank)``: the dimension r of the face ``ker R_k^*(I - Pi_k)`` of a
+    symmetric state and the rank of (trace, ``R_k``) on its ``r x r`` Hermitian
+    operators, ``R_k`` taken term by term (:func:`reduce_coeff_matrix_loop`)."""
+    n, dd = coeffs.n, coeffs.n + 1
+    lin = _linmap_matrix(dd, k + 1, lambda x: reduce_coeff_matrix_loop(n, k, x))
+    w, q = np.linalg.eigh(reduce_coeff_matrix_loop(n, k, coeffs.a))
+    slack = q[:, w <= cut] @ q[:, w <= cut].conj().T
+    # svec is an isometry, so the adjoint of the reduction is the transpose of lin
+    w, q = np.linalg.eigh(smat(lin.T @ svec(slack), dd))
+    face = q[:, w <= cut]
+    r = face.shape[1]
+    restricted = _linmap_matrix(
+        r, k + 1, lambda x: reduce_coeff_matrix_loop(n, k, face @ x @ face.conj().T))
+    s = np.linalg.svd(np.vstack([svec(np.eye(r))[None, :], restricted]), compute_uv=False)
+    return r, int(np.sum(s > cut * s[0]))

@@ -8,6 +8,16 @@ entanglement from the chosen marginals alone.  The determination program
 minimizes the fidelity ``<psi| rho |psi>`` over states matching all the
 marginals of a pure target; value 1 means the marginals pin the state.
 
+Determination first takes a face step (facial reduction; the local-Hamiltonian
+uniqueness argument of Chen et al. 2013).  The support projectors ``Pi_S`` of
+the marginals give ``H = sum_S (I - Pi_S) (x) I >= 0``, which every compatible
+state annihilates, so all of them live on ``ker H``.  A one-dimensional face,
+or a marginal map injective on the face's Hermitian operators (one SVD
+rank), certifies determination with no solve; otherwise the program runs on
+the ``r x r`` face, and in full only when the face is the whole space.  The
+symmetric probe takes the same step in the Dicke basis, so its UNIQUE verdict
+is a rank certificate.
+
 Both are solved by the same first-order operator-splitting loop: alternate
 a projection onto the affine constraints against a projection onto the
 semidefinite cones (batched eigenvalue clipping), with over-relaxation 1.5.
@@ -43,6 +53,7 @@ RELAX = 1.5
 ADAPT_EVERY = 25
 SIGMA_MIN, SIGMA_MAX = 1e-6, 1e6
 SIGMA_STEP = 5.0
+FACE_CUT = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -620,21 +631,121 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
                          tol, max_iter)
 
 
+def _kernel_face(h):
+    """Orthonormal basis of ``ker h`` (eigenvalues at most ``FACE_CUT``) and the
+    smallest eigenvalue above the cut (None when ``h`` vanishes)."""
+    w, q = np.linalg.eigh(h)
+    null = w <= FACE_CUT
+    return q[:, null], (float(w[~null][0]) if not null.all() else None)
+
+
+def _row_space(rows, cut):
+    """Rows of the right singular factor of ``rows`` above ``cut`` times the largest
+    singular value, and all the others (a basis of the null space when ``rows``
+    is complete)."""
+    _u, s, wh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    rank = int(np.sum(s > cut * s[0]))
+    return wh[:rank], wh[rank:]
+
+
+def _face_hamiltonian(psi, coll):
+    """``H = sum_S (I - Pi_S) (x) I`` over the subsets of ``coll``, ``Pi_S`` the support
+    projector of psi's marginal on S (eigenvalues above ``FACE_CUT``).  ``H >= 0`` is local, so every state with
+    psi's marginals has ``Tr(H rho) = <psi|H|psi> = 0`` and lives on ``ker H``."""
+    n = psi.n
+    d = 1 << n
+    amp = psi.amplitudes.reshape((2,) * n)
+    h = np.zeros((d, d), dtype=complex)
+    for mask in coll.edges:
+        labels = qcore.Subset(n, mask).indices
+        keep = [j - 1 for j in labels]
+        rest = [j for j in range(n) if j not in keep]
+        schmidt = np.transpose(amp, keep + rest).reshape(1 << len(keep), -1)
+        null = _kernel_face(schmidt @ schmidt.conj().T)[0]
+        h += expand_operator(n, labels, null @ null.conj().T)
+    return h
+
+
+@dataclass
+class DeterminationLevel:
+    """One level of the :func:`determination_levels` scan."""
+
+    alpha: float
+    route: str            # "face_rank1", "face_injective", "face_program" or "full_program"
+    face_dim: int         # r = dim ker H
+    gap: float | None     # smallest eigenvalue of H above 0; None on a full face
+    iterations: int       # ADMM iterations, 0 when no solve ran
+
+
+def _determination_level(psi, k, tol):
+    """The determination program at level k, decided on the support face of psi's
+    k-marginals: no solve when the face is a line or the marginal map is
+    injective on it, the ``r x r`` program on a proper face, the full program
+    otherwise."""
+    n = psi.n
+    d = 1 << n
+    coll = all_k_subsets(n, k)
+    h = _face_hamiltonian(psi, coll)
+    face, gap = _kernel_face(h)
+    r = face.shape[1]
+    if r == d:
+        res = pure_determination_alpha(psi, coll, tol=tol)
+        return DeterminationLevel(res.alpha, "full_program", r, None, res.iterations)
+    amp = psi.amplitudes
+    certified = 1.0 - float(np.vdot(amp, h @ amp).real) / gap
+    if r == 1:
+        return DeterminationLevel(certified, "face_rank1", r, gap, 0)
+    _strings, _paulis, coeff_rows = _allowed_span(n, coll)
+    m = coeff_rows.shape[0]
+    # coeff_rows @ kron(V, conj V): Pauli coefficients of V X V^dag on vec X
+    rows = (face.T @ coeff_rows.reshape(m, d, d) @ face.conj()).reshape(m, r * r)
+    if r * r <= m and _row_space(rows, FACE_CUT)[0].shape[0] == r * r:
+        return DeterminationLevel(certified, "face_injective", r, gap, 0)
+    basis = _row_space(rows, 1e-12)[0]
+    x0 = face.conj().T @ amp
+    target = np.outer(x0, x0.conj())[None]
+    res = _solve_pinned(target, basis.conj(), basis, target.ravel(), "determination program",
+                        tol, MAX_ITER)
+    return DeterminationLevel(res.alpha, "face_program", r, gap, res.iterations)
+
+
+def determination_levels(psi, tol=DEFAULT_TOL):
+    """Determination length of a pure state with the record of every scanned level.
+
+    Returns ``(value, levels)``, ``levels`` mapping each scanned k to a
+    :class:`DeterminationLevel`.  Level k is decided on the face ``ker H`` of
+    :func:`_face_hamiltonian`, which holds every state sharing psi's
+    k-marginals.  If the face is ``span{psi}`` (route ``face_rank1``) or the
+    marginal map is injective on the ``r x r`` Hermitian operators of the face
+    (``face_injective``), the marginals determine psi with no solve and
+    ``alpha = 1 - <psi|H|psi>/g``: the spectral gap ``g`` of H bounds the
+    weight a compatible state can put off the face by ``<psi|H|psi>/g``.
+    Otherwise the minimum fidelity is solved on the face
+    (``face_program``), or by :func:`pure_determination_alpha` when the face is
+    the whole space (``full_program``).  The scan stops at the first level with
+    ``alpha >= 1 - 100 tol``.
+    """
+    if not isinstance(psi, qcore.PureVector):
+        raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
+    n = psi.n
+    _check_sdp_size(n)
+    levels = {}
+    for k in range(1, n + 1):
+        levels[k] = _determination_level(psi, k, tol)
+        if levels[k].alpha >= 1.0 - 100.0 * tol:
+            return k, levels
+    return n, levels
+
+
 def sdl_pure(psi, tol=DEFAULT_TOL):
     """Determination length of a pure state by scanning the marginal size.
 
-    Returns ``(value, alphas)`` where alphas records the program value at
-    each size; determination is declared at ``alpha >= 1 - 100 tol``.
+    Returns ``(value, alphas)`` where alphas records the minimum fidelity (or
+    its certified bound) at each size; see :func:`determination_levels` for
+    the face step that decides each level and the routes it takes.
     """
-    n = psi.n
-    _check_sdp_size(n)
-    alphas = {}
-    for k in range(1, n + 1):
-        res = pure_determination_alpha(psi, all_k_subsets(n, k), tol=tol)
-        alphas[k] = res.alpha
-        if res.alpha >= 1.0 - 100.0 * tol:
-            return k, alphas
-    return n, alphas
+    value, levels = determination_levels(psi, tol)
+    return value, {k: level.alpha for k, level in levels.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -644,47 +755,77 @@ def sdl_pure(psi, tol=DEFAULT_TOL):
 @dataclass
 class ProbeResult:
     verdict: str          # "UNIQUE" or "NONUNIQUE"
-    max_deviation: float
+    max_deviation: float  # Frobenius distance of the witness from the input; 0 for UNIQUE by rank
     witness_coeffs: np.ndarray | None
-    trials: int
+    face_dim: int         # dimension of the face the verdict was decided on
 
     def __bool__(self):
         return self.verdict == "UNIQUE"
 
 
-def symmetric_sdl_probe(coeffs, k, trials=8, tol=DEFAULT_TOL, seed=20240811):
-    """Numerically probe whether the level-k marginals pin a symmetric state
-    within the symmetric family.
+def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
+    """Whether the level-k marginals pin a symmetric state within the symmetric family.
 
-    Random linear functionals are minimized and maximized over the
-    compatible set; any optimum escaping the input's value flags
-    NONUNIQUE with the deviating coefficient matrix as witness.  UNIQUE is
-    a sampled verdict, not a proof.
+    Every compatible coefficient matrix lives on the face ``ker H``,
+    ``H = R_k^*(I - Pi_k)`` with ``R_k`` the level-k reduction and ``Pi_k`` the
+    support projector of the input's reduction.  On that face of dimension r:
+
+    - (trace, ``R_k``) injective on ``r x r`` Hermitian operators: UNIQUE, a
+      certificate by one rank;
+    - otherwise, input ``X0`` positive definite on the face: NONUNIQUE with
+      the exact witness ``X0 + t D``, ``D`` a Hermitian kernel direction and
+      ``t = lambda_min(X0) / |D|``;
+    - otherwise one small program maximises ``Tr((I - Pi_X0) X)`` over the
+      compatible X: a value above ``100 tol`` is NONUNIQUE with the maximiser
+      as witness, else every compatible X lives on ``range(X0)`` and the two
+      tests above decide there.
     """
     if not isinstance(coeffs, SymmetricCoeffs):
         raise EdlkitError("DIM_MISMATCH", "expected SymmetricCoeffs")
     n = coeffs.n
     if not 1 <= k <= n:
         raise EdlkitError("BAD_LEVEL", "marginal size %d outside 1..%d" % (k, n))
+    a = coeffs.a
     dd = n + 1
-    # (trace, level-k reduction) on row-major vec X, factored once for all solves
-    rows = np.vstack([np.eye(dd).ravel(), _reduction_weights(n, k).reshape(dd * dd, -1).T])
-    rhs = np.append(1.0, _reduce_coeff_matrix(n, k, coeffs.a))
-    _ur, _sr, vr, anchor, lin_res = _factor_rows(rows, rhs)
-    if lin_res > 1e-8 * max(1.0, float(np.linalg.norm(rhs))):
-        raise EdlkitError("SOLVER_FAIL", "probe constraints are inconsistent (INFEASIBLE, "
-                          "residual %.2e, 0 iters)" % lin_res)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _t in range(trials):
-        g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
-        f = (g + g.conj().T) / 2.0
-        f /= np.linalg.norm(f)
-        base = float(np.trace(f @ coeffs.a).real)
-        for sign in (1.0, -1.0):
-            res = _solve_pinned(sign * f[None], vr, vr, anchor, "probe solve", tol, MAX_ITER)
-            dev = abs(sign * res.alpha - base)
-            worst = max(worst, dev)
-            if dev > 100.0 * tol:
-                return ProbeResult("NONUNIQUE", dev, res.rho, trials)
-    return ProbeResult("UNIQUE", worst, None, trials)
+    weights = _reduction_weights(n, k).reshape(dd * dd, -1)
+    null = _kernel_face(_reduce_coeff_matrix(n, k, a))[0]
+    # R_k(X) = vec X @ weights, so Tr(Y R_k(X)) = Tr(R_k^*(Y) X) with R_k^*(Y) below
+    slack = null @ null.conj().T
+    face = _kernel_face((weights @ slack.conj().ravel()).reshape(dd, dd).T)[0]
+
+    def face_rows(v):
+        r = v.shape[1]
+        return np.vstack([np.eye(r).ravel(), weights.T @ np.kron(v, v.conj())])
+
+    def certify(v, x0):
+        """UNIQUE if the map is injective on face ``v``, an exact NONUNIQUE witness
+        if ``x0 = v^dag a v`` is positive definite there, else None."""
+        r = v.shape[1]
+        null = _row_space(face_rows(v), FACE_CUT)[1]
+        if not null.shape[0]:
+            return ProbeResult("UNIQUE", 0.0, None, r)
+        lam = float(np.linalg.eigvalsh(x0)[0])
+        if lam <= FACE_CUT:
+            return None
+        g = null[0].conj().reshape(r, r)
+        herm, anti = g + g.conj().T, 1j * (g - g.conj().T)
+        direction = herm if np.linalg.norm(herm) >= np.linalg.norm(anti) else anti
+        step = lam / np.linalg.norm(direction, 2)
+        wit = v @ (x0 + step * direction) @ v.conj().T
+        return ProbeResult("NONUNIQUE", float(np.linalg.norm(wit - a)), wit, r)
+
+    x0 = face.conj().T @ a @ face
+    verdict = certify(face, x0)
+    if verdict is not None:
+        return verdict
+    lam, vecs = np.linalg.eigh(x0)
+    inside = lam > FACE_CUT
+    basis = _row_space(face_rows(face), 1e-12)[0]
+    outside = vecs[:, ~inside] @ vecs[:, ~inside].conj().T
+    res = _solve_pinned(-outside[None], basis.conj(), basis, x0.ravel(), "probe solve",
+                        tol, MAX_ITER)
+    if -res.alpha > 100.0 * tol:
+        wit = face @ res.rho @ face.conj().T
+        return ProbeResult("NONUNIQUE", float(np.linalg.norm(wit - a)), wit, face.shape[1])
+    # every compatible X lives on range(X0), where X0 is diagonal and positive definite
+    return certify(face @ vecs[:, inside], np.diag(lam[inside]).astype(complex))

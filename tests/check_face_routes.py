@@ -1,0 +1,133 @@
+"""Check the face step of the determination programs against the full programs.
+
+``witness.sdl_pure`` must give the value of ``oracle.sdl_pure_full_program``,
+level by level to 1e-6, on every Dicke state D_n^i, every GHZ_n and every
+connected graph state (one per isomorphism class) with n <= 5.
+``witness.symmetric_sdl_probe`` must agree with the sampled generic probe
+(random linear functionals minimised and maximised through ``solve_sdp``) on
+every Dicke state with n <= 6 at every level k, and each NONUNIQUE witness
+must be a unit-trace PSD coefficient matrix with the input's level-k
+reduction.  A sampled solve counts only when it converges (a single-point
+compatible set has no interior and stalls the loop), so every verdict is also
+checked against the face rank that ``oracle.probe_face_rank`` rebuilds from
+the term-by-term reduction: UNIQUE on the face itself exactly when that rank
+is full.  Not collected by pytest (~40 s); run it as
+
+    PYTHONPATH=src python tests/check_face_routes.py
+
+It prints the number of cases checked and exits 1 listing any that disagree.
+"""
+
+import itertools
+import sys
+
+import numpy as np
+
+from edlkit import oracle, qcore, witness
+from edlkit.graphstate import SimpleGraph, graph_state
+from edlkit.symmetric import SymmetricCoeffs, _reduce_coeff_matrix, dicke_vector
+
+SLACK = 100 * witness.DEFAULT_TOL
+
+
+def connected_graphs(n):
+    """One connected graph on n vertices per isomorphism class."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    perms = list(itertools.permutations(range(1, n + 1)))
+    seen, out = set(), []
+    for chosen in range(1 << len(pairs)):
+        edges = [p for i, p in enumerate(pairs) if chosen >> i & 1]
+        canon = min(tuple(sorted(tuple(sorted((pm[u - 1], pm[v - 1]))) for u, v in edges))
+                    for pm in perms)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        graph = SimpleGraph.from_edges(n, edges)
+        if graph.is_connected():
+            out.append(graph)
+    return out
+
+
+def pure_cases():
+    for n in range(2, 6):
+        for i in range(n + 1):
+            yield "D_%d^%d" % (n, i), dicke_vector(n, i)
+        yield "GHZ_%d" % n, qcore.ghz_vector(n)
+        for graph in connected_graphs(n):
+            yield "graph %s" % (graph.edges,), graph_state(graph)
+
+
+def sampled_deviation(coeffs, k, trials=2, max_iter=1000, seed=20240811):
+    """Largest deviation of random functionals over the compatible set, by solve_sdp,
+    and the number of solves that converged.  Only converged solves count: on a
+    single-point compatible set (no interior) the loop stalls short of ``tol``."""
+    n, dd = coeffs.n, coeffs.n + 1
+    lin = oracle._linmap_matrix(dd, k + 1, lambda x: _reduce_coeff_matrix(n, k, x))
+    rows = np.vstack([witness.svec(np.eye(dd))[None, :], lin])
+    rhs = np.concatenate([[1.0], witness.svec(_reduce_coeff_matrix(n, k, coeffs.a))])
+    rng = np.random.default_rng(seed)
+    worst, converged = 0.0, 0
+    for _ in range(trials):
+        g = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        f = (g + g.conj().T) / 2
+        f /= np.linalg.norm(f)
+        base = float(np.trace(f @ coeffs.a).real)
+        for sign in (1.0, -1.0):
+            sol = witness.solve_sdp(witness.SdpProblem([witness.SdpBlock(dd, "psd")], [sign * f],
+                                                       rows, rhs), max_iter=max_iter)
+            if sol.status == "OPTIMAL":
+                converged += 1
+                worst = max(worst, abs(sign * sol.objective - base))
+    return worst, converged
+
+
+def probe_mismatch(coeffs, k):
+    """None if the probe agrees with the sampled probe and the independent face
+    rank, and its NONUNIQUE witness is a compatible state other than the input."""
+    res = witness.symmetric_sdl_probe(coeffs, k)
+    dev, converged = sampled_deviation(coeffs, k)
+    r, rank = oracle.probe_face_rank(coeffs, k)
+    unique = res.verdict == "UNIQUE"
+    # injective on the face: UNIQUE there; otherwise UNIQUE only on a smaller face
+    if (rank == r * r) != (unique and res.face_dim == r):
+        return "%s on a face of dimension %d, independent face %d with rank %d" % (
+            res.verdict, res.face_dim, r, rank)
+    if converged and unique != (dev <= SLACK):
+        return "%s, sampled deviation %.2e over %d converged solves" % (res.verdict, dev, converged)
+    if not unique:
+        wit = res.witness_coeffs
+        red = np.max(np.abs(_reduce_coeff_matrix(coeffs.n, k, wit)
+                            - _reduce_coeff_matrix(coeffs.n, k, coeffs.a)))
+        if (red > 1e-6 or abs(np.trace(wit) - 1) > 1e-6
+                or np.linalg.eigvalsh((wit + wit.conj().T) / 2)[0] < -1e-6
+                or np.linalg.norm(wit - coeffs.a) <= SLACK):
+            return "NONUNIQUE witness fails its check (reduction deviation %.2e)" % red
+    return None
+
+
+def main():
+    checked, bad = 0, []
+    for name, psi in pure_cases():
+        checked += 1
+        value, alphas = witness.sdl_pure(psi)
+        ref, ref_alphas = oracle.sdl_pure_full_program(psi)
+        if value != ref or alphas.keys() != ref_alphas.keys() or any(
+                abs(alphas[k] - ref_alphas[k]) > 1e-6 for k in alphas):
+            bad.append("sdl_pure %s: %s %s, full program %s %s" % (name, value, alphas, ref, ref_alphas))
+    for n in range(1, 7):
+        for i in range(n + 1):
+            a = np.zeros((n + 1, n + 1), dtype=complex)
+            a[i, i] = 1.0
+            for k in range(1, n + 1):
+                checked += 1
+                why = probe_mismatch(SymmetricCoeffs(n, a), k)
+                if why:
+                    bad.append("probe D_%d^%d at k=%d: %s" % (n, i, k, why))
+    print("checked %d cases: %d disagree" % (checked, len(bad)))
+    for line in bad:
+        print("  " + line)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

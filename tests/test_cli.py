@@ -113,6 +113,23 @@ def test_edl_sdp_on_pure_state(tmp_path, capsys):
     assert doc["flags"] == ["SDP_BOUND"]
 
 
+def test_sdl_pure_state_reports_level_routes(tmp_path, capsys):
+    amp = qcore.PureVector(3, np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3)).amplitudes
+    path = write(tmp_path, "w3.json",
+                 {"format": cli.STATE_FORMAT, "n": 3, "kind": "pure_dense",
+                  "amp_real": amp.real.tolist(), "amp_imag": amp.imag.tolist()})
+    code, doc = run(capsys, "sdl", "--state", path)
+    assert code == 0
+    assert doc["result"]["sdl"] == 2
+    assert doc["flags"] == ["SDP_NUMERIC"]
+    levels = doc["certificates"]["levels"]
+    assert set(levels) == {"1", "2"}
+    assert levels["1"]["route"] == "full_program" and levels["1"]["face_dim"] == 8
+    assert levels["1"]["gap"] is None and levels["1"]["iterations"] > 0
+    assert levels["2"] == {"route": "face_injective", "face_dim": 2,
+                           "gap": pytest.approx(1.0), "iterations": 0}
+
+
 def test_witness_verify_pipeline(tmp_path, capsys):
     state_path = write(tmp_path, "state.json", diagonal_state(3, ["0", "1/2", "1/2", "0"]))
     out_path = str(tmp_path / "w.json")

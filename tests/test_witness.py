@@ -345,6 +345,70 @@ def test_sdl_pure_values():
     assert k == 1 and alphas[1] > 1 - 1e-5
 
 
+def _face_states():
+    """Inputs of the face-step equivalence test: GHZ_3..5, W_3..5, D_4^2, the
+    criterion-09 state, the filtered GHZ_3 and ten seeded random states at n = 3, 4."""
+    crit09 = np.zeros(16, dtype=complex)
+    crit09[[0b1000, 0b0100, 0b0010, 0b0001, 0b1111]] = np.sqrt([1 / 2, 1 / 3, 1 / 12, 1 / 24, 1 / 24])
+    filtered = np.zeros(8, dtype=complex)
+    filtered[[0b000, 0b011, 0b111]] = np.sqrt([1 / 2, 1 / 3, 1 / 6])
+    states = ([qcore.ghz_vector(n) for n in (3, 4, 5)] + [dicke_vector(n, 1) for n in (3, 4, 5)]
+              + [dicke_vector(4, 2), qcore.PureVector(4, crit09), qcore.PureVector(3, filtered)])
+    rng = np.random.default_rng(20240811)
+    for n in (3, 4):
+        for _ in range(10):
+            amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            states.append(qcore.PureVector(n, amp / np.linalg.norm(amp)))
+    return states
+
+
+def test_face_step_matches_full_program():
+    for psi in _face_states():
+        value, alphas = sdl_pure(psi)
+        ref, ref_alphas = oracle.sdl_pure_full_program(psi)
+        assert value == ref
+        assert alphas.keys() == ref_alphas.keys()
+        for k, alpha in alphas.items():
+            assert abs(alpha - ref_alphas[k]) <= 1e-6, (psi.n, k)
+
+
+def _brute_face(psi, k):
+    """Spectrum of ``sum_S (I - Pi_S) (x) I`` from loop-nest marginals, each term
+    placed by explicit index comparison."""
+    n, d = psi.n, 1 << psi.n
+    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    h = np.zeros((d, d), dtype=complex)
+    for labels in itertools.combinations(range(1, n + 1), k):
+        w, q = np.linalg.eigh(oracle.brute_marginal(rho, n, labels))
+        slack = q[:, w <= 1e-9] @ q[:, w <= 1e-9].conj().T
+        inside = [n - j for j in labels]
+        for x in range(d):
+            for y in range(d):
+                if all((x >> b & 1) == (y >> b & 1) for b in range(n) if b not in inside):
+                    xs = sum((x >> b & 1) << (k - 1 - i) for i, b in enumerate(inside))
+                    ys = sum((y >> b & 1) << (k - 1 - i) for i, b in enumerate(inside))
+                    h[x, y] += slack[xs, ys]
+    return np.linalg.eigvalsh(h)
+
+
+def test_face_dimension_and_gap_match_brute_force():
+    states = _face_states()
+    # the fixed states up to n = 4 and the first two random states at n = 3 and 4
+    for psi in [psi for psi in states[:9] if psi.n <= 4] + states[9:11] + states[19:21]:
+        _value, levels = witness.determination_levels(psi)
+        for k, level in levels.items():
+            w = _brute_face(psi, k)
+            r = int(np.sum(w <= 1e-9))
+            assert level.face_dim == r, (psi.n, k)
+            if r == 1 << psi.n:
+                assert level.route == "full_program" and level.gap is None
+            else:
+                assert level.route != "full_program"
+                assert abs(level.gap - w[r]) <= 1e-9
+            assert (level.route == "face_rank1") == (r == 1)
+            assert (level.iterations > 0) == level.route.endswith("program")
+
+
 def test_determination_solver_honours_iteration_cap():
     ghz = qcore.ghz_vector(3)
     with pytest.raises(EdlkitError) as err:
@@ -417,7 +481,9 @@ def test_determination_matches_generic_path():
     w3 = SymmetricCoeffs(3, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
     res = symmetric_sdl_probe(w3, 2)
     assert res.verdict == "UNIQUE"
-    assert abs(res.max_deviation - _generic_probe_deviation(w3, 2)) <= 1e-9
+    assert _generic_probe_deviation(w3, 2) <= 100 * witness.DEFAULT_TOL
+    r, rank = oracle.probe_face_rank(w3, 2)
+    assert res.face_dim == r and rank == r * r
 
 
 def test_sdp_size_cap():
@@ -426,6 +492,9 @@ def test_sdp_size_cap():
     assert err.value.code == "TOO_LARGE"
     with pytest.raises(EdlkitError):
         sdl_pure(qcore.PureVector(6, np.eye(64)[0]))
+    with pytest.raises(EdlkitError) as err:
+        sdl_pure(qcore.ghz_vector(3).to_density())
+    assert err.value.code == "DIM_MISMATCH"
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +524,19 @@ def test_probe_accepts_full_level_and_single_dicke():
     assert res.verdict == "UNIQUE" and bool(res)
     e1 = np.zeros((4, 4), dtype=complex)
     e1[1, 1] = 1.0
-    res = symmetric_sdl_probe(SymmetricCoeffs(3, e1), 2, trials=4)
+    res = symmetric_sdl_probe(SymmetricCoeffs(3, e1), 2)
     assert res.verdict == "UNIQUE"
 
 
 def test_probe_reports_solver_status(monkeypatch):
-    w3 = SymmetricCoeffs(3, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+    # symmetric GHZ_3 at pairs: face span{D0, D3}, a kernel of dimension 2 and a
+    # rank-one input, so only the small program decides
+    a = np.zeros((4, 4), dtype=complex)
+    a[np.ix_([0, 3], [0, 3])] = 0.5
+    ghz = SymmetricCoeffs(3, a)
     monkeypatch.setattr(witness, "MAX_ITER", 3)
     with pytest.raises(EdlkitError) as err:
-        symmetric_sdl_probe(w3, 2)
+        symmetric_sdl_probe(ghz, 2)
     assert err.value.code == "MAX_ITER" and "3 iters" in err.value.message
     monkeypatch.undo()
     # a solve the stall heuristic flags INFEASIBLE is a failure, not an iteration cap
@@ -475,7 +548,7 @@ def test_probe_reports_solver_status(monkeypatch):
 
     monkeypatch.setattr(witness, "_admm", stalled)
     with pytest.raises(EdlkitError) as err:
-        symmetric_sdl_probe(w3, 2)
+        symmetric_sdl_probe(ghz, 2)
     assert err.value.code == "SOLVER_FAIL" and "INFEASIBLE" in err.value.message
 
 
