@@ -6,7 +6,8 @@ complementation orbit for the representative with the smallest maximum
 degree.  k-uniformity gives matching lower bounds.
 """
 
-from edlkit import SimpleGraph, graph_bounds, graph_state, local_complement, uniformity_level
+from edlkit import (SimpleGraph, graph_bounds, graph_state, lc_orbit_min_max_degree,
+                    local_complement, uniformity_level)
 
 # Path and cycle graphs: degree 2 somewhere in the orbit, bounds close at 3.
 for n in (4, 5, 6, 7):
@@ -37,3 +38,13 @@ for name, g in (("prism", prism), ("K33", k33)):
     b = graph_bounds(g)
     pinned = "-> determination length exactly %d" % b.hi if level + 1 == b.hi else ""
     print("%s: uniformity %d, bounds (%d, %d) %s" % (name, level, b.lo, b.hi, pinned))
+
+# A 10-vertex scan: the Petersen graph's orbit, each graph stored as one
+# 100-bit integer.  The whole orbit is visited, so no graph in it drops to
+# maximum degree 2, and the bound 1 + 3 = 4 is the best the orbit gives.
+petersen = SimpleGraph.from_edges(10, [(j, j % 5 + 1) for j in range(1, 6)]
+                                  + [(j, j + 5) for j in range(1, 6)]
+                                  + [(j + 5, (j + 1) % 5 + 6) for j in range(1, 6)])
+orbit = lc_orbit_min_max_degree(petersen)
+print("petersen: visited %d, exhausted %s, witness max degree %d"
+      % (orbit.visited, orbit.exhausted, orbit.witness.max_degree()))

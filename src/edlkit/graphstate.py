@@ -8,15 +8,17 @@ Clifford orbit of the state, so scanning that orbit for the smallest
 maximum degree tightens the generic upper bound 1 + max degree.  The lower
 bound 3 holds for every graph state on three or more qubits.
 
-Orbit work runs on adjacency bitmasks: a graph is a tuple of ``n`` integers
-whose entry ``v-1`` has bit ``u-1`` set iff ``u ~ v``.  The tuple is the
-canonical form the orbit search hashes; a ``SimpleGraph`` is built only for
-the result.
+Orbit work runs on one integer per graph: row ``v-1`` of the adjacency
+bitmasks (bit ``u-1`` set iff ``u ~ v``) sits in bits ``[(v-1) n, v n)``.
+That integer is the canonical form the orbit search queues and hashes, and
+local complementation at ``v`` is one XOR with a mask that depends only on
+the neighbourhood of ``v``.  A ``SimpleGraph`` is built only for the result.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,6 +30,11 @@ from .errors import EdlkitError
 LOWER_BOUND = 3
 
 
+def _is_integer(x):
+    """An integer of any integral type; ``True`` and ``False`` are not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertices 1..n, stored as frozen edge set."""
@@ -36,10 +43,13 @@ class SimpleGraph:
     edges: tuple  # sorted tuple of (u, v) pairs with u < v
 
     def __post_init__(self):
-        if self.n < 1:
-            raise EdlkitError("DIM_MISMATCH", "need at least one vertex")
+        if not _is_integer(self.n) or self.n < 1:
+            raise EdlkitError("DIM_MISMATCH", "need a positive integer vertex count, got %r" % (self.n,))
+        object.__setattr__(self, "n", int(self.n))
         norm = set()
         for u, v in self.edges:
+            if not (_is_integer(u) and _is_integer(v)):
+                raise EdlkitError("BAD_VERTEX", "edge (%r, %r) needs integer endpoints" % (u, v))
             u, v = int(u), int(v)
             if u == v:
                 raise EdlkitError("BAD_VERTEX", "self-loop at vertex %d" % u)
@@ -50,7 +60,7 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, n, pairs):
-        return cls(n, tuple((int(u), int(v)) for u, v in pairs))
+        return cls(n, tuple(pairs))
 
     @classmethod
     def path(cls, n):
@@ -112,16 +122,27 @@ def _max_degree(adj):
     return max(map(int.bit_count, adj))
 
 
-def _lc_step(adj, v):
-    """Local complement at 0-based ``v``: XOR-ing ``N(v)`` without ``a`` into
-    the row of each neighbour ``a`` toggles every pair inside ``N(v)``."""
-    nbs = rest = adj[v]
-    out = list(adj)
+def _pack(adj):
+    """One integer per graph: row ``v`` (0-based) in bits ``[v n, v n + n)``."""
+    n = len(adj)
+    return sum(row << v * n for v, row in enumerate(adj))
+
+
+def _unpack(packed, n):
+    full = (1 << n) - 1
+    return tuple(packed >> v * n & full for v in range(n))
+
+
+def _spread(nbs, n):
+    """The XOR mask of local complementation at a vertex with neighbourhood
+    ``nbs``: row ``a`` of each neighbour gets ``nbs`` without ``a``, which
+    toggles every pair inside ``nbs``."""
+    mask, rest = 0, nbs
     while rest:
         low = rest & -rest  # bit of the next neighbour a
-        out[low.bit_length() - 1] ^= nbs ^ low
+        mask |= (nbs ^ low) << (low.bit_length() - 1) * n
         rest ^= low
-    return tuple(out)
+    return mask
 
 
 def graph_state(graph):
@@ -157,9 +178,12 @@ def _apply_stabilizer(amp, graph, v):
 
 def local_complement(graph, v):
     """Toggle every edge inside the neighborhood of ``v`` (an involution)."""
-    if not 1 <= v <= graph.n:
-        raise EdlkitError("BAD_VERTEX", "vertex %d outside 1..%d" % (v, graph.n))
-    return _from_adjacency(_lc_step(_adjacency(graph), v - 1))
+    if not _is_integer(v) or not 1 <= v <= graph.n:
+        raise EdlkitError("BAD_VERTEX", "vertex %r outside 1..%d" % (v, graph.n))
+    n = graph.n
+    packed = _pack(_adjacency(graph))
+    nbs = packed >> (v - 1) * n & (1 << n) - 1
+    return _from_adjacency(_unpack(packed ^ _spread(nbs, n), n))
 
 
 @dataclass(frozen=True)
@@ -173,35 +197,53 @@ class OrbitResult:
 def lc_orbit_min_max_degree(graph, budget=100000):
     """Smallest maximum degree over the local-complementation orbit.
 
-    Breadth-first search with the tuple of adjacency bitmasks as canonical
-    form.  The result is exact (``exhausted=True``) when the orbit fits in the
-    budget or the theoretical minimum 2 is reached (a connected graph on three
-    or more vertices cannot have maximum degree below 2).
+    Breadth-first search over graphs packed into one integer each (row ``v``
+    of the adjacency bitmasks in bits ``[v n, v n + n)``), which is both the
+    queued state and the ``seen`` key.  Local complementation at ``v`` is
+    one XOR with a mask that depends only on the neighbourhood of ``v``; the
+    masks met so far are memoised for the call.  ``budget`` caps the number
+    of distinct graphs visited.  The result is exact (``exhausted=True``)
+    when the orbit fits in the budget or the theoretical minimum 2 is
+    reached (a connected graph on three or more vertices cannot have
+    maximum degree below 2).
     """
-    start = _adjacency(graph)
-    if not _connected(start):
+    if not _is_integer(budget) or budget < 1:
+        raise EdlkitError("BAD_BUDGET", "orbit budget must be a positive integer, got %r" % (budget,))
+    adj = _adjacency(graph)
+    if not _connected(adj):
         raise EdlkitError("DISCONNECTED", "local-complementation orbit scan needs a connected graph")
-    best = _max_degree(start)
-    best_adj = start
+    n = graph.n
+    full = (1 << n) - 1
+    shifts = range(0, n * n, n)
+    start = _pack(adj)
+    best = _max_degree(adj)
+    best_packed = start
+    spread = {}
     seen = {start}
     frontier = deque([start])
-    floor = 2 if graph.n >= 3 else 1
+    floor = 2 if n >= 3 else 1
     while frontier and len(seen) < budget and best > floor:
         cur = frontier.popleft()
-        for v in range(graph.n):
-            nxt = _lc_step(cur, v)
+        for shift in shifts:
+            nbs = cur >> shift & full
+            mask = spread.get(nbs)
+            if mask is None:
+                mask = spread[nbs] = _spread(nbs, n)
+            nxt = cur ^ mask
             if nxt in seen:
                 continue
             seen.add(nxt)
             frontier.append(nxt)
-            deg = _max_degree(nxt)
-            if deg < best:
-                best = deg
-                best_adj = nxt
+            for row in shifts:  # stop at the first degree that is not below best
+                if (nxt >> row & full).bit_count() >= best:
+                    break
+            else:
+                best = max([(nxt >> row & full).bit_count() for row in shifts])
+                best_packed = nxt
             if best <= floor:
                 break
     exhausted = not frontier or best <= floor
-    return OrbitResult(best, exhausted, len(seen), _from_adjacency(best_adj))
+    return OrbitResult(best, exhausted, len(seen), _from_adjacency(_unpack(best_packed, n)))
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,12 @@ def orbit_graphs():
     return graphs
 
 
+def wide_graphs():
+    """n = 9..11: the packed graphs of the orbit scan are wider than 64 bits."""
+    rng = np.random.default_rng(911)
+    return [random_connected_graph(rng, n, extra) for n in (9, 10, 11) for extra in (0, 3)]
+
+
 def cut_rank(graph, part):
     """GF(2) rank of the adjacency block between ``part`` and the rest."""
     rows = []
@@ -81,6 +87,23 @@ def test_graph_normalization_and_errors():
     assert err.value.code == "BAD_VERTEX"
     with pytest.raises(EdlkitError):
         SimpleGraph.from_edges(3, [(1, 4)])
+    assert SimpleGraph(np.int64(3), ((np.int64(1), 2),)) == SimpleGraph(3, ((1, 2),))
+    for n in (3.0, True, "3", 0):
+        with pytest.raises(EdlkitError) as err:
+            SimpleGraph(n, ((1, 2),))
+        assert err.value.code == "DIM_MISMATCH", n
+    for edge in ((1.5, 2), (1, 2.0), (True, 2), ("1", 2)):
+        with pytest.raises(EdlkitError) as err:
+            SimpleGraph.from_edges(3, [edge])
+        assert err.value.code == "BAD_VERTEX", edge
+    for v in (0, 4, 1.5, True):
+        with pytest.raises(EdlkitError) as err:
+            local_complement(g, v)
+        assert err.value.code == "BAD_VERTEX", v
+    for budget in (0, -1, 2.5, True):
+        with pytest.raises(EdlkitError) as err:
+            graph_bounds(SimpleGraph.path(4), budget=budget)
+        assert err.value.code == "BAD_BUDGET", budget
 
 
 def test_path_cycle_builders():
@@ -121,7 +144,7 @@ def test_local_complement_involution_and_state_equivalence():
 
 
 def test_local_complement_matches_edge_set_toggle():
-    for g in orbit_graphs():
+    for g in orbit_graphs() + wide_graphs():
         for v in range(1, g.n + 1):
             h = local_complement(g, v)
             assert h == oracle.local_complement_edges(g, v), (g.edges, v)
@@ -151,8 +174,10 @@ def test_orbit_reaches_cycle_from_diamond():
 
 def test_orbit_matches_edge_set_search():
     truncated = 0
-    for g in orbit_graphs():
-        for budget in (5, 50, 100000):
+    cases = ([(g, (5, 50, 100000)) for g in orbit_graphs()]
+             + [(g, (5, 50, 500)) for g in wide_graphs()])
+    for g, budgets in cases:
+        for budget in budgets:
             orbit = lc_orbit_min_max_degree(g, budget=budget)
             assert orbit == oracle.lc_orbit_edge_sets(g, budget=budget), (g.edges, budget)
             truncated += not orbit.exhausted
