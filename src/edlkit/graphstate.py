@@ -180,10 +180,8 @@ def local_complement(graph, v):
     """Toggle every edge inside the neighborhood of ``v`` (an involution)."""
     if not _is_integer(v) or not 1 <= v <= graph.n:
         raise EdlkitError("BAD_VERTEX", "vertex %r outside 1..%d" % (v, graph.n))
-    n = graph.n
-    packed = _pack(_adjacency(graph))
-    nbs = packed >> (v - 1) * n & (1 << n) - 1
-    return _from_adjacency(_unpack(packed ^ _spread(nbs, n), n))
+    adj = _adjacency(graph)
+    return _from_adjacency(_unpack(_pack(adj) ^ _spread(adj[v - 1], graph.n), graph.n))
 
 
 @dataclass(frozen=True)
