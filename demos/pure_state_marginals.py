@@ -6,7 +6,8 @@ the line through psi, or the marginal map is injective on it, the marginals
 single psi out with no solve.  Otherwise a small SDP minimizes the fidelity
 with psi over the compatible states on the face (over all states when the
 face is the whole space).  Value 1 means the marginals determine psi;
-anything less comes with a concrete second state.
+anything less comes with a concrete second state.  pure_determination_alpha
+takes the same route for any marginal collection and reports it.
 """
 
 import math
@@ -27,7 +28,8 @@ print("routes (face dimension):", {k: "%s (%d)" % (lv.route, lv.face_dim) for k,
 # marginals, fidelity zero (the opposite-phase superposition).
 res = pure_determination_alpha(ghz, all_k_subsets(3, 2))
 amp = ghz.amplitudes
-print("fidelity floor at k=2: %.2e" % res.alpha)
+print("fidelity floor at k=2: %.2e (route %s, face dimension %d, %d ADMM iterations)"
+      % (res.alpha, res.route, res.face_dim, res.iterations))
 print("counterexample corner entries:",
       np.round([res.rho[0, 0].real, res.rho[0, 7].real, res.rho[7, 7].real], 4))
 

@@ -288,18 +288,23 @@ def _dense_matrix(obj):
     return obj.matrix, obj.n
 
 
+def _route_record(res):
+    """Route, face dimension and gap of a :class:`witness.DeterminationResult`."""
+    return {"route": res.route, "face_dim": res.face_dim, "gap": res.gap}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (result, certificates, flags, inputs)
 # ---------------------------------------------------------------------------
 
 def _cmd_edl(args):
-    state = state_from_json(_load_json(args.state))
-    kind = state_to_json(state)["kind"]
+    doc = _load_json(args.state)
+    state = state_from_json(doc)
+    kind = doc["kind"]
     method = args.method
     if method is None:
         method = "analytic" if kind in ("dicke_diagonal", "symmetric") else "sdp"
-    inputs = {"state": args.state, "kind": kind, "n": state.n if hasattr(state, "n") else None,
-              "method": method, "tol": args.tol}
+    inputs = {"state": args.state, "kind": kind, "n": state.n, "method": method, "tol": args.tol}
     if method == "analytic":
         tol = 1e-9 if args.tol is None else args.tol
         if isinstance(state, symmetric.DickeMixture):
@@ -324,9 +329,9 @@ def _cmd_edl(args):
 
 
 def _cmd_sdl(args):
-    state = state_from_json(_load_json(args.state))
-    kind = state_to_json(state)["kind"]
-    inputs = {"state": args.state, "kind": kind, "n": state.n}
+    doc = _load_json(args.state)
+    state = state_from_json(doc)
+    inputs = {"state": args.state, "kind": doc["kind"], "n": state.n}
     if isinstance(state, symmetric.SymmetricCoeffs) and state.is_diagonal():
         state = state.diagonal_mixture()
     if isinstance(state, symmetric.DickeMixture):
@@ -338,8 +343,7 @@ def _cmd_sdl(args):
         k, levels = wit.determination_levels(state)
         result = {"sdl": k, "exact": False, "flag": "SDP_NUMERIC",
                   "alphas": {str(a): float(lv.alpha) for a, lv in levels.items()}}
-        certs = {"levels": {str(a): {"route": lv.route, "face_dim": lv.face_dim, "gap": lv.gap,
-                                     "iterations": lv.iterations}
+        certs = {"levels": {str(a): {**_route_record(lv), "iterations": lv.iterations}
                             for a, lv in levels.items()}}
         return result, certs, ["SDP_NUMERIC"], inputs
     raise EdlkitError("BAD_KIND",
@@ -411,6 +415,7 @@ def _cmd_determine(args):
     re_part, im_part = _matrix_pair(res.rho)
     certs = {"compatible_state": {"format": STATE_FORMAT, "n": state.n, "kind": "dense",
                                   "rho_real": re_part, "rho_imag": im_part},
+             **_route_record(res),
              "solver": {"iterations": res.iterations, "primal_residual": res.primal_residual,
                         "dual_residual": res.dual_residual, "penalty": res.penalty}}
     return ({"alpha": res.alpha, "determined": determined, "k": args.k},

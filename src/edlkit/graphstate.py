@@ -35,6 +35,12 @@ def _is_integer(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _check_vertex_count(n):
+    """DIM_MISMATCH unless ``n`` is a positive integer."""
+    if not _is_integer(n) or n < 1:
+        raise EdlkitError("DIM_MISMATCH", "need a positive integer vertex count, got %r" % (n,))
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertices 1..n, stored as frozen edge set."""
@@ -43,8 +49,7 @@ class SimpleGraph:
     edges: tuple  # sorted tuple of (u, v) pairs with u < v
 
     def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 1:
-            raise EdlkitError("DIM_MISMATCH", "need a positive integer vertex count, got %r" % (self.n,))
+        _check_vertex_count(self.n)
         object.__setattr__(self, "n", int(self.n))
         norm = set()
         for u, v in self.edges:
@@ -64,10 +69,12 @@ class SimpleGraph:
 
     @classmethod
     def path(cls, n):
+        _check_vertex_count(n)
         return cls.from_edges(n, [(j, j + 1) for j in range(1, n)])
 
     @classmethod
     def cycle(cls, n):
+        _check_vertex_count(n)
         if n < 3:
             raise EdlkitError("BAD_VERTEX", "a cycle needs n >= 3")
         return cls.from_edges(n, [(j, j + 1) for j in range(1, n)] + [(1, n)])

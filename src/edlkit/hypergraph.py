@@ -94,42 +94,16 @@ def all_k_subsets(n, k):
     return SubsetCollection(n, tuple(masks))
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-
 def is_connected(collection):
     """True iff the hypergraph covers all of [n] in a single component."""
-    n = collection.n
-    uf = _UnionFind(n + 1)  # index 0 unused
-    covered = 0
-    for mask in collection.edges:
-        covered |= mask
-        labels = _labels_from_mask(mask)
-        for j in labels[1:]:
-            uf.union(labels[0], j)
-    if covered != (1 << n) - 1:
-        return False
-    roots = {uf.find(j) for j in range(1, n + 1)}
-    return len(roots) == 1
+    edges = collection.edges
+    reached, before = (edges[0] if edges else 0), -1
+    while reached != before:
+        before = reached
+        for mask in edges:
+            if mask & reached:
+                reached |= mask
+    return reached == (1 << collection.n) - 1
 
 
 def collection_decides(collection, length, n):

@@ -29,8 +29,8 @@ of ``qcore``.  What they share with the fast paths is the witness module's
 description of the program (``_collection_of``, ``_allowed_strings``,
 ``_bipartition_masks``) and, through ``solve_sdp``, its splitting loop.
 :func:`sdl_pure_full_program` scans the determination length of a pure
-state with the full program (``witness.pure_determination_alpha``) at every
-level, as a reference for the face step of ``witness.sdl_pure``.
+state with the full program (``witness._full_determination``) at every
+level, as a reference for the face step of ``witness.pure_determination_alpha``.
 :func:`probe_face_rank` rebuilds the face of ``witness.symmetric_sdl_probe``
 from the term-by-term reduction in svec coordinates.
 
@@ -54,7 +54,7 @@ from .graphstate import OrbitResult, SimpleGraph
 from .symmetric import solution_family
 from .hypergraph import all_k_subsets
 from .witness import (DEFAULT_TOL, SdpBlock, SdpProblem, _allowed_strings, _bipartition_masks,
-                      _collection_of, pure_determination_alpha, smat, svec)
+                      _collection_of, _full_determination, smat, svec)
 
 
 def _popcount(x):
@@ -389,7 +389,7 @@ def sdl_pure_full_program(psi, tol=DEFAULT_TOL):
     every level: ``(value, alphas)``, determination at ``alpha >= 1 - 100 tol``."""
     alphas = {}
     for k in range(1, psi.n + 1):
-        alphas[k] = pure_determination_alpha(psi, all_k_subsets(psi.n, k), tol=tol).alpha
+        alphas[k] = _full_determination(psi, all_k_subsets(psi.n, k), tol=tol).alpha
         if alphas[k] >= 1.0 - 100.0 * tol:
             return k, alphas
     return psi.n, alphas

@@ -8,13 +8,16 @@ entanglement from the chosen marginals alone.  The determination program
 minimizes the fidelity ``<psi| rho |psi>`` over states matching all the
 marginals of a pure target; value 1 means the marginals pin the state.
 
-Determination first takes a face step (facial reduction; the local-Hamiltonian
-uniqueness argument of Chen et al. 2013).  The support projectors ``Pi_S`` of
-the marginals give ``H = sum_S (I - Pi_S) (x) I >= 0``, which every compatible
-state annihilates, so all of them live on ``ker H``.  A one-dimensional face,
-or a marginal map injective on the face's Hermitian operators (one SVD
-rank), certifies determination with no solve; otherwise the program runs on
-the ``r x r`` face, and in full only when the face is the whole space.  The
+Determination (:func:`pure_determination_alpha`, for any marginal collection;
+:func:`determination_levels` calls it once per marginal size) first takes a
+face step (facial reduction; the local-Hamiltonian uniqueness argument of Chen
+et al. 2013).  The support projectors ``Pi_S`` of the marginals give
+``H = sum_S (I - Pi_S) (x) I >= 0``, which every compatible state annihilates,
+so all of them live on ``ker H``.  A one-dimensional face, or a marginal map
+injective on the face's Hermitian operators (one SVD rank), certifies
+determination with no solve; otherwise the program runs on the ``r x r``
+face, and in full only when the face is the whole space.  One
+:class:`DeterminationResult` records the route, the face and the solve.  The
 symmetric probe takes the same step in the Dicke basis, so its UNIQUE verdict
 is a rank certificate.
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,7 +234,8 @@ def _factor_rows(A, b):
 def _solve_pinned(c, basis, rows, anchor, what, tol, max_iter):
     """Minimize ``<c, X>`` over PSD ``X`` (shape ``(1, d, d)``) whose orthogonal projection
     ``basis.T @ rows @ vec X`` equals that of ``anchor``; the affine step is
-    ``X - basis.T @ rows @ (vec X - anchor)``.  Returns a DeterminationResult."""
+    ``X - basis.T @ rows @ (vec X - anchor)``.  Returns a DeterminationResult on
+    the full route of this ``d x d`` program."""
     x, _z, status, res_p, res_d, iters, sigma = _admm(
         c, lambda v: v - (basis.T @ (rows @ (v.ravel() - anchor))).reshape(v.shape),
         _clip_psd, tol, max_iter)
@@ -239,7 +243,8 @@ def _solve_pinned(c, basis, rows, anchor, what, tol, max_iter):
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
                           "%s did not converge (%s, primal %.2e, dual %.2e, %d iters)"
                           % (what, status, res_p, res_d, iters))
-    return DeterminationResult(float(np.vdot(c, x).real), status, x[0], iters, res_p, res_d, sigma)
+    return DeterminationResult(float(np.vdot(c, x).real), status, x[0], iters, res_p, res_d, sigma,
+                               "full_program", c.shape[-1], None)
 
 
 def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
@@ -602,26 +607,23 @@ def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
 @dataclass
 class DeterminationResult:
-    alpha: float
+    """One level of the determination question (:func:`pure_determination_alpha`)."""
+
+    alpha: float          # minimum fidelity, or its certified bound 1 - <psi|H|psi>/g
     status: str
-    rho: np.ndarray       # the minimizing compatible state
-    iterations: int
+    rho: np.ndarray       # a minimizing compatible state; |psi><psi| when no solve ran
+    iterations: int       # ADMM iterations, 0 when no solve ran
     primal_residual: float
     dual_residual: float
-    penalty: float        # the ADMM penalty sigma the solve ended with
+    penalty: float | None  # the ADMM penalty sigma the solve ended with; None when no solve ran
+    route: str            # "face_rank1", "face_injective", "face_program" or "full_program"
+    face_dim: int         # r = dim ker H
+    gap: float | None     # smallest eigenvalue of H above 0; None on a full face
 
 
-def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
-    """Minimum fidelity with ``psi`` over states sharing its listed marginals.
-
-    Value 1 means those marginals determine the state; the minimizer itself
-    is returned as the certificate (a different compatible state when the
-    value drops below 1).
-    """
-    if not isinstance(psi, qcore.PureVector):
-        raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
+def _full_determination(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
+    """The ``2^n x 2^n`` determination program with no face step."""
     n = psi.n
-    _check_sdp_size(n)
     coll = _collection_of(n, subsets)
     target = psi.to_density().matrix[None]
     # Tr rho = 1 and the marginals on coll pin the coefficients of rho on exactly
@@ -666,75 +668,66 @@ def _face_hamiltonian(psi, coll):
     return h
 
 
-@dataclass
-class DeterminationLevel:
-    """One level of the :func:`determination_levels` scan."""
+def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
+    """Minimum fidelity with ``psi`` over states sharing its marginals on ``subsets``.
 
-    alpha: float
-    route: str            # "face_rank1", "face_injective", "face_program" or "full_program"
-    face_dim: int         # r = dim ker H
-    gap: float | None     # smallest eigenvalue of H above 0; None on a full face
-    iterations: int       # ADMM iterations, 0 when no solve ran
-
-
-def _determination_level(psi, k, tol):
-    """The determination program at level k, decided on the support face of psi's
-    k-marginals: no solve when the face is a line or the marginal map is
-    injective on it, the ``r x r`` program on a proper face, the full program
-    otherwise."""
-    n = psi.n
-    d = 1 << n
-    coll = all_k_subsets(n, k)
-    h = _face_hamiltonian(psi, coll)
-    face, gap = _kernel_face(h)
-    r = face.shape[1]
-    if r == d:
-        res = pure_determination_alpha(psi, coll, tol=tol)
-        return DeterminationLevel(res.alpha, "full_program", r, None, res.iterations)
-    amp = psi.amplitudes
-    certified = 1.0 - float(np.vdot(amp, h @ amp).real) / gap
-    if r == 1:
-        return DeterminationLevel(certified, "face_rank1", r, gap, 0)
-    _strings, _paulis, coeff_rows = _allowed_span(n, coll)
-    m = coeff_rows.shape[0]
-    # coeff_rows @ kron(V, conj V): Pauli coefficients of V X V^dag on vec X
-    rows = (face.T @ coeff_rows.reshape(m, d, d) @ face.conj()).reshape(m, r * r)
-    if r * r <= m and _row_space(rows, FACE_CUT)[0].shape[0] == r * r:
-        return DeterminationLevel(certified, "face_injective", r, gap, 0)
-    basis = _row_space(rows, 1e-12)[0]
-    x0 = face.conj().T @ amp
-    target = np.outer(x0, x0.conj())[None]
-    res = _solve_pinned(target, basis.conj(), basis, target.ravel(), "determination program",
-                        tol, MAX_ITER)
-    return DeterminationLevel(res.alpha, "face_program", r, gap, res.iterations)
-
-
-def determination_levels(psi, tol=DEFAULT_TOL):
-    """Determination length of a pure state with the record of every scanned level.
-
-    Returns ``(value, levels)``, ``levels`` mapping each scanned k to a
-    :class:`DeterminationLevel`.  Level k is decided on the face ``ker H`` of
-    :func:`_face_hamiltonian`, which holds every state sharing psi's
-    k-marginals.  If the face is ``span{psi}`` (route ``face_rank1``) or the
-    marginal map is injective on the ``r x r`` Hermitian operators of the face
-    (``face_injective``), the marginals determine psi with no solve and
-    ``alpha = 1 - <psi|H|psi>/g``: the spectral gap ``g`` of H bounds the
-    weight a compatible state can put off the face by ``<psi|H|psi>/g``.
-    Otherwise the minimum fidelity is solved on the face
-    (``face_program``), or by :func:`pure_determination_alpha` when the face is
-    the whole space (``full_program``).  The scan stops at the first level with
-    ``alpha >= 1 - 100 tol``.
+    Value 1 means those marginals determine the state.  The question is
+    decided on the face ``ker H`` of :func:`_face_hamiltonian`, which holds
+    every state sharing psi's marginals.  If the face is ``span{psi}`` (route
+    ``face_rank1``) or the marginal map is injective on the ``r x r`` Hermitian
+    operators of the face (``face_injective``), the marginals determine psi
+    with no solve and ``alpha = 1 - <psi|H|psi>/g``: the spectral gap ``g`` of
+    H bounds the weight a compatible state can put off the face by
+    ``<psi|H|psi>/g``.  Otherwise the minimum fidelity is solved on the face
+    (``face_program``), or by the full ``2^n x 2^n`` program when the face is
+    the whole space (``full_program``); the minimizer is returned as ``rho``, a
+    different compatible state when the value drops below 1.
     """
     if not isinstance(psi, qcore.PureVector):
         raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
     n = psi.n
     _check_sdp_size(n)
+    coll = _collection_of(n, subsets)
+    d = 1 << n
+    h = _face_hamiltonian(psi, coll)
+    face, gap = _kernel_face(h)
+    r = face.shape[1]
+    if r == d:
+        return _full_determination(psi, coll, tol, max_iter)
+    amp = psi.amplitudes
+    certified = DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
+                                    psi.to_density().matrix, 0, 0.0, 0.0, None, "face_rank1", r, gap)
+    if r == 1:
+        return certified
+    _strings, _paulis, coeff_rows = _allowed_span(n, coll)
+    m = coeff_rows.shape[0]
+    # coeff_rows @ kron(V, conj V): Pauli coefficients of V X V^dag on vec X
+    rows = (face.T @ coeff_rows.reshape(m, d, d) @ face.conj()).reshape(m, r * r)
+    if r * r <= m and _row_space(rows, FACE_CUT)[0].shape[0] == r * r:
+        return replace(certified, route="face_injective")
+    basis = _row_space(rows, 1e-12)[0]
+    x0 = face.conj().T @ amp
+    target = np.outer(x0, x0.conj())[None]
+    res = _solve_pinned(target, basis.conj(), basis, target.ravel(), "determination program",
+                        tol, max_iter)
+    return replace(res, rho=face @ res.rho @ face.conj().T, route="face_program", gap=gap)
+
+
+def determination_levels(psi, tol=DEFAULT_TOL):
+    """Determination length of a pure state with the record of every scanned level.
+
+    Returns ``(value, levels)``, ``levels`` mapping each scanned k to the
+    :class:`DeterminationResult` of :func:`pure_determination_alpha` on all
+    k-subsets.  The scan stops at the first level with ``alpha >= 1 - 100 tol``.
+    """
+    if not isinstance(psi, qcore.PureVector):
+        raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
     levels = {}
-    for k in range(1, n + 1):
-        levels[k] = _determination_level(psi, k, tol)
+    for k in range(1, psi.n + 1):
+        levels[k] = pure_determination_alpha(psi, all_k_subsets(psi.n, k), tol)
         if levels[k].alpha >= 1.0 - 100.0 * tol:
             return k, levels
-    return n, levels
+    return psi.n, levels
 
 
 def sdl_pure(psi, tol=DEFAULT_TOL):

@@ -1,8 +1,13 @@
 """Check the face step of the determination programs against the full programs.
 
-``witness.sdl_pure`` must give the value of ``oracle.sdl_pure_full_program``,
-level by level to 1e-6, on every Dicke state D_n^i, every GHZ_n and every
-connected graph state (one per isomorphism class) with n <= 5.
+``witness.determination_levels`` (behind ``sdl_pure``) must give the value of
+``oracle.sdl_pure_full_program``, level by level to 1e-6, on every Dicke state
+D_n^i, every GHZ_n and every connected graph state (one per isomorphism class)
+with n <= 5.  On the ``min_marginal_count(n, k)`` chain of each of those states
+with n <= 4 and k = 2..n-1, ``witness.pure_determination_alpha`` must give the
+determined verdict of the full program and its value to ``100 tol``; where the
+full program stalls (a compatible set that is the single point psi has no
+interior), the face program must find psi determined.
 ``witness.symmetric_sdl_probe`` must agree with the sampled generic probe
 (random linear functionals minimised and maximised through ``solve_sdp``) on
 every Dicke state with n <= 6 at every level k, and each NONUNIQUE witness
@@ -15,16 +20,20 @@ is full.  Not collected by pytest (~40 s); run it as
 
     PYTHONPATH=src python tests/check_face_routes.py
 
-It prints the number of cases checked and exits 1 listing any that disagree.
+It prints the number of cases checked and how many determination results
+each route decided, and exits 1 listing any cases that disagree.
 """
 
+import collections
 import itertools
 import sys
 
 import numpy as np
 
 from edlkit import oracle, qcore, witness
+from edlkit.errors import EdlkitError
 from edlkit.graphstate import SimpleGraph, graph_state
+from edlkit.hypergraph import min_marginal_count
 from edlkit.symmetric import SymmetricCoeffs, _reduce_coeff_matrix, dicke_vector
 
 SLACK = 100 * witness.DEFAULT_TOL
@@ -105,15 +114,44 @@ def probe_mismatch(coeffs, k):
     return None
 
 
+def chain_mismatch(psi, coll, routes):
+    """None if ``pure_determination_alpha`` on ``coll`` agrees with the full program.
+    Tallies the route in ``routes``, and a stalled full program under "stalled"."""
+    res = witness.pure_determination_alpha(psi, coll)
+    routes[res.route] += 1
+    determined = res.alpha >= 1 - SLACK
+    try:
+        ref = witness._full_determination(psi, coll)
+    except EdlkitError as err:
+        routes["stalled"] += 1
+        if err.code == "MAX_ITER" and res.route == "face_program" and determined:
+            return None
+        return "%s %.9f, full program failed: %s" % (res.route, res.alpha, err)
+    if determined != (ref.alpha >= 1 - SLACK) or abs(res.alpha - ref.alpha) > SLACK:
+        return "%s %.9f, full program %.9f" % (res.route, res.alpha, ref.alpha)
+    return None
+
+
 def main():
     checked, bad = 0, []
+    routes = collections.Counter()
     for name, psi in pure_cases():
         checked += 1
-        value, alphas = witness.sdl_pure(psi)
+        value, levels = witness.determination_levels(psi)
+        alphas = {k: level.alpha for k, level in levels.items()}
+        routes.update(level.route for level in levels.values())
         ref, ref_alphas = oracle.sdl_pure_full_program(psi)
         if value != ref or alphas.keys() != ref_alphas.keys() or any(
                 abs(alphas[k] - ref_alphas[k]) > 1e-6 for k in alphas):
             bad.append("sdl_pure %s: %s %s, full program %s %s" % (name, value, alphas, ref, ref_alphas))
+        if psi.n > 4:
+            continue
+        for k in range(2, psi.n):
+            checked += 1
+            coll = min_marginal_count(psi.n, k)[1]
+            why = chain_mismatch(psi, coll, routes)
+            if why:
+                bad.append("chain %s on %s: %s" % (name, coll.to_lists(), why))
     for n in range(1, 7):
         for i in range(n + 1):
             a = np.zeros((n + 1, n + 1), dtype=complex)
@@ -124,6 +162,9 @@ def main():
                 if why:
                     bad.append("probe D_%d^%d at k=%d: %s" % (n, i, k, why))
     print("checked %d cases: %d disagree" % (checked, len(bad)))
+    stalled = routes.pop("stalled", 0)
+    print("determination routes: %s; the full program stalled on %d chain(s)"
+          % (", ".join("%s %d" % kv for kv in sorted(routes.items())), stalled))
     for line in bad:
         print("  " + line)
     return 1 if bad else 0

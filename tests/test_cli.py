@@ -198,9 +198,21 @@ def test_determine_command(tmp_path, capsys):
     assert isinstance(solver["iterations"], int) and solver["iterations"] > 0
     assert max(solver["primal_residual"], solver["dual_residual"]) <= 1e-6
     assert 1e-6 <= solver["penalty"] <= 1e6
+    # decided on the face span{|000>, |111>}, with the sibling lifted back to 3 qubits
+    assert doc["certificates"]["route"] == "face_program"
+    assert doc["certificates"]["face_dim"] == 2 and doc["certificates"]["gap"] > 0
+    rho = np.array(sibling["rho_real"]) + 1j * np.array(sibling["rho_imag"])
+    ghz = qcore.ghz_vector(3).to_density().matrix
+    for keep in ((1, 2), (1, 3), (2, 3)):
+        sub = qcore.Subset.from_indices(3, keep)
+        assert np.max(np.abs(qcore.partial_trace(rho, sub) - qcore.partial_trace(ghz, sub))) <= 1e-4
     code, doc = run(capsys, "determine", "--state", path, "--k", "3")
     assert code == 0
     assert doc["result"]["determined"] is True
+    certs = doc["certificates"]
+    assert certs["route"] == "face_rank1" and certs["face_dim"] == 1
+    assert certs["solver"] == {"iterations": 0, "primal_residual": 0.0, "dual_residual": 0.0,
+                               "penalty": None}
 
 
 def test_transitivity_command(tmp_path, capsys):

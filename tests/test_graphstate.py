@@ -111,6 +111,15 @@ def test_path_cycle_builders():
     assert SimpleGraph.cycle(4).edges == ((1, 2), (1, 4), (2, 3), (3, 4))
     assert SimpleGraph.path(5).is_connected()
     assert not SimpleGraph(4, ((1, 2),)).is_connected()
+    # the vertex count is checked before the edge list is built
+    for build, n, code in ((SimpleGraph.path, 3.0, "DIM_MISMATCH"),
+                           (SimpleGraph.path, "3", "DIM_MISMATCH"),
+                           (SimpleGraph.cycle, "5", "DIM_MISMATCH"),
+                           (SimpleGraph.cycle, 5.0, "DIM_MISMATCH"),
+                           (SimpleGraph.cycle, 2, "BAD_VERTEX")):
+        with pytest.raises(EdlkitError) as err:
+            build(n)
+        assert err.value.code == code, (build, n)
 
 
 def test_graph_state_stabilized():

@@ -53,6 +53,8 @@ def test_connectivity():
     # covering all vertices is required, not just linking what appears
     assert not is_connected(SubsetCollection.from_lists(4, [[1, 2], [2, 3]]))
     assert is_connected(SubsetCollection.from_lists(3, [[1, 2, 3]]))
+    # {3, 4} (mask 0b01100) meets what {1, 2} reaches only through the later {2, 3, 5}
+    assert is_connected(SubsetCollection.from_lists(5, [[1, 2], [3, 4], [2, 3, 5]]))
 
 
 def test_connectivity_matches_crossing_definition():

@@ -7,7 +7,7 @@ import pytest
 
 from edlkit import oracle, qcore, witness
 from edlkit.errors import EdlkitError
-from edlkit.hypergraph import SubsetCollection, all_k_subsets
+from edlkit.hypergraph import SubsetCollection, all_k_subsets, min_marginal_count
 from edlkit.symmetric import (SymmetricCoeffs, _reduce_coeff_matrix, check_compatibility,
                               dicke_vector)
 from edlkit.witness import (
@@ -372,13 +372,14 @@ def test_face_step_matches_full_program():
             assert abs(alpha - ref_alphas[k]) <= 1e-6, (psi.n, k)
 
 
-def _brute_face(psi, k):
-    """Spectrum of ``sum_S (I - Pi_S) (x) I`` from loop-nest marginals, each term
-    placed by explicit index comparison."""
+def _brute_face(psi, subsets):
+    """Spectrum of ``sum_S (I - Pi_S) (x) I`` over the label tuples ``subsets`` from
+    loop-nest marginals, each term placed by explicit index comparison."""
     n, d = psi.n, 1 << psi.n
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     h = np.zeros((d, d), dtype=complex)
-    for labels in itertools.combinations(range(1, n + 1), k):
+    for labels in subsets:
+        k = len(labels)
         w, q = np.linalg.eigh(oracle.brute_marginal(rho, n, labels))
         slack = q[:, w <= 1e-9] @ q[:, w <= 1e-9].conj().T
         inside = [n - j for j in labels]
@@ -397,7 +398,7 @@ def test_face_dimension_and_gap_match_brute_force():
     for psi in [psi for psi in states[:9] if psi.n <= 4] + states[9:11] + states[19:21]:
         _value, levels = witness.determination_levels(psi)
         for k, level in levels.items():
-            w = _brute_face(psi, k)
+            w = _brute_face(psi, all_k_subsets(psi.n, k))
             r = int(np.sum(w <= 1e-9))
             assert level.face_dim == r, (psi.n, k)
             if r == 1 << psi.n:
@@ -407,6 +408,49 @@ def test_face_dimension_and_gap_match_brute_force():
                 assert abs(level.gap - w[r]) <= 1e-9
             assert (level.route == "face_rank1") == (r == 1)
             assert (level.iterations > 0) == level.route.endswith("program")
+
+
+def _collection_cases():
+    """Pure states on collections other than all k-subsets: the chains of
+    ``min_marginal_count(n, k)`` for k = 2..n-1 (k = 2 is the pair chain) on W_4,
+    GHZ_4, D_4^2 and the first two random states of :func:`_face_states` at n = 3
+    and 4, and the mixed-size collection {123, 34} on every 4-qubit state."""
+    states = _face_states()
+    for psi in [dicke_vector(4, 1), qcore.ghz_vector(4), dicke_vector(4, 2)] + states[9:11] + states[19:21]:
+        for k in range(2, psi.n):
+            yield psi, min_marginal_count(psi.n, k)[1]
+        if psi.n == 4:
+            yield psi, SubsetCollection.from_lists(4, [[1, 2, 3], [3, 4]])
+
+
+def test_general_collections_match_full_program():
+    slack = 100 * witness.DEFAULT_TOL
+    for psi, coll in _collection_cases():
+        where = (psi.n, coll.to_lists())
+        res = pure_determination_alpha(psi, coll)
+        assert res.face_dim == int(np.sum(_brute_face(psi, coll) <= 1e-9)), where
+        if res.route == "face_program":
+            rho = res.rho
+            assert np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0] >= -1e-6, where
+            assert abs(np.trace(rho) - 1) <= 1e-9, where
+            target = psi.to_density().matrix
+            for labels in coll:
+                keep = qcore.Subset.from_indices(psi.n, labels)
+                dev = np.max(np.abs(qcore.partial_trace(rho, keep) - qcore.partial_trace(target, keep)))
+                assert dev <= 1e-4, where
+            assert abs(np.vdot(psi.amplitudes, rho @ psi.amplitudes) - res.alpha) <= 1e-9, where
+        # every reference that converges here takes at most 3,304 iterations
+        try:
+            ref = witness._full_determination(psi, coll, max_iter=10000)
+        except EdlkitError as err:
+            # a compatible set that is the single point psi has no interior, and the
+            # full program stalls on it (D_4^2 on the pair chain); the face program
+            # decides such a level
+            assert err.code == "MAX_ITER" and res.route == "face_program", where
+            assert res.alpha >= 1 - slack, where
+            continue
+        assert (res.alpha >= 1 - slack) == (ref.alpha >= 1 - slack), where
+        assert abs(res.alpha - ref.alpha) <= slack, where
 
 
 def test_determination_solver_honours_iteration_cap():
@@ -421,15 +465,15 @@ def test_adaptive_penalty_cuts_iterations():
     # form; a fixed penalty sigma = 1 takes 1,801 iterations here
     amp = np.zeros(16, dtype=complex)
     amp[[0b1000, 0b0100, 0b0010, 0b0001, 0b1111]] = np.sqrt([1 / 2, 1 / 3, 1 / 12, 1 / 24, 1 / 24])
-    res = pure_determination_alpha(qcore.PureVector(4, amp), all_k_subsets(4, 2))
+    res = witness._full_determination(qcore.PureVector(4, amp), all_k_subsets(4, 2))
     assert res.status == "OPTIMAL"
     assert abs(res.alpha - 121 / 144) <= 1e-6
     assert res.iterations <= 600
     # a random three-qubit state is fixed by its pairs; sigma = 1 takes 2,160 iterations
     rng = np.random.default_rng(20240811)
     amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-    res = pure_determination_alpha(qcore.PureVector(3, amp / np.linalg.norm(amp)),
-                                   all_k_subsets(3, 2))
+    res = witness._full_determination(qcore.PureVector(3, amp / np.linalg.norm(amp)),
+                                      all_k_subsets(3, 2))
     assert res.alpha >= 1 - 1e-6
     assert res.iterations <= 1000
     assert res.penalty != 1.0
@@ -474,7 +518,7 @@ def test_determination_matches_generic_path():
     for psi in states:
         for k in (1, 2):
             sol = _generic_determination(psi, k)
-            res = pure_determination_alpha(psi, all_k_subsets(3, k))
+            res = witness._full_determination(psi, all_k_subsets(3, k))
             assert sol.status == "OPTIMAL"
             assert abs(res.alpha - sol.objective) <= 1e-9
             assert res.iterations == sol.iterations
