@@ -71,7 +71,6 @@ from .witness import (
     pure_determination_alpha,
     refit_certificates,
     sdl_pure,
-    solve_sdp,
     symmetric_sdl_probe,
     verify_witness,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "sdl_full_level",
     "sdl_pure",
     "solution_family",
-    "solve_sdp",
     "symmetric_marginal",
     "symmetric_sdl_probe",
     "to_dense",

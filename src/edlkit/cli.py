@@ -45,14 +45,6 @@ def _parse_num(x):
     return x
 
 
-def _emit_num(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(x)
-
-
 def _matrix_pair(mat):
     arr = np.asarray(mat, dtype=complex)
     return arr.real.tolist(), arr.imag.tolist()
@@ -71,13 +63,8 @@ def _matrix_from_pair(doc, key, shape):
     return re_part + 1j * im_part
 
 
-def _is_int(x):
-    """A JSON integer; ``true`` and ``false`` are not."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_int_list(x):
-    return isinstance(x, list) and all(_is_int(j) for j in x)
+    return isinstance(x, list) and all(qcore._is_integer(j) for j in x)
 
 
 def _index_array(doc, key, what):
@@ -124,7 +111,7 @@ def state_to_json(obj):
         rational = obj.exact
         return {"format": STATE_FORMAT, "n": obj.n, "kind": "dicke_diagonal",
                 "rational": rational,
-                "lambda": [_emit_num(x) for x in obj.lam]}
+                "lambda": _jsonable(obj.lam)}
     if isinstance(obj, symmetric.SymmetricCoeffs):
         re_part, im_part = _matrix_pair(obj.a)
         return {"format": STATE_FORMAT, "n": obj.n, "kind": "symmetric",
@@ -140,12 +127,18 @@ def state_to_json(obj):
     raise EdlkitError("BAD_KIND", "cannot serialize %r as a state" % (type(obj),))
 
 
-def state_from_json(doc):
-    if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
-        raise EdlkitError("BAD_FORMAT", "state file must carry format=%r" % STATE_FORMAT)
+def _artifact_n(doc, fmt, what):
+    """The qubit count ``n`` of a ``what`` file, after checking its format tag."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise EdlkitError("BAD_FORMAT", "%s file must carry format=%r" % (what, fmt))
     n = doc.get("n")
-    if not _is_int(n) or n < 1:
-        raise EdlkitError("DIM_MISMATCH", "state file needs a positive integer n")
+    if not qcore._is_integer(n) or n < 1:
+        raise EdlkitError("DIM_MISMATCH", "%s file needs a positive integer n" % what)
+    return n
+
+
+def state_from_json(doc):
+    n = _artifact_n(doc, STATE_FORMAT, "state")
     kind = doc.get("kind")
     if kind == "dicke_diagonal":
         lam = doc.get("lambda")
@@ -182,11 +175,7 @@ def witness_to_json(w):
 
 
 def witness_from_json(doc):
-    if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
-        raise EdlkitError("BAD_FORMAT", "witness file must carry format=%r" % WITNESS_FORMAT)
-    n = doc.get("n")
-    if not _is_int(n) or n < 1:
-        raise EdlkitError("DIM_MISMATCH", "witness file needs a positive integer n")
+    n = _artifact_n(doc, WITNESS_FORMAT, "witness")
     if not all(isinstance(doc.get(key, []), list) for key in ("blocks", "certificates")):
         raise EdlkitError("BAD_FORMAT", "witness blocks and certificates must be arrays")
     blocks = []
@@ -213,11 +202,7 @@ def witness_from_json(doc):
 
 
 def graph_from_json(doc):
-    if not isinstance(doc, dict) or doc.get("format") != GRAPH_FORMAT:
-        raise EdlkitError("BAD_FORMAT", "graph file must carry format=%r" % GRAPH_FORMAT)
-    n = doc.get("n")
-    if not _is_int(n) or n < 1:
-        raise EdlkitError("DIM_MISMATCH", "graph file needs a positive integer n")
+    n = _artifact_n(doc, GRAPH_FORMAT, "graph")
     edges = doc.get("edges")
     if not isinstance(edges, list) or not all(_is_int_list(e) and len(e) == 2 for e in edges):
         raise EdlkitError("BAD_FORMAT", "graph file needs an array of integer vertex pairs")
@@ -266,15 +251,11 @@ def _labels(text):
 # ---------------------------------------------------------------------------
 
 def _coeffs_from_dense(mat, n, tol=1e-8):
-    """Project a dense matrix onto the symmetric coefficient basis; error if
-    anything is lost."""
-    vecs = [symmetric.dicke_vector(n, i).amplitudes for i in range(n + 1)]
-    a = np.empty((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            a[i, j] = vecs[i].conj() @ mat @ vecs[j]
-    recon = symmetric.to_dense(symmetric.SymmetricCoeffs(n, a)).matrix
-    if np.max(np.abs(recon - mat)) > tol:
+    """Project a dense matrix onto the symmetric coefficient basis, ``B^T M B``
+    with the Dicke basis ``B``; error if ``B a B^T`` loses anything."""
+    b = symmetric._dicke_basis(n)
+    a = b.T @ mat @ b
+    if np.max(np.abs(b @ a @ b.T - mat)) > tol:
         raise EdlkitError("BAD_KIND",
                           "state is not symmetric (support off the Dicke span); use --method sdp")
     return symmetric.SymmetricCoeffs(n, a)
@@ -475,7 +456,7 @@ def _cmd_gap_demo(args):
     else:
         raise EdlkitError("BAD_LAMBDA",
                           "no built-in weights for n=%d; pass --lam" % args.n)
-    inputs["lambda"] = [_emit_num(x) for x in lam]
+    inputs["lambda"] = lam
     res = symmetric.gap_mixed_family(args.n, symmetric.DickeMixture(args.n, lam))
     result = {"family": "mixed", "n": args.n, "edl": res.edl, "sdl": res.sdl, "gap": res.gap}
     certs = {"quadratic_value": res.quadratic_value,

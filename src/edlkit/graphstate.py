@@ -18,7 +18,6 @@ the neighbourhood of ``v``.  A ``SimpleGraph`` is built only for the result.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -26,13 +25,9 @@ import numpy as np
 
 from . import qcore
 from .errors import EdlkitError
+from .qcore import _is_integer
 
 LOWER_BOUND = 3
-
-
-def _is_integer(x):
-    """An integer of any integral type; ``True`` and ``False`` are not."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_vertex_count(n):

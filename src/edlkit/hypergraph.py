@@ -17,29 +17,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EdlkitError
+from .qcore import _is_integer, _labels_of, _mask_of
 
 MAX_VERTICES = 63
-
-
-def _mask_from_labels(n, labels):
-    mask = 0
-    for j in labels:
-        j = int(j)
-        if not 1 <= j <= n:
-            raise EdlkitError("BAD_VERTEX", "vertex %r outside 1..%d" % (j, n))
-        mask |= 1 << (j - 1)
-    return mask
-
-
-def _labels_from_mask(mask):
-    out = []
-    j = 1
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -50,29 +30,29 @@ class SubsetCollection:
     edges: tuple  # sorted tuple of bitmasks
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise EdlkitError("TOO_LARGE" if self.n > MAX_VERTICES else "DIM_MISMATCH",
-                              "vertex count %r out of range" % (self.n,))
+        if not _is_integer(self.n) or self.n < 1:
+            raise EdlkitError("DIM_MISMATCH", "need a positive integer vertex count, got %r" % (self.n,))
+        if self.n > MAX_VERTICES:
+            raise EdlkitError("TOO_LARGE", "vertex count %d exceeds %d" % (self.n, MAX_VERTICES))
         seen = []
         for mask in self.edges:
-            mask = int(mask)
             if mask == 0:
                 raise EdlkitError("EMPTY_SUBSET", "collections cannot contain the empty subset")
-            if not 0 < mask < (1 << self.n):
-                raise EdlkitError("BAD_VERTEX", "subset mask %#x out of range for n=%d" % (mask, self.n))
-            seen.append(mask)
+            if not _is_integer(mask) or not 0 < mask < (1 << self.n):
+                raise EdlkitError("BAD_VERTEX", "subset mask %r out of range for n=%d" % (mask, self.n))
+            seen.append(int(mask))
         object.__setattr__(self, "edges", tuple(sorted(set(seen))))
 
     @classmethod
     def from_lists(cls, n, subsets):
-        return cls(n, tuple(_mask_from_labels(n, s) for s in subsets))
+        return cls(n, tuple(_mask_of(n, s) for s in subsets))
 
     def to_lists(self):
-        return [list(_labels_from_mask(m)) for m in self.edges]
+        return [list(_labels_of(m)) for m in self.edges]
 
     def __iter__(self):
         # yields label tuples so the collection plugs into marginal checks
-        return (_labels_from_mask(m) for m in self.edges)
+        return (_labels_of(m) for m in self.edges)
 
     def __len__(self):
         return len(self.edges)
@@ -83,8 +63,8 @@ class SubsetCollection:
 
 def all_k_subsets(n, k):
     """Collection of every k-element subset of [n]."""
-    if not 1 <= k <= n:
-        raise EdlkitError("BAD_K", "need 1 <= k <= n, got k=%d, n=%d" % (k, n))
+    if not (_is_integer(n) and _is_integer(k)) or not 1 <= k <= n:
+        raise EdlkitError("BAD_K", "need integers 1 <= k <= n, got k=%r, n=%r" % (k, n))
     masks = []
     for combo in itertools.combinations(range(n), k):
         mask = 0
@@ -112,10 +92,10 @@ def collection_decides(collection, length, n):
     For entangled symmetric states this is exact: the collection works iff it
     is connected and some subset has at least ``length`` particles.
     """
-    if collection.n != n:
-        raise EdlkitError("DIM_MISMATCH", "collection is over n=%d, asked n=%d" % (collection.n, n))
-    if not 1 <= length <= n:
-        raise EdlkitError("BAD_K", "length %d outside 1..%d" % (length, n))
+    if not _is_integer(n) or collection.n != n:
+        raise EdlkitError("DIM_MISMATCH", "collection is over n=%d, asked n=%r" % (collection.n, n))
+    if not _is_integer(length) or not 1 <= length <= n:
+        raise EdlkitError("BAD_K", "length %r outside 1..%d" % (length, n))
     return is_connected(collection) and collection.max_size() >= length
 
 
@@ -127,8 +107,8 @@ def min_marginal_count(n, k):
     the count ``ceil((n-1)/(k-1))``.  The witness chains blocks that share
     one vertex, with the last block right-aligned to end exactly at n.
     """
-    if not 2 <= k <= n:
-        raise EdlkitError("BAD_K", "need 2 <= k <= n, got k=%d, n=%d" % (k, n))
+    if not (_is_integer(n) and _is_integer(k)) or not 2 <= k <= n:
+        raise EdlkitError("BAD_K", "need integers 2 <= k <= n, got k=%r, n=%r" % (k, n))
     count = -(-(n - 1) // (k - 1))
     blocks = []
     for t in range(count - 1):
@@ -149,11 +129,9 @@ class TransitivityQuery:
     target: tuple  # 1-based labels
 
     def __post_init__(self):
-        target = tuple(sorted(set(int(j) for j in self.target)))
+        target = _labels_of(_mask_of(self.collection.n, self.target))
         if not target:
             raise EdlkitError("EMPTY_SUBSET", "target subset is empty")
-        if target[0] < 1 or target[-1] > self.collection.n:
-            raise EdlkitError("BAD_VERTEX", "target outside 1..%d" % self.collection.n)
         object.__setattr__(self, "target", target)
 
 
@@ -165,8 +143,9 @@ def transitivity_certificate(query, detection_length):
     forces agreement on every target of size >= detection_length.  Returns
     ``(holds, reasons)`` where reasons lists any failed premise.
     """
-    if detection_length < 2:
-        raise EdlkitError("BAD_K", "detection length below 2 is meaningless")
+    if not _is_integer(detection_length) or detection_length < 2:
+        raise EdlkitError("BAD_K", "detection length must be an integer of at least 2, got %r"
+                          % (detection_length,))
     reasons = []
     if not is_connected(query.collection):
         reasons.append("collection is not connected")

@@ -11,6 +11,13 @@ simple.
 Subsets of particles use 1-based labels.  A :class:`Subset` stores them as a
 bitmask where bit ``j-1`` is set iff particle ``j`` belongs to the subset.
 
+One rule for counts and labels holds across the package: an integer is any
+``numbers.Integral`` except ``bool`` (:func:`_is_integer`), so numpy integers
+pass while ``True`` and ``1.0`` do not.  Particle labels become bitmasks only
+through :func:`_mask_of`, which rejects any label that is not an integer in
+``1..n`` with ``BAD_VERTEX``, and masks become labels through
+:func:`_labels_of`.
+
 All dense operations are capped at ``MAX_QUBITS`` qubits; beyond that the
 matrices do not fit the intended workload and a ``TOO_LARGE`` error is
 raised.
@@ -18,6 +25,7 @@ raised.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +46,31 @@ PAULI_1Q = {
 }
 
 
+def _is_integer(x):
+    """An integer of any integral type; ``True`` and ``False`` are not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _check_n(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise EdlkitError("DIM_MISMATCH", "qubit count must be a positive integer, got %r" % (n,))
     if n > MAX_QUBITS:
         raise EdlkitError("TOO_LARGE", "n=%d exceeds the dense cap of %d qubits" % (n, MAX_QUBITS))
+
+
+def _mask_of(n, labels):
+    """Bitmask of 1-based particle labels; BAD_VERTEX unless each is an integer in 1..n."""
+    mask = 0
+    for j in labels:
+        if not _is_integer(j) or not 1 <= j <= n:
+            raise EdlkitError("BAD_VERTEX", "particle label %r outside 1..%d" % (j, n))
+        mask |= 1 << (int(j) - 1)
+    return mask
+
+
+def _labels_of(mask):
+    """Sorted 1-based labels of the bits set in ``mask``."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 @dataclass(frozen=True)
@@ -58,32 +86,28 @@ class Subset:
 
     def __post_init__(self):
         _check_n(self.n)
-        if not 0 <= self.mask < (1 << self.n):
-            raise EdlkitError("DIM_MISMATCH", "mask %#x out of range for n=%d" % (self.mask, self.n))
+        if not _is_integer(self.mask) or not 0 <= self.mask < (1 << self.n):
+            raise EdlkitError("DIM_MISMATCH", "mask %r out of range for n=%d" % (self.mask, self.n))
+        object.__setattr__(self, "mask", int(self.mask))
 
     @classmethod
     def from_indices(cls, n, indices):
-        mask = 0
-        for j in indices:
-            if not 1 <= int(j) <= n:
-                raise EdlkitError("BAD_VERTEX", "particle label %r outside 1..%d" % (j, n))
-            mask |= 1 << (int(j) - 1)
-        return cls(n, mask)
+        return cls(n, _mask_of(n, indices))
 
     @property
     def indices(self):
         """Sorted 1-based particle labels."""
-        return tuple(j for j in range(1, self.n + 1) if self.mask >> (j - 1) & 1)
+        return _labels_of(self.mask)
 
     @property
     def size(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def complement(self):
         return Subset(self.n, ((1 << self.n) - 1) ^ self.mask)
 
     def __contains__(self, j):
-        return 1 <= j <= self.n and bool(self.mask >> (j - 1) & 1)
+        return _is_integer(j) and 1 <= j <= self.n and bool(self.mask >> (j - 1) & 1)
 
 
 def _as_matrix(obj):
@@ -128,11 +152,6 @@ class DenseState:
             if not verdict.ok:
                 raise EdlkitError("NOT_HERMITIAN" if not verdict.hermitian else "NOT_DENSITY",
                                   "not a density matrix: %s" % verdict.describe())
-
-    @classmethod
-    def from_matrix(cls, mat, validate=True):
-        arr, n = _as_matrix(mat)
-        return cls(n, arr, validate=validate)
 
 
 @dataclass(frozen=True)
@@ -308,12 +327,18 @@ def is_density(rho, tol=PSD_TOL):
 
 
 def basis_ket(n, bits):
-    """Computational basis vector for the bitstring ``bits`` (particle 1 first)."""
+    """Computational basis vector for the bitstring ``bits`` (particle 1 first).
+
+    Each bit is the integer 0 or 1 or the character ``"0"`` or ``"1"``;
+    anything else raises ``BAD_LABEL``.
+    """
     _check_n(n)
     if len(bits) != n:
         raise EdlkitError("DIM_MISMATCH", "bitstring %r has length %d, expected %d" % (bits, len(bits), n))
     idx = 0
     for b in bits:
+        if not (b in ("0", "1") or _is_integer(b) and 0 <= b <= 1):
+            raise EdlkitError("BAD_LABEL", "bit %r in %r is not 0 or 1" % (b, bits))
         idx = (idx << 1) | int(b)
     vec = np.zeros(1 << n, dtype=complex)
     vec[idx] = 1.0

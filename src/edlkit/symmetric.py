@@ -67,9 +67,7 @@ class DickeMixture:
     lam: tuple
 
     def __post_init__(self):
-        if self.n < 1 or self.n > qcore.MAX_QUBITS:
-            raise EdlkitError("TOO_LARGE" if self.n > qcore.MAX_QUBITS else "DIM_MISMATCH",
-                              "qubit count %r out of range" % (self.n,))
+        qcore._check_n(self.n)
         lam = tuple(self.lam)
         if len(lam) != self.n + 1:
             raise EdlkitError("DIM_MISMATCH",
@@ -120,9 +118,7 @@ class SymmetricCoeffs:
     a: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.n > qcore.MAX_QUBITS:
-            raise EdlkitError("TOO_LARGE" if self.n > qcore.MAX_QUBITS else "DIM_MISMATCH",
-                              "qubit count %r out of range" % (self.n,))
+        qcore._check_n(self.n)
         a = np.asarray(self.a, dtype=complex)
         if a.shape != (self.n + 1, self.n + 1):
             raise EdlkitError("DIM_MISMATCH", "coefficient matrix must be (n+1)x(n+1)")
@@ -165,37 +161,36 @@ class SymmetricCoeffs:
         return float(np.max(np.abs(off))) <= tol
 
 
+@functools.lru_cache(maxsize=qcore.MAX_QUBITS)
+def _dicke_basis(n):
+    """Real ``(2^n, n+1)`` matrix whose column i is |D_n^i>, read-only; ``n`` must
+    already be a valid qubit count."""
+    weight = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).sum(axis=1)
+    norms = np.sqrt([math.comb(n, i) for i in range(n + 1)])
+    basis = (weight[:, None] == np.arange(n + 1)) / norms
+    basis.flags.writeable = False
+    return basis
+
+
 def dicke_vector(n, i):
     """The Dicke state |D_n^i>: uniform superposition of weight-i bitstrings."""
-    if not 0 <= i <= n:
-        raise EdlkitError("BAD_WEIGHT", "excitation number %d outside 0..%d" % (i, n))
-    if n > qcore.MAX_QUBITS:
-        raise EdlkitError("TOO_LARGE", "n=%d exceeds the dense cap" % n)
-    amp = np.zeros(1 << n, dtype=complex)
-    norm = 1.0 / math.sqrt(math.comb(n, i))
-    for idx in range(1 << n):
-        if bin(idx).count("1") == i:
-            amp[idx] = norm
-    return qcore.PureVector(n, amp)
+    qcore._check_n(n)
+    if not qcore._is_integer(i) or not 0 <= i <= n:
+        raise EdlkitError("BAD_WEIGHT", "excitation number %r outside 0..%d" % (i, n))
+    return qcore.PureVector(n, _dicke_basis(n)[:, i])
 
 
 def to_dense(state):
-    """Embed a DickeMixture or SymmetricCoeffs as a dense DenseState."""
+    """Embed a DickeMixture or SymmetricCoeffs as a dense DenseState, ``B a B^T``
+    with the Dicke basis ``B``."""
     if isinstance(state, DickeMixture):
-        coeffs = SymmetricCoeffs.from_diagonal(state)
+        a = np.diag(state.floats)
     elif isinstance(state, SymmetricCoeffs):
-        coeffs = state
+        a = state.a
     else:
         raise EdlkitError("DIM_MISMATCH", "expected DickeMixture or SymmetricCoeffs")
-    n = coeffs.n
-    vecs = [dicke_vector(n, i).amplitudes for i in range(n + 1)]
-    d = 1 << n
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if coeffs.a[i, j] != 0:
-                out += coeffs.a[i, j] * np.outer(vecs[i], vecs[j].conj())
-    return qcore.DenseState(n, out, validate=False)
+    b = _dicke_basis(state.n)
+    return qcore.DenseState(state.n, b @ a @ b.T, validate=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -231,8 +226,8 @@ def symmetric_marginal(coeffs, k):
     |D_k^s><D_k^{j-i+s}|``, so coherences survive only if ``|i-j| <= k``.
     """
     n = coeffs.n
-    if not 1 <= k <= n:
-        raise EdlkitError("DIM_MISMATCH", "marginal size %d outside 1..%d" % (k, n))
+    if not qcore._is_integer(k) or not 1 <= k <= n:
+        raise EdlkitError("DIM_MISMATCH", "marginal size %r outside 1..%d" % (k, n))
     if k == n:
         return coeffs
     return SymmetricCoeffs(k, _reduce_coeff_matrix(n, k, coeffs.a))
@@ -256,8 +251,8 @@ def diagonal_marginal(mix, k):
     multiplies the weights back, ``lam'_s = C(k, s) p'_s``.
     """
     n = mix.n
-    if not 1 <= k <= n:
-        raise EdlkitError("DIM_MISMATCH", "marginal size %d outside 1..%d" % (k, n))
+    if not qcore._is_integer(k) or not 1 <= k <= n:
+        raise EdlkitError("DIM_MISMATCH", "marginal size %r outside 1..%d" % (k, n))
     if k == n:
         return mix
     p = _moments(mix)
@@ -535,12 +530,18 @@ class SolutionFamily:
         return np.array([[float(x) for x in row] for row in self.basis])
 
 
+def _check_level(n, k):
+    """BAD_LEVEL unless ``k`` is an integer in 1..n-1.  Public entries call it before
+    the caches keyed by ``k``, since ``hash(1.0) == hash(1)``."""
+    if not qcore._is_integer(k) or not 1 <= k <= n - 1:
+        raise EdlkitError("BAD_LEVEL", "need an integer 1 <= k <= n-1, got k=%r" % (k,))
+
+
 @functools.lru_cache(maxsize=64)
 def _kernel_rows(n, k):
     """Exact kernel basis of the level-k diagonal marginal map: n+1 rows of n-k
     Fractions (closed form in :func:`solution_family`), nested tuples, so read-only."""
-    if not 1 <= k <= n - 1:
-        raise EdlkitError("BAD_LEVEL", "need 1 <= k <= n-1, got k=%d" % k)
+    _check_level(n, k)
     rows = [[Fraction(0)] * (n - k) for _ in range(n + 1)]
     for col, i in enumerate(range(k + 1, n + 1)):
         for r in range(k + 1):
@@ -565,6 +566,7 @@ def solution_family(mix, k):
     ``(-1)^(k-r+1) C(i,k) C(k,r) (i-k)/(i-r)`` at rows ``r <= k``, 1 at row
     ``i`` and 0 elsewhere.
     """
+    _check_level(mix.n, k)
     return SolutionFamily(mix.n, k, tuple(mix.lam), _kernel_rows(mix.n, k))
 
 
@@ -646,6 +648,7 @@ def has_alternative_nonneg(mix, k, tol=1e-9):
     answered from the cached cone test of :func:`_level_has_directions`
     without a coordinate LP.
     """
+    _check_level(mix.n, k)
     return _alternative_nonneg_point(mix, k, tol=tol) is not None
 
 

@@ -776,8 +776,8 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
     if not isinstance(coeffs, SymmetricCoeffs):
         raise EdlkitError("DIM_MISMATCH", "expected SymmetricCoeffs")
     n = coeffs.n
-    if not 1 <= k <= n:
-        raise EdlkitError("BAD_LEVEL", "marginal size %d outside 1..%d" % (k, n))
+    if not qcore._is_integer(k) or not 1 <= k <= n:  # before the cache keyed by k
+        raise EdlkitError("BAD_LEVEL", "marginal size %r outside 1..%d" % (k, n))
     a = coeffs.a
     dd = n + 1
     weights = _reduction_weights(n, k).reshape(dd * dd, -1)

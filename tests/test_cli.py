@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edlkit import cli, hypergraph, qcore, witness
+from edlkit import cli, hypergraph, oracle, qcore, witness
 from edlkit.errors import EdlkitError
 
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "flags", "timing_ms"}
@@ -98,6 +98,22 @@ def test_edl_symmetric_coeffs(tmp_path, capsys):
     assert code == 0
     assert doc["result"]["edl"] == 3
     assert doc["flags"] == ["EXACT"]
+    # dense files take the analytic route through their Dicke coefficients
+    ghz = qcore.ghz_vector(3).to_density().matrix
+    for idx, rho in enumerate((ghz, oracle.dense_from_symmetric(a, 3))):
+        path = write(tmp_path, "dense%d.json" % idx,
+                     {"format": cli.STATE_FORMAT, "n": 3, "kind": "dense",
+                      "rho_real": rho.real.tolist(), "rho_imag": rho.imag.tolist()})
+        code, doc = run(capsys, "edl", "--state", path, "--method", "analytic")
+        assert code == 0, idx
+        assert doc["result"]["edl"] == 3 and doc["flags"] == ["EXACT"], idx
+    product = np.outer(qcore.basis_ket(3, "001"), qcore.basis_ket(3, "001")).real
+    path = write(tmp_path, "product.json",
+                 {"format": cli.STATE_FORMAT, "n": 3, "kind": "dense",
+                  "rho_real": product.tolist(), "rho_imag": np.zeros((8, 8)).tolist()})
+    code, doc = run(capsys, "edl", "--state", path, "--method", "analytic")
+    assert code == 2
+    assert doc["error"]["code"] == "BAD_KIND"
 
 
 def test_edl_sdp_on_pure_state(tmp_path, capsys):
@@ -300,6 +316,7 @@ def test_input_error_paths(tmp_path, capsys):
         code, doc = run(capsys, command, flag, path, *rest)
         assert code == 2, command
         assert doc["error"]["code"] == "DIM_MISMATCH", command
+        assert "%s file" % flag[2:] in doc["error"]["message"], command
 
     # dense payload that is not a density matrix
     bad = np.eye(4).tolist()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from edlkit import oracle
@@ -35,6 +36,16 @@ def test_collection_rejects_bad_subsets():
     with pytest.raises(EdlkitError) as err:
         SubsetCollection(64, (1,))
     assert err.value.code == "TOO_LARGE"
+    for bad in (lambda: SubsetCollection.from_lists(3, [[1.5, 2]]),
+                lambda: SubsetCollection(3, (1.5,))):
+        with pytest.raises(EdlkitError) as err:
+            bad()
+        assert err.value.code == "BAD_VERTEX"
+    with pytest.raises(EdlkitError) as err:
+        SubsetCollection.from_lists(3.0, [[1, 2]])
+    assert err.value.code == "DIM_MISMATCH"
+    c = SubsetCollection.from_lists(np.int64(3), [[np.int64(1), 2]])
+    assert c.to_lists() == [[1, 2]] and type(c.edges[0]) is int
 
 
 def test_all_k_subsets():
@@ -45,6 +56,10 @@ def test_all_k_subsets():
         all_k_subsets(4, 5)
     with pytest.raises(EdlkitError):
         all_k_subsets(4, 0)
+    with pytest.raises(EdlkitError) as err:
+        all_k_subsets(3.0, 2)
+    assert err.value.code == "BAD_K"
+    assert all_k_subsets(np.int64(3), np.int64(2)).to_lists() == [[1, 2], [1, 3], [2, 3]]
 
 
 def test_connectivity():
@@ -83,6 +98,9 @@ def test_collection_decides():
     assert collection_decides(chain, 3, 5)
     with pytest.raises(EdlkitError):
         collection_decides(chain, 3, 6)
+    with pytest.raises(EdlkitError) as err:
+        collection_decides(SubsetCollection.from_lists(3, [[1, 2], [2, 3]]), 2.5, 3)
+    assert err.value.code == "BAD_K"
 
 
 def test_min_marginal_count_formula_and_witness():
@@ -103,6 +121,10 @@ def test_min_marginal_count_known_instances():
     assert min_marginal_count(3, 3)[0] == 1
     with pytest.raises(EdlkitError):
         min_marginal_count(4, 1)
+    with pytest.raises(EdlkitError) as err:
+        min_marginal_count(5.0, 2)
+    assert err.value.code == "BAD_K"
+    assert min_marginal_count(np.int64(5), np.int64(3))[0] == 2
 
 
 def test_transitivity_certificate():
@@ -133,6 +155,10 @@ def test_transitivity_query_validation():
     with pytest.raises(EdlkitError) as err:
         TransitivityQuery(coll, (0, 1))
     assert err.value.code == "BAD_VERTEX"
+    with pytest.raises(EdlkitError) as err:
+        TransitivityQuery(coll, (1.5,))
+    assert err.value.code == "BAD_VERTEX"
+    assert TransitivityQuery(coll, (np.int64(3), 1)).target == (1, 3)
 
 
 def test_exhaustive_cover_oracle_scales_down():

@@ -73,6 +73,18 @@ def test_subset_rejects_bad_labels():
     assert err.value.code == "BAD_VERTEX"
     with pytest.raises(EdlkitError):
         qcore.Subset.from_indices(3, [4])
+    # labels and counts are integers: no truncation of 1.5, no bool
+    for labels in ([1.5], [True]):
+        with pytest.raises(EdlkitError) as err:
+            qcore.Subset.from_indices(3, labels)
+        assert err.value.code == "BAD_VERTEX"
+    for n, mask in ((3, 1.0), (True, 1)):
+        with pytest.raises(EdlkitError) as err:
+            qcore.Subset(n, mask)
+        assert err.value.code == "DIM_MISMATCH"
+    s = qcore.Subset.from_indices(np.int64(3), [np.int64(2), np.uint8(3)])
+    assert s.indices == (2, 3) and type(s.mask) is int
+    assert np.int64(2) in s and 2.0 not in s and True not in qcore.Subset(3, 1)
 
 
 def test_basis_ket_most_significant_first():
@@ -81,6 +93,12 @@ def test_basis_ket_most_significant_first():
     assert v[0b100] == 1.0 and np.sum(np.abs(v)) == 1.0
     v = qcore.basis_ket(3, (0, 0, 1))
     assert v[0b001] == 1.0
+    assert qcore.basis_ket(3, "011")[0b011] == 1.0
+    assert qcore.basis_ket(2, (np.int64(1), 0))[0b10] == 1.0
+    for bits in ((0, 2), (1, -1), "0a", (1.0, 0), (True, 0)):
+        with pytest.raises(EdlkitError) as err:
+            qcore.basis_ket(2, bits)
+        assert err.value.code == "BAD_LABEL", bits
 
 
 def test_partial_trace_against_loop_oracle():

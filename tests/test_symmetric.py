@@ -71,6 +71,11 @@ def test_mixture_validation():
         with pytest.raises(EdlkitError) as err:
             DickeMixture(2, bad)               # non-finite weight
         assert err.value.code == "BAD_WEIGHT"
+    for n, lam in ((2.0, (0.5, 0.5, 0.0)), (True, (0.5, 0.5))):
+        with pytest.raises(EdlkitError) as err:
+            DickeMixture(n, lam)
+        assert err.value.code == "DIM_MISMATCH"
+    assert DickeMixture(np.int64(2), (0.5, 0.5, 0.0)).support() == (0, 1)
     m = DickeMixture(2, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
     assert m.exact and m.support() == (0, 1)
     assert m.reversed().lam == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
@@ -106,6 +111,26 @@ def test_dicke_vector_amplitudes():
     for idx in (0b001, 0b010, 0b100):
         assert v[idx] == pytest.approx(1 / math.sqrt(3))
     assert np.sum(np.abs(v) > 0) == 3
+    assert np.array_equal(dicke_vector(np.int64(3), np.int64(1)).amplitudes, v)
+    with pytest.raises(EdlkitError) as err:
+        dicke_vector(3, 1.5)
+    assert err.value.code == "BAD_WEIGHT"
+
+
+def test_dicke_vectors_orthonormal():
+    for n in range(1, 9):
+        vecs = np.array([dicke_vector(n, i).amplitudes for i in range(n + 1)]).T
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n + 1))) < 1e-12, n
+
+
+def test_to_dense_matches_oracle_embeddings():
+    rng = np.random.default_rng(47)
+    for n in range(1, 9):
+        co = random_coeffs(rng, n)
+        assert np.max(np.abs(to_dense(co).matrix - oracle.dense_from_symmetric(co.a, n))) <= 1e-12, n
+        mix = random_exact_mixture(rng, n, zero_prob=0.3)
+        got = to_dense(mix).matrix
+        assert np.max(np.abs(got - oracle.dense_from_diagonal(mix.lam, n))) <= 1e-12, n
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +182,10 @@ def test_diagonal_marginal_exact_values():
     # and the float path lands on the same numbers
     outf = diagonal_marginal(DickeMixture(4, (0.5, 0, 0.5, 0, 0)), 2)
     assert np.allclose(outf.floats, [7 / 12, 1 / 3, 1 / 12])
+    assert diagonal_marginal(mix, np.int64(2)).lam == out.lam
+    with pytest.raises(EdlkitError) as err:
+        diagonal_marginal(mix, 1.5)
+    assert err.value.code == "DIM_MISMATCH"
 
 
 def test_diagonal_marginal_matches_binomial_reference():
@@ -202,6 +231,10 @@ def test_coherence_range_in_marginals():
     a2[0, 2] = a2[2, 0] = 0.3
     m2 = symmetric_marginal(SymmetricCoeffs(4, a2), 2)
     assert abs(m2.a[0, 2]) > 0.01
+    assert np.array_equal(symmetric_marginal(SymmetricCoeffs(4, a2), np.int64(2)).a, m2.a)
+    with pytest.raises(EdlkitError) as err:
+        symmetric_marginal(co, 2.0)
+    assert err.value.code == "DIM_MISMATCH"
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +499,14 @@ def test_kernel_rows_match_closed_form():
             assert not _kernel_array(n, k).flags.writeable
     with pytest.raises(EdlkitError):
         _kernel_rows(4, 4)
+    # a float or bool level is refused even though its integer twin is cached
+    mix = DickeMixture(4, (Fraction(1),) + (0,) * 4)
+    for bad in (1.0, True, 4):
+        for entry in (solution_family, has_alternative_nonneg):
+            with pytest.raises(EdlkitError) as err:
+                entry(mix, bad)
+            assert err.value.code == "BAD_LEVEL", (entry, bad)
+    assert solution_family(mix, np.int64(1)).basis is _kernel_rows(4, 1)
 
 
 def test_level_pattern_matches_coordinate_search():

@@ -599,9 +599,10 @@ def test_probe_reports_solver_status(monkeypatch):
 def test_probe_validation():
     a = np.zeros((4, 4), dtype=complex)
     a[0, 0] = 1.0
-    with pytest.raises(EdlkitError) as err:
-        symmetric_sdl_probe(SymmetricCoeffs(3, a), 0)
-    assert err.value.code == "BAD_LEVEL"
+    for bad in (0, True, 1.0):
+        with pytest.raises(EdlkitError) as err:
+            symmetric_sdl_probe(SymmetricCoeffs(3, a), bad)
+        assert err.value.code == "BAD_LEVEL", bad
     with pytest.raises(EdlkitError) as err:
         symmetric_sdl_probe(np.eye(4) / 4, 2)
     assert err.value.code == "DIM_MISMATCH"
