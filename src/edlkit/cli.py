@@ -392,7 +392,7 @@ def _cmd_determine(args):
         raise EdlkitError("BAD_KIND", "determine needs a pure_dense state")
     inputs = {"state": args.state, "n": state.n, "k": args.k}
     res = wit.pure_determination_alpha(state, hypergraph.all_k_subsets(state.n, args.k))
-    determined = res.alpha >= 1.0 - 100.0 * wit.DEFAULT_TOL
+    determined = wit.determined_by_margin(res.alpha)
     re_part, im_part = _matrix_pair(res.rho)
     certs = {"compatible_state": {"format": STATE_FORMAT, "n": state.n, "kind": "dense",
                                   "rho_real": re_part, "rho_imag": im_part},

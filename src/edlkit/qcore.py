@@ -59,7 +59,10 @@ def _check_n(n):
 
 
 def _mask_of(n, labels):
-    """Bitmask of 1-based particle labels; BAD_VERTEX unless each is an integer in 1..n."""
+    """Bitmask of 1-based particle labels; BAD_VERTEX unless each is an integer in 1..n,
+    DIM_MISMATCH unless ``n`` is an integer."""
+    if not _is_integer(n):
+        raise EdlkitError("DIM_MISMATCH", "particle count must be an integer, got %r" % (n,))
     mask = 0
     for j in labels:
         if not _is_integer(j) or not 1 <= j <= n:

@@ -4,7 +4,9 @@ A permutation-invariant n-qubit state is stored by its coefficients in the
 Dicke basis: either a full Hermitian coefficient matrix
 (:class:`SymmetricCoeffs`) or just the diagonal weights
 (:class:`DickeMixture`).  Reductions stay inside the symmetric subspace, so
-an n-qubit problem lives in dimension n+1 rather than 2^n.
+an n-qubit problem lives in dimension n+1 rather than 2^n, and the partial
+transpose of a k-qubit marginal on k // 2 qubits lives in the Dicke product
+space Sym^(k//2) (x) Sym^(k - k//2).
 
 Weights may be ``float`` or exact ``fractions.Fraction``/``int`` values.
 The support-pattern case analysis used by the determination-length routines
@@ -454,13 +456,41 @@ def edl_diagonal(mix, tol=PSD_TOL):
     return EdlResult(None, "NOT_ENTANGLED", {"levels_checked": list(range(2, n + 1))})
 
 
+@functools.lru_cache(maxsize=qcore.MAX_QUBITS)
+def _half_cut_isometry(k):
+    """Real ``((j+1)(k-j+1), k+1)`` isometry ``(B_j (x) B_(k-j))^T B_k``, ``j = k // 2``,
+    taking Sym^k into Sym^j (x) Sym^(k-j) with the Dicke bases ``B``; read-only."""
+    j = k // 2
+    iso = np.kron(_dicke_basis(j), _dicke_basis(k - j)).T @ _dicke_basis(k)
+    iso.flags.writeable = False
+    return iso
+
+
+def _half_cut_min_eig(bk):
+    """Smallest eigenvalue of the partial transpose of the symmetric state ``bk`` on its
+    first ``k // 2`` qubits, taken inside Sym^j (x) Sym^(k-j).
+
+    That space holds the state and, its Dicke basis being real, is kept by the
+    transpose on the first factor; the remaining eigenvalues of the ``2^k`` partial
+    transpose are zeros.
+    """
+    k = bk.n
+    d0, d1 = k // 2 + 1, k - k // 2 + 1
+    iso = _half_cut_isometry(k)
+    pt = (iso @ bk.a @ iso.T).reshape(d0, d1, d0, d1).transpose(2, 1, 0, 3).reshape(d0 * d1, -1)
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+
+
 def edl_symmetric(coeffs, tol=PSD_TOL):
     """Detection length of a general symmetric state via marginal PPT scans.
 
+    Every level k is tested by the partial transpose on ``k // 2`` qubits, inside
+    the Dicke product space Sym^j (x) Sym^(k-j) (at most 36 x 36 at k = 10).
     Marginals on two or three qubits and all diagonal marginals are decided
-    exactly (PPT = separability there).  A PPT verdict on a non-diagonal
-    marginal of four or more qubits certifies nothing, so any such level
-    downgrades the result flag to ``"PPT_BOUND"``.
+    exactly (PPT = separability there, and for diagonal states the half cut
+    is the decisive one).  A PPT verdict on a non-diagonal marginal of four or
+    more qubits certifies nothing, so any such level downgrades the result
+    flag to ``"PPT_BOUND"``.
     """
     n = coeffs.n
     if n < 2:
@@ -468,32 +498,15 @@ def edl_symmetric(coeffs, tol=PSD_TOL):
     saw_uncertified_ppt = False
     for k in range(2, n + 1):
         bk = symmetric_marginal(coeffs, k)
-        if bk.is_diagonal():
-            mu = bk.diagonal_mixture()
-            verdict = is_ppt_diagonal(mu, tol=tol)
-            if not verdict.is_ppt:
-                flag = "PPT_BOUND" if saw_uncertified_ppt else "EXACT"
-                return EdlResult(k, flag, {
-                    "level": k, "route": "hankel",
-                    "min_eig_m0": verdict.min_eig_m0,
-                    "min_eig_m1": verdict.min_eig_m1,
-                })
-        else:
-            dense = to_dense(bk).matrix
-            half = qcore.Subset.from_indices(k, range(1, k // 2 + 1))
-            pt = qcore.partial_transpose(dense, half)
-            min_eig = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
-            if min_eig < -tol:
-                flag = "PPT_BOUND" if saw_uncertified_ppt else "EXACT"
-                return EdlResult(k, flag, {
-                    "level": k, "route": "dense_ppt", "min_eig": min_eig,
-                })
-            if k >= 4:
-                saw_uncertified_ppt = True
-    flag = "NOT_ENTANGLED"
+        min_eig = _half_cut_min_eig(bk)
+        if min_eig < -tol:
+            flag = "PPT_BOUND" if saw_uncertified_ppt else "EXACT"
+            return EdlResult(k, flag, {"level": k, "route": "dicke_ppt", "min_eig": min_eig})
+        if k >= 4 and not bk.is_diagonal():
+            saw_uncertified_ppt = True
     cert = {"levels_checked": list(range(2, n + 1)),
             "separability_certified": not saw_uncertified_ppt}
-    return EdlResult(None, flag, cert)
+    return EdlResult(None, "NOT_ENTANGLED", cert)
 
 
 # ---------------------------------------------------------------------------

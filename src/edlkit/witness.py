@@ -29,10 +29,12 @@ the normalised form of OSQP's adaptive rho): every 25 iterations it moves
 towards the point where the normalised primal and dual residuals agree, when
 that move exceeds a factor 5.  No single fixed penalty suits every input.
 Every program iterates on a stack of complex matrices with a closed-form
-affine step: cached partial-transpose permutations, projectors onto the
-allowed Pauli strings, or a constraint span factored once per call.  Only the
-generic :func:`solve_sdp` packs its iterate with svec.  Iterations are
-deterministic; no external solver is used.
+affine step: partial-transpose index permutations built once per call,
+projectors onto the allowed Pauli strings, or an orthonormal basis of the
+constraint rows from one SVD per solve.  Only the generic :func:`solve_sdp`
+packs its iterate with svec and factors its constraint matrix
+(:func:`_factor_rows`).  Iterations are deterministic; no external solver is
+used.
 """
 
 from __future__ import annotations
@@ -292,7 +294,7 @@ def _collection_of(n, subsets):
     if isinstance(subsets, SubsetCollection):
         coll = subsets
     else:
-        coll = SubsetCollection.from_lists(n, [list(s) for s in subsets])
+        coll = SubsetCollection(n, tuple(qcore._subset_mask(n, s) for s in subsets))
     if coll.n != n:
         raise EdlkitError("DIM_MISMATCH", "collection over n=%d, state over n=%d" % (coll.n, n))
     if len(coll) == 0:
@@ -553,6 +555,12 @@ def negative_by_margin(alpha, tol=DEFAULT_TOL):
     return alpha < -10.0 * tol
 
 
+def determined_by_margin(alpha, tol=DEFAULT_TOL):
+    """Whether a minimum fidelity solved to ``tol`` counts as determined:
+    ``alpha >= 1 - 100 tol``.  NaN is never determined."""
+    return alpha >= 1.0 - 100.0 * tol
+
+
 def edl_upper_bound(rho, tol=DEFAULT_TOL):
     """Smallest k whose witness program already certifies entanglement.
 
@@ -718,14 +726,15 @@ def determination_levels(psi, tol=DEFAULT_TOL):
 
     Returns ``(value, levels)``, ``levels`` mapping each scanned k to the
     :class:`DeterminationResult` of :func:`pure_determination_alpha` on all
-    k-subsets.  The scan stops at the first level with ``alpha >= 1 - 100 tol``.
+    k-subsets.  The scan stops at the first level that :func:`determined_by_margin`
+    accepts.
     """
     if not isinstance(psi, qcore.PureVector):
         raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
     levels = {}
     for k in range(1, psi.n + 1):
         levels[k] = pure_determination_alpha(psi, all_k_subsets(psi.n, k), tol)
-        if levels[k].alpha >= 1.0 - 100.0 * tol:
+        if determined_by_margin(levels[k].alpha, tol):
             return k, levels
     return psi.n, levels
 

@@ -41,9 +41,10 @@ def test_collection_rejects_bad_subsets():
         with pytest.raises(EdlkitError) as err:
             bad()
         assert err.value.code == "BAD_VERTEX"
-    with pytest.raises(EdlkitError) as err:
-        SubsetCollection.from_lists(3.0, [[1, 2]])
-    assert err.value.code == "DIM_MISMATCH"
+    for n, subsets in ((3.0, [[1, 2]]), ("3", [[1]])):
+        with pytest.raises(EdlkitError) as err:
+            SubsetCollection.from_lists(n, subsets)
+        assert err.value.code == "DIM_MISMATCH"
     c = SubsetCollection.from_lists(np.int64(3), [[np.int64(1), 2]])
     assert c.to_lists() == [[1, 2]] and type(c.edges[0]) is int
 

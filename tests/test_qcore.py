@@ -82,6 +82,10 @@ def test_subset_rejects_bad_labels():
         with pytest.raises(EdlkitError) as err:
             qcore.Subset(n, mask)
         assert err.value.code == "DIM_MISMATCH"
+    # the count is checked before any label is compared with it
+    with pytest.raises(EdlkitError) as err:
+        qcore.Subset.from_indices("3", [1])
+    assert err.value.code == "DIM_MISMATCH"
     s = qcore.Subset.from_indices(np.int64(3), [np.int64(2), np.uint8(3)])
     assert s.indices == (2, 3) and type(s.mask) is int
     assert np.int64(2) in s and 2.0 not in s and True not in qcore.Subset(3, 1)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edlkit import oracle, qcore
+from edlkit import oracle, qcore, symmetric
 from edlkit.errors import EdlkitError
 from edlkit.symmetric import (
     DickeMixture,
@@ -37,6 +37,7 @@ from edlkit.symmetric import (
     _reduce_coeff_matrix,
 )
 from check_pattern_domain import pattern_mismatches
+from check_symmetric_ppt import ppt_mismatches
 
 
 def random_exact_mixture(rng, n, zero_prob=0.0):
@@ -436,6 +437,82 @@ def test_edl_symmetric_flags_unentangled_state():
     res = edl_symmetric(SymmetricCoeffs.from_diagonal(
         DickeMixture(3, (Fraction(1), 0, 0, 0))))
     assert res.value is None and res.flag == "NOT_ENTANGLED"
+    # dephased mixture of two spin-coherent product states: separable and
+    # diagonal, so its PPT marginals of four and five qubits are certified
+    lam = [(math.comb(5, i) * (0.3 ** i * 0.7 ** (5 - i) + 0.7 ** i * 0.3 ** (5 - i))) / 2
+           for i in range(6)]
+    res = edl_symmetric(SymmetricCoeffs(5, np.diag(lam)))
+    assert res.value is None and res.flag == "NOT_ENTANGLED"
+    assert res.certificate == {"levels_checked": [2, 3, 4, 5], "separability_certified": True}
+
+
+def oracle_edl_scan(coeffs):
+    """``(value, min_eig)`` of the first level whose brute-force half-cut partial
+    transpose is not PSD, ``(None, None)`` when every level passes."""
+    n = coeffs.n
+    dense = oracle.dense_from_symmetric(coeffs.a, n)
+    for k in range(2, n + 1):
+        ppt, min_eig = oracle.brute_ppt(oracle.brute_marginal(dense, n, range(1, k + 1)), k)
+        if not ppt:
+            return k, min_eig
+    return None, None
+
+
+def test_edl_symmetric_matches_oracle_scan():
+    rng = np.random.default_rng(31)
+    values = set()
+    for n in (4, 5, 6):
+        for _ in range(6):
+            g = rng.normal(size=(n + 1, int(rng.integers(1, n + 2))))
+            g = g + 1j * rng.normal(size=g.shape)
+            p = rng.random()
+            a = (1 - p) * g @ g.conj().T / np.linalg.norm(g) ** 2 + p * np.eye(n + 1) / (n + 1)
+            coeffs = SymmetricCoeffs(n, a)
+            res = edl_symmetric(coeffs)
+            value, min_eig = oracle_edl_scan(coeffs)
+            assert res.value == value, (n, a)
+            if value is not None:
+                assert res.certificate == {"level": value, "route": "dicke_ppt",
+                                           "min_eig": pytest.approx(min_eig, abs=1e-10)}
+            values.add(value)
+    assert None in values and len(values) >= 4, values
+
+
+def test_edl_symmetric_stays_in_the_dicke_product_space(monkeypatch):
+    # no 2^k embedding, dense partial transpose or Hankel route at any level
+    def banned(*args, **kwargs):
+        raise AssertionError("dense or Hankel route taken")
+    for module, name in ((symmetric, "to_dense"), (symmetric, "is_ppt_diagonal"),
+                         (qcore, "partial_transpose")):
+        monkeypatch.setattr(module, name, banned)
+    a = np.full((11, 11), 1 / 22) + np.eye(11) / 22
+    res = edl_symmetric(SymmetricCoeffs(10, a))
+    assert res.certificate["route"] == "dicke_ppt"
+
+
+def test_edl_symmetric_flags_uncertified_ppt_levels():
+    # (|D_n^0> + |D_n^1>)/sqrt(2) under white noise p on the symmetric
+    # subspace keeps a Dicke coherence at every level.  At n = 6, p = 4/5
+    # levels 2..4 pass the PPT test and level 5 fails it, so 5 is an upper
+    # bound only; at n = 5, p = 9/10 every level passes, uncertified.
+    def noisy(n, p):
+        c = np.zeros(n + 1)
+        c[:2] = 1 / math.sqrt(2)
+        return SymmetricCoeffs(n, (1 - p) * np.outer(c, c) + p * np.eye(n + 1) / (n + 1))
+    coeffs = noisy(6, 0.8)
+    assert not symmetric_marginal(coeffs, 4).is_diagonal()
+    res = edl_symmetric(coeffs)
+    assert res.value == 5 and res.flag == "PPT_BOUND"
+    assert res.certificate["min_eig"] == pytest.approx(oracle_edl_scan(coeffs)[1], abs=1e-10)
+    res = edl_symmetric(noisy(5, 0.9))
+    assert res.value is None and res.flag == "NOT_ENTANGLED"
+    assert res.certificate["separability_certified"] is False
+
+
+def test_half_cut_ppt_matches_dense_partial_transpose():
+    # seeded states with n <= 6; CI runs n <= 10 through tests/check_symmetric_ppt.py
+    checked, npt, bad = ppt_mismatches(6, 2)
+    assert checked == 120 and npt > 0 and not bad, bad
 
 
 # ---------------------------------------------------------------------------

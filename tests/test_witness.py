@@ -203,6 +203,18 @@ def test_pair_chain_witness_value():
     assert verdict.value == pytest.approx(alpha, abs=1e-6)
 
 
+def test_witness_accepts_subset_objects():
+    rho = dicke_mix_dense(3, (0, 0.5, 0.5, 0))
+    subsets = [qcore.Subset.from_indices(3, labels) for labels in PAIR_CHAIN]
+    alpha, witness = fully_decomposable_alpha(rho, subsets)
+    ref_alpha, ref = fully_decomposable_alpha(rho, PAIR_CHAIN)
+    assert alpha == ref_alpha and witness.collection == ref.collection
+    assert np.array_equal(witness.assemble(), ref.assemble())
+    with pytest.raises(EdlkitError) as err:
+        fully_decomposable_alpha(rho, [qcore.Subset.from_indices(4, [1, 2])])
+    assert err.value.code == "DIM_MISMATCH"
+
+
 def test_dense_path_matches_consensus_path():
     rho = dicke_mix_dense(3, (0, 0.5, 0.5, 0))
     for subsets in (PAIR_CHAIN, all_k_subsets(3, 2), [(1, 2, 3)]):
@@ -528,6 +540,14 @@ def test_determination_matches_generic_path():
     assert _generic_probe_deviation(w3, 2) <= 100 * witness.DEFAULT_TOL
     r, rank = oracle.probe_face_rank(w3, 2)
     assert res.face_dim == r and rank == r * r
+
+
+def test_determination_margin():
+    tol = witness.DEFAULT_TOL
+    assert witness.determined_by_margin(1.0 - 100.0 * tol)
+    assert not witness.determined_by_margin(1.0 - 101.0 * tol)
+    assert not witness.determined_by_margin(float("nan"))
+    assert witness.determined_by_margin(1.0 - 1e-4, tol=1e-6)
 
 
 def test_sdp_size_cap():
