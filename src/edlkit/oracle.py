@@ -25,11 +25,13 @@ The generic SDP references (:func:`build_fdw_problem`, :func:`_linmap_matrix`)
 state a program as svec-packed constraint rows for ``witness.solve_sdp``,
 which tests compare against the matrix-native fast paths.  They take Pauli
 strings and partial transposes from the Kronecker-product and index routines
-of ``qcore``.  What they share with the fast paths is the witness module's
-description of the program (``_collection_of``, ``_allowed_strings``,
-``_bipartition_masks``) and, through ``solve_sdp``, its splitting loop.
-:func:`sdl_pure_full_program` scans the determination length of a pure
-state with the full program (``witness._full_determination``) at every
+of ``qcore``; the fast paths describe locality by partial traces instead and
+build no Pauli string.  What the references share with the fast paths is
+``witness._collection_of``, ``witness._bipartition_masks`` and, through
+``solve_sdp`` and ``witness._solve_pinned``, the ``_admm`` splitting loop.
+:func:`full_determination` is the ``2^n x 2^n`` determination program pinned
+on the allowed Pauli strings (:func:`pauli_span`), and
+:func:`sdl_pure_full_program` scans the determination length with it at every
 level, as a reference for the face step of ``witness.pure_determination_alpha``.
 :func:`probe_face_rank` rebuilds the face of ``witness.symmetric_sdl_probe``
 from the term-by-term reduction in svec coordinates.
@@ -53,8 +55,8 @@ from ._simplex import simplex_max
 from .graphstate import OrbitResult, SimpleGraph
 from .symmetric import solution_family
 from .hypergraph import all_k_subsets
-from .witness import (DEFAULT_TOL, SdpBlock, SdpProblem, _allowed_strings, _bipartition_masks,
-                      _collection_of, _full_determination, smat, svec)
+from .witness import (DEFAULT_TOL, MAX_ITER, SdpBlock, SdpProblem, _bipartition_masks,
+                      _collection_of, _solve_pinned, smat, svec)
 
 
 def _popcount(x):
@@ -336,6 +338,23 @@ def _linmap_matrix(d_in, d_out, fn):
     return out
 
 
+def _allowed_strings(n, coll):
+    """Pauli label strings whose support fits inside some subset of the collection."""
+    def support(labels):  # particle pos+1: bit pos
+        return sum(1 << pos for pos, ch in enumerate(labels) if ch != "I")
+
+    return ["".join(labels) for labels in itertools.product("IXYZ", repeat=n)
+            if any(support(labels) & ~mask == 0 for mask in coll.edges)]
+
+
+def pauli_span(n, coll):
+    """The allowed Pauli strings of ``coll`` from ``qcore.pauli_string``, flattened and
+    scaled to orthonormal rows: ``pauli_span(n, coll) @ vec X`` are the Pauli
+    coefficients of X times ``2^(n/2)``."""
+    strings = _allowed_strings(n, coll)
+    return np.array([qcore.pauli_string(n, s).conj().ravel() for s in strings]) / math.sqrt(1 << n)
+
+
 def build_fdw_problem(rho, subsets):
     """The witness program as an explicit :class:`SdpProblem` (small n only).
 
@@ -384,12 +403,22 @@ def build_fdw_problem(rho, subsets):
     return SdpProblem(blocks, objective, np.vstack(rows), np.array(rhs))
 
 
+def full_determination(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
+    """The ``2^n x 2^n`` determination program with no face step: unit trace and the
+    marginals on ``subsets`` pin the coefficients of rho on exactly the allowed Pauli
+    strings (:func:`pauli_span`, the identity among them) to those of psi."""
+    coll = _collection_of(psi.n, subsets)
+    target = psi.to_density().matrix[None]
+    return _solve_pinned(target, pauli_span(psi.n, coll), target.ravel(), "determination program",
+                         tol, max_iter)
+
+
 def sdl_pure_full_program(psi, tol=DEFAULT_TOL):
-    """Determination length of a pure state with the full ``2^n x 2^n`` program at
-    every level: ``(value, alphas)``, determination at ``alpha >= 1 - 100 tol``."""
+    """Determination length of a pure state with :func:`full_determination` at every
+    level: ``(value, alphas)``, determination at ``alpha >= 1 - 100 tol``."""
     alphas = {}
     for k in range(1, psi.n + 1):
-        alphas[k] = _full_determination(psi, all_k_subsets(psi.n, k), tol=tol).alpha
+        alphas[k] = full_determination(psi, all_k_subsets(psi.n, k), tol=tol).alpha
         if alphas[k] >= 1.0 - 100.0 * tol:
             return k, alphas
     return psi.n, alphas

@@ -8,6 +8,15 @@ entanglement from the chosen marginals alone.  The determination program
 minimizes the fidelity ``<psi| rho |psi>`` over states matching all the
 marginals of a pure target; value 1 means the marginals pin the state.
 
+Both questions read the marginal map ``X -> (Tr_(not S) V X V^dag)_S`` over the
+subsets S of a collection (:func:`_marginal_rows`, one partial trace per subset
+on the columns of V).  At ``V = I`` its row space is the span of the local
+operators ``sum_S H^S (x) I``, so the witness program projects onto it with one
+orthonormal row basis per call; the blocks ``H^S`` of a solved W are split off
+by successive partial traces (:func:`_split_blocks`).  There are no Pauli
+projectors in this module; ``oracle`` keeps Pauli strings as the independent
+reference.
+
 Determination (:func:`pure_determination_alpha`, for any marginal collection;
 :func:`determination_levels` calls it once per marginal size) first takes a
 face step (facial reduction; the local-Hamiltonian uniqueness argument of Chen
@@ -16,10 +25,11 @@ et al. 2013).  The support projectors ``Pi_S`` of the marginals give
 so all of them live on ``ker H``.  A one-dimensional face, or a marginal map
 injective on the face's Hermitian operators (one SVD rank), certifies
 determination with no solve; otherwise the program runs on the ``r x r``
-face, and in full only when the face is the whole space.  One
-:class:`DeterminationResult` records the route, the face and the solve.  The
-symmetric probe takes the same step in the Dicke basis, so its UNIQUE verdict
-is a rank certificate.
+face, pinned by the marginal map at ``V`` = the face.  The whole space is the
+trivial face: there the same program runs at ``V = I`` (route
+``full_program``).  One :class:`DeterminationResult` records the route, the
+face and the solve.  The symmetric probe takes the same step in the Dicke
+basis, so its UNIQUE verdict is a rank certificate.
 
 Both are solved by the same first-order operator-splitting loop: alternate
 a projection onto the affine constraints against a projection onto the
@@ -29,18 +39,17 @@ the normalised form of OSQP's adaptive rho): every 25 iterations it moves
 towards the point where the normalised primal and dual residuals agree, when
 that move exceeds a factor 5.  No single fixed penalty suits every input.
 Every program iterates on a stack of complex matrices with a closed-form
-affine step: partial-transpose index permutations built once per call,
-projectors onto the allowed Pauli strings, or an orthonormal basis of the
-constraint rows from one SVD per solve.  Only the generic :func:`solve_sdp`
-packs its iterate with svec and factors its constraint matrix
-(:func:`_factor_rows`).  Iterations are deterministic; no external solver is
-used.
+affine step: partial-transpose index permutations and an orthonormal basis of
+the local operators (witness program, whole-space determination), built once
+per call, or an orthonormal basis of a face's constraint rows from one SVD.
+Only the generic :func:`solve_sdp` packs its iterate with svec and factors its
+constraint matrix (:func:`_factor_rows`).  Iterations are deterministic; no
+external solver is used.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -56,7 +65,7 @@ DEFAULT_TOL = 1e-7
 MAX_ITER = 50000
 RELAX = 1.5
 ADAPT_EVERY = 25
-SIGMA_MIN, SIGMA_MAX = 1e-6, 1e6
+SIGMA_START, SIGMA_MIN, SIGMA_MAX = 1.0, 1e-6, 1e6
 SIGMA_STEP = 5.0
 FACE_CUT = 1e-9
 
@@ -166,14 +175,14 @@ def _sqnorm(a):
     return np.vdot(a, a).real
 
 
-def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
+def _admm(c, project_affine, project_cone, tol, max_iter):
     """Shared over-relaxed splitting loop on iterates shaped like ``c``; returns
     (x, z, status, res_p, res_d, iters, sigma).  Norms of a Hermitian stack equal svec norms.
     The stop test compares squared norms; square roots are taken only for the
     stall window and the reported residuals.
 
-    ``sigma`` is the initial penalty.  Every ``ADAPT_EVERY`` iterations it is
-    balanced against the normalised residuals ``pn = |x - z| / max(|x|, |z|)``
+    The penalty ``sigma`` starts at ``SIGMA_START``.  Every ``ADAPT_EVERY`` iterations
+    it is balanced against the normalised residuals ``pn = |x - z| / max(|x|, |z|)``
     and ``dn = |sigma dz| / max(|sigma u|, |c|)``: the proposal
     ``sigma sqrt(pn / dn)``, clamped to ``[SIGMA_MIN, SIGMA_MAX]``, is taken
     only when it moves sigma by more than a factor ``SIGMA_STEP``; the scaled
@@ -183,6 +192,7 @@ def _admm(c, project_affine, project_cone, tol, max_iter, sigma=1.0):
     x = np.zeros_like(c)
     z = np.zeros_like(c)
     u = np.zeros_like(c)
+    sigma = SIGMA_START
     shift = c / sigma
     c2 = _sqnorm(c)
     tol2 = tol * tol
@@ -233,13 +243,14 @@ def _factor_rows(A, b):
     return ur, sr, vr, x_ls, float(np.linalg.norm(A @ x_ls - b))
 
 
-def _solve_pinned(c, basis, rows, anchor, what, tol, max_iter):
-    """Minimize ``<c, X>`` over PSD ``X`` (shape ``(1, d, d)``) whose orthogonal projection
-    ``basis.T @ rows @ vec X`` equals that of ``anchor``; the affine step is
-    ``X - basis.T @ rows @ (vec X - anchor)``.  Returns a DeterminationResult on
-    the full route of this ``d x d`` program."""
+def _solve_pinned(c, span, anchor, what, tol, max_iter):
+    """Minimize ``<c, X>`` over PSD ``X`` (shape ``(1, d, d)``) with ``span @ vec X`` equal
+    to ``span @ anchor``, ``span`` orthonormal rows; the affine step is
+    ``X - span^dag span (vec X - anchor)``, with ``span^dag`` formed once.  Returns a
+    DeterminationResult on the full route of this ``d x d`` program."""
+    span_h = np.ascontiguousarray(span.conj().T)
     x, _z, status, res_p, res_d, iters, sigma = _admm(
-        c, lambda v: v - (basis.T @ (rows @ (v.ravel() - anchor))).reshape(v.shape),
+        c, lambda v: v - (span_h @ (span @ (v.ravel() - anchor))).reshape(v.shape),
         _clip_psd, tol, max_iter)
     if status != "OPTIMAL":
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
@@ -287,7 +298,7 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
 
 # ---------------------------------------------------------------------------
-# Pauli locality structure
+# The marginal map
 # ---------------------------------------------------------------------------
 
 def _collection_of(n, subsets):
@@ -302,35 +313,35 @@ def _collection_of(n, subsets):
     return coll
 
 
-def _support(labels):
-    """Subset mask of the non-identity factors of a Pauli label string."""
-    return sum(1 << pos for pos, ch in enumerate(labels) if ch != "I")  # particle pos+1: bit pos
+def _split(v, n, mask):
+    """Columns of ``v`` (shape ``(2^n, r)``) as a ``(2^|S|, 2^(n-|S|), r)`` tensor: the
+    particles of ``mask`` first, ascending, then the others."""
+    keep = [j for j in range(n) if mask >> j & 1]  # particle j+1: axis j
+    rest = [j for j in range(n) if not mask >> j & 1]
+    r = v.shape[1]
+    t = v.reshape((2,) * n + (r,)).transpose(keep + rest + [n])
+    return t.reshape(1 << len(keep), 1 << len(rest), r)
 
 
-def _allowed_strings(n, coll):
-    """Pauli label strings whose support fits inside some subset of the collection."""
-    supports = ((labels, _support(labels)) for labels in itertools.product("IXYZ", repeat=n))
-    return ["".join(labels) for labels, support in supports
-            if any(support & ~mask == 0 for mask in coll.edges)]
+def _marginal_rows(v, coll):
+    """Rows of the marginal map ``X -> (Tr_(not S) V X V^dag)_S`` on row-major vec X
+    (``X`` is ``r x r``), one ``4^|S| x r^2`` block per subset in ``coll.edges`` order."""
+    r = v.shape[1]
+    blocks = []
+    for mask in coll.edges:
+        a = _split(v, coll.n, mask)
+        blocks.append(np.einsum("aci,bcj->abij", a, a.conj()).reshape(-1, r * r))
+    return np.vstack(blocks)
 
 
-def _pauli_table(n, strings):
-    """Dense matrices of n-qubit Pauli strings as one ``(m, 2^n, 2^n)`` stack,
-    by a Kronecker product batched over the strings (particle 1 leftmost)."""
-    m = len(strings)
-    factors = np.array([[qcore.PAULI_1Q[ch] for ch in s] for s in strings]).reshape(m, n, 2, 2)
-    out = np.ones((m, 1, 1), dtype=complex)
-    for j in range(n):
-        out = (out[:, :, None, :, None] * factors[:, j, None, :, None, :]).reshape(m, 2 << j, 2 << j)
-    return out
-
-
-def _allowed_span(n, coll):
-    """Allowed strings of ``coll`` and both factors of the projector onto their span,
-    ``paulis.T @ (coeff_rows @ vec X)``, where ``coeff_rows @ vec X`` are Pauli coefficients."""
-    strings = _allowed_strings(n, coll)
-    paulis = _pauli_table(n, strings).reshape(len(strings), -1)
-    return strings, paulis, paulis.conj() / (1 << n)
+def _locality_span(n, coll):
+    """Orthonormal rows spanning the operators ``sum_S H^S (x) I`` of ``coll``: the row
+    space of the marginal map at ``V = I``, from one ``eigh`` of its real Gram matrix.
+    The rows are real, stored complex so that the loop applies them without a cast."""
+    rows = _marginal_rows(np.eye(1 << n), coll)
+    w, q = np.linalg.eigh(rows @ rows.T)
+    keep = w > FACE_CUT * w[-1]
+    return ((q[:, keep].T @ rows) / np.sqrt(w[keep])[:, None]).astype(complex)
 
 
 def _bipartition_masks(n):
@@ -353,8 +364,13 @@ def _pt_permutation(n, mask):
 
 
 def expand_operator(n, labels, h):
-    """Embed an operator on the qubits ``labels`` (ascending) into n qubits."""
-    labels = tuple(sorted(int(x) for x in labels))
+    """Embed an operator on the qubits ``labels`` into n qubits, its tensor factors in
+    ascending label order.  BAD_VERTEX unless every label is an integer in 1..n,
+    DIM_MISMATCH on a repeated label."""
+    labels = tuple(labels)
+    mask = qcore._mask_of(n, labels)
+    if mask.bit_count() != len(labels):
+        raise EdlkitError("DIM_MISMATCH", "repeated particle label in %r" % (labels,))
     k = len(labels)
     h = np.asarray(h, dtype=complex)
     if h.shape != (1 << k, 1 << k):
@@ -365,7 +381,7 @@ def expand_operator(n, labels, h):
     rest = np.zeros(d, dtype=int)
     for j in range(1, n + 1):
         bit = idx >> (n - j) & 1
-        if j in labels:
+        if mask >> (j - 1) & 1:
             sub = (sub << 1) | bit
         else:
             rest = (rest << 1) | bit
@@ -483,7 +499,8 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     m = len(masks)
     # block i of an (m, d, d) stack, partially transposed on masks[i]
     pt_index = np.array([_pt_permutation(n, mask) + i * d * d for i, mask in enumerate(masks)])
-    strings, paulis, coeff_rows = _allowed_span(n, coll)
+    span = _locality_span(n, coll)
+    span_h = np.ascontiguousarray(span.conj().T)
 
     def pt(blocks):
         return blocks.ravel()[pt_index].reshape(m, d, d)
@@ -492,7 +509,7 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         p, q = v[1:1 + m], v[1 + m:]
         ks = p + pt(q)
         w = (v[0] + 0.5 * ks.sum(axis=0)) / (1.0 + m / 2.0)
-        w = (paulis.T @ (coeff_rows @ w.ravel())).reshape(d, d)
+        w = (span_h @ (span @ w.ravel())).reshape(d, d)
         w.flat[::d + 1] += (1.0 - np.trace(w).real) / d
         r = 0.5 * (w - ks)
         return np.concatenate([w[None], p + r, q + pt(r)])
@@ -507,32 +524,25 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
                           "witness program did not converge (%s, primal %.2e, dual %.2e, %d iters)"
                           % (status, res_p, res_d, iters))
-    w_mat = x[0]
-    alpha = float(np.trace(w_mat @ mat).real)
-    witness = _witness_from_solution(n, coll, alpha, strings, coeff_rows @ w_mat.ravel(),
-                                     masks, z[1:1 + m], z[1 + m:])
-    return alpha, witness
+    alpha = float(np.trace(x[0] @ mat).real)
+    certificates = [(qcore.Subset(n, mask), p, q)
+                    for mask, p, q in zip(masks, z[1:1 + m], z[1 + m:])]
+    return alpha, Witness(n, coll, alpha, _split_blocks(n, coll, x[0]), certificates)
 
 
-def _witness_from_solution(n, coll, alpha, strings, coeffs, masks, p_mats, q_mats):
-    # expand W over the allowed strings; each string is charged to the first
-    # collection subset containing its support (the identity to the first)
-    block_terms = {mask: [] for mask in coll.edges}
-    for s, coeff in zip(strings, coeffs):
-        if abs(coeff) < 1e-14:
-            continue
-        support = _support(s)
-        home = next(mask for mask in coll.edges if support & ~mask == 0)
-        block_terms[home].append((s, coeff))
+def _split_blocks(n, coll, w):
+    """Blocks ``(S, H^S)`` with ``w = sum_S H^S (x) I``.  Walking ``coll.edges`` in order,
+    ``H^S = Tr_(not S)(R) / 2^(n-|S|)`` of the remainder ``R`` (at first the Hermitian
+    part of ``w``), and then ``R -= H^S (x) I``: every term of ``w`` is charged to the
+    first subset that holds its support."""
+    rest = (w + w.conj().T) / 2.0
     blocks = []
     for mask in coll.edges:
-        labels = qcore.Subset(n, mask).indices
-        terms = block_terms[mask]
-        table = _pauli_table(len(labels), ["".join(s[j - 1] for j in labels) for s, _c in terms])
-        blocks.append((qcore.Subset(n, mask), np.tensordot([c.real for _s, c in terms], table, axes=1)))
-    certificates = [(qcore.Subset(n, mask), p, q)
-                    for mask, p, q in zip(masks, p_mats, q_mats)]
-    return Witness(n, coll, alpha, blocks, certificates)
+        subset = qcore.Subset(n, mask)
+        h = qcore.partial_trace(rest, subset) / (1 << (n - subset.size))
+        rest = rest - expand_operator(n, subset.indices, h)
+        blocks.append((subset, h))
+    return blocks
 
 
 def noise_threshold(alpha, n):
@@ -629,18 +639,6 @@ class DeterminationResult:
     gap: float | None     # smallest eigenvalue of H above 0; None on a full face
 
 
-def _full_determination(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
-    """The ``2^n x 2^n`` determination program with no face step."""
-    n = psi.n
-    coll = _collection_of(n, subsets)
-    target = psi.to_density().matrix[None]
-    # Tr rho = 1 and the marginals on coll pin the coefficients of rho on exactly
-    # the allowed Pauli strings (the identity among them) to those of psi
-    _strings, paulis, coeff_rows = _allowed_span(n, coll)
-    return _solve_pinned(target, paulis, coeff_rows, target.ravel(), "determination program",
-                         tol, max_iter)
-
-
 def _kernel_face(h):
     """Orthonormal basis of ``ker h`` (eigenvalues at most ``FACE_CUT``) and the
     smallest eigenvalue above the cut (None when ``h`` vanishes)."""
@@ -663,16 +661,11 @@ def _face_hamiltonian(psi, coll):
     projector of psi's marginal on S (eigenvalues above ``FACE_CUT``).  ``H >= 0`` is local, so every state with
     psi's marginals has ``Tr(H rho) = <psi|H|psi> = 0`` and lives on ``ker H``."""
     n = psi.n
-    d = 1 << n
-    amp = psi.amplitudes.reshape((2,) * n)
-    h = np.zeros((d, d), dtype=complex)
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
     for mask in coll.edges:
-        labels = qcore.Subset(n, mask).indices
-        keep = [j - 1 for j in labels]
-        rest = [j for j in range(n) if j not in keep]
-        schmidt = np.transpose(amp, keep + rest).reshape(1 << len(keep), -1)
+        schmidt = _split(psi.amplitudes[:, None], n, mask)[:, :, 0]
         null = _kernel_face(schmidt @ schmidt.conj().T)[0]
-        h += expand_operator(n, labels, null @ null.conj().T)
+        h += expand_operator(n, qcore._labels_of(mask), null @ null.conj().T)
     return h
 
 
@@ -687,9 +680,10 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     with no solve and ``alpha = 1 - <psi|H|psi>/g``: the spectral gap ``g`` of
     H bounds the weight a compatible state can put off the face by
     ``<psi|H|psi>/g``.  Otherwise the minimum fidelity is solved on the face
-    (``face_program``), or by the full ``2^n x 2^n`` program when the face is
-    the whole space (``full_program``); the minimizer is returned as ``rho``, a
-    different compatible state when the value drops below 1.
+    (``face_program``), the same program on the whole space when that is the
+    face (``full_program``, ``face_dim = 2^n`` and no gap); the minimizer is
+    returned as ``rho``, a different compatible state when the value drops
+    below 1.
     """
     if not isinstance(psi, qcore.PureVector):
         raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
@@ -700,24 +694,26 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     h = _face_hamiltonian(psi, coll)
     face, gap = _kernel_face(h)
     r = face.shape[1]
-    if r == d:
-        return _full_determination(psi, coll, tol, max_iter)
     amp = psi.amplitudes
-    certified = DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
-                                    psi.to_density().matrix, 0, 0.0, 0.0, None, "face_rank1", r, gap)
-    if r == 1:
-        return certified
-    _strings, _paulis, coeff_rows = _allowed_span(n, coll)
-    m = coeff_rows.shape[0]
-    # coeff_rows @ kron(V, conj V): Pauli coefficients of V X V^dag on vec X
-    rows = (face.T @ coeff_rows.reshape(m, d, d) @ face.conj()).reshape(m, r * r)
-    if r * r <= m and _row_space(rows, FACE_CUT)[0].shape[0] == r * r:
-        return replace(certified, route="face_injective")
-    basis = _row_space(rows, 1e-12)[0]
+    if r == d:
+        # the whole space is the trivial face, with no gap to certify by; at V = I the
+        # marginal map has the row space of the witness program's locality
+        face, span = np.eye(d), _locality_span(n, coll)
+    else:
+        certified = DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
+                                        psi.to_density().matrix, 0, 0.0, 0.0, None, "face_rank1",
+                                        r, gap)
+        if r == 1:
+            return certified
+        _u, s, wh = np.linalg.svd(_marginal_rows(face, coll), full_matrices=False)
+        if np.sum(s > FACE_CUT * s[0]) == r * r:
+            return replace(certified, route="face_injective")
+        span = wh[:np.sum(s > 1e-12 * s[0])]
     x0 = face.conj().T @ amp
     target = np.outer(x0, x0.conj())[None]
-    res = _solve_pinned(target, basis.conj(), basis, target.ravel(), "determination program",
-                        tol, max_iter)
+    res = _solve_pinned(target, span, target.ravel(), "determination program", tol, max_iter)
+    if r == d:
+        return res  # route full_program, face_dim 2^n, gap None
     return replace(res, rho=face @ res.rho @ face.conj().T, route="face_program", gap=gap)
 
 
@@ -824,8 +820,7 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
     inside = lam > FACE_CUT
     basis = _row_space(face_rows(face), 1e-12)[0]
     outside = vecs[:, ~inside] @ vecs[:, ~inside].conj().T
-    res = _solve_pinned(-outside[None], basis.conj(), basis, x0.ravel(), "probe solve",
-                        tol, MAX_ITER)
+    res = _solve_pinned(-outside[None], basis, x0.ravel(), "probe solve", tol, MAX_ITER)
     if -res.alpha > 100.0 * tol:
         wit = face @ res.rho @ face.conj().T
         return ProbeResult("NONUNIQUE", float(np.linalg.norm(wit - a)), wit, face.shape[1])

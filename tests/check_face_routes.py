@@ -8,6 +8,9 @@ with n <= 4 and k = 2..n-1, ``witness.pure_determination_alpha`` must give the
 determined verdict of the full program and its value to ``100 tol``; where the
 full program stalls (a compatible set that is the single point psi has no
 interior), the face program must find psi determined.
+On every face those runs visit, the marginal map restricted to the face
+(``witness._marginal_rows``) must have the rank of the allowed Pauli rows
+restricted to it (``oracle.pauli_span``): the two maps share their kernel.
 ``witness.symmetric_sdl_probe`` must agree with the sampled generic probe
 (random linear functionals minimised and maximised through ``solve_sdp``) on
 every Dicke state with n <= 6 at every level k, and each NONUNIQUE witness
@@ -16,12 +19,13 @@ reduction.  A sampled solve counts only when it converges (a single-point
 compatible set has no interior and stalls the loop), so every verdict is also
 checked against the face rank that ``oracle.probe_face_rank`` rebuilds from
 the term-by-term reduction: UNIQUE on the face itself exactly when that rank
-is full.  Not collected by pytest (~40 s); run it as
+is full.  Not collected by pytest (~30 s); run it as
 
     PYTHONPATH=src python tests/check_face_routes.py
 
-It prints the number of cases checked and how many determination results
-each route decided, and exits 1 listing any cases that disagree.
+It prints the number of cases checked, how many determination results each
+route decided and how many faces it compared, and exits 1 listing any cases
+that disagree.
 """
 
 import collections
@@ -33,7 +37,7 @@ import numpy as np
 from edlkit import oracle, qcore, witness
 from edlkit.errors import EdlkitError
 from edlkit.graphstate import SimpleGraph, graph_state
-from edlkit.hypergraph import min_marginal_count
+from edlkit.hypergraph import all_k_subsets, min_marginal_count
 from edlkit.symmetric import SymmetricCoeffs, _reduce_coeff_matrix, dicke_vector
 
 SLACK = 100 * witness.DEFAULT_TOL
@@ -114,6 +118,25 @@ def probe_mismatch(coeffs, k):
     return None
 
 
+def rank(rows):
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > witness.FACE_CUT * s[0]))
+
+
+def face_rank_mismatch(psi, coll):
+    """None if the marginal map and the allowed Pauli rows have equal rank on the face
+    of ``psi`` and ``coll``."""
+    face = witness._kernel_face(witness._face_hamiltonian(psi, coll))[0]
+    d, r = 1 << psi.n, face.shape[1]
+    # span @ vec(V X V^dag) on vec X: the rows of span, conjugated by the face
+    span = oracle.pauli_span(psi.n, coll).reshape(-1, d, d)
+    pauli_rows = (face.T @ span @ face.conj()).reshape(-1, r * r)
+    ranks = rank(witness._marginal_rows(face, coll)), rank(pauli_rows)
+    if ranks[0] != ranks[1]:
+        return "face of dimension %d: marginal rank %d, Pauli rank %d" % (r, ranks[0], ranks[1])
+    return None
+
+
 def chain_mismatch(psi, coll, routes):
     """None if ``pure_determination_alpha`` on ``coll`` agrees with the full program.
     Tallies the route in ``routes``, and a stalled full program under "stalled"."""
@@ -121,7 +144,7 @@ def chain_mismatch(psi, coll, routes):
     routes[res.route] += 1
     determined = res.alpha >= 1 - SLACK
     try:
-        ref = witness._full_determination(psi, coll)
+        ref = oracle.full_determination(psi, coll)
     except EdlkitError as err:
         routes["stalled"] += 1
         if err.code == "MAX_ITER" and res.route == "face_program" and determined:
@@ -133,7 +156,7 @@ def chain_mismatch(psi, coll, routes):
 
 
 def main():
-    checked, bad = 0, []
+    checked, faces, bad = 0, 0, []
     routes = collections.Counter()
     for name, psi in pure_cases():
         checked += 1
@@ -144,14 +167,17 @@ def main():
         if value != ref or alphas.keys() != ref_alphas.keys() or any(
                 abs(alphas[k] - ref_alphas[k]) > 1e-6 for k in alphas):
             bad.append("sdl_pure %s: %s %s, full program %s %s" % (name, value, alphas, ref, ref_alphas))
-        if psi.n > 4:
-            continue
-        for k in range(2, psi.n):
+        chains = [min_marginal_count(psi.n, k)[1] for k in range(2, psi.n)] if psi.n <= 4 else []
+        for coll in chains:
             checked += 1
-            coll = min_marginal_count(psi.n, k)[1]
             why = chain_mismatch(psi, coll, routes)
             if why:
                 bad.append("chain %s on %s: %s" % (name, coll.to_lists(), why))
+        for coll in [all_k_subsets(psi.n, k) for k in levels] + chains:
+            faces += 1
+            why = face_rank_mismatch(psi, coll)
+            if why:
+                bad.append("face rank %s on %s: %s" % (name, coll.to_lists(), why))
     for n in range(1, 7):
         for i in range(n + 1):
             a = np.zeros((n + 1, n + 1), dtype=complex)
@@ -165,6 +191,7 @@ def main():
     stalled = routes.pop("stalled", 0)
     print("determination routes: %s; the full program stalled on %d chain(s)"
           % (", ".join("%s %d" % kv for kv in sorted(routes.items())), stalled))
+    print("compared the marginal and Pauli ranks on %d faces" % faces)
     for line in bad:
         print("  " + line)
     return 1 if bad else 0

@@ -156,11 +156,34 @@ def test_expand_operator_places_factors():
     assert np.max(np.abs(got2 - qcore.pauli_string(2, "IX"))) < 1e-13
 
 
-def test_pauli_table_matches_kron_strings():
-    for n in (1, 2, 3):
-        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-        ref = np.array([qcore.pauli_string(n, s) for s in strings])
-        assert np.array_equal(witness._pauli_table(n, strings), ref)
+def test_expand_operator_rejects_bad_labels():
+    h = np.eye(4, dtype=complex)
+    for labels, code in (((1.5, 2), "BAD_VERTEX"), ((0, 1), "BAD_VERTEX"), ((2, 4), "BAD_VERTEX"),
+                         ((1, 1), "DIM_MISMATCH")):
+        with pytest.raises(EdlkitError) as err:
+            expand_operator(3, labels, h)
+        assert err.value.code == code, labels
+    # labels are read in ascending order whatever order they come in
+    assert np.array_equal(expand_operator(3, (3, 1), h), expand_operator(3, (1, 3), h))
+
+
+def test_marginal_rows_match_partial_traces(rng):
+    n, d = 4, 16
+    colls = [SubsetCollection.from_lists(n, PAIR_CHAIN), all_k_subsets(n, 2),
+             SubsetCollection.from_lists(n, [[1, 2, 3], [3, 4]])]
+    for r in (1, 3, 16):
+        v = np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[0]
+        x = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+        y = v @ x @ v.conj().T
+        for coll in colls:
+            rows = witness._marginal_rows(v, coll)
+            assert rows.shape == (sum(4 ** len(labels) for labels in coll), r * r)
+            got = rows @ x.ravel()
+            offset = 0
+            for labels in coll:
+                ref = qcore.partial_trace(y, labels).ravel()
+                assert np.max(np.abs(got[offset:offset + ref.size] - ref)) < 1e-12, (r, labels)
+                offset += ref.size
 
 
 def test_expand_operator_preserves_trace_scaling(rng):
@@ -264,6 +287,30 @@ def test_witness_blocks_live_on_the_collection():
     assert all(s.mask in allowed for s, _h in witness.blocks)
     w = witness.assemble()
     assert np.trace(w).real == pytest.approx(1.0, abs=1e-7)
+
+
+def test_witness_blocks_take_each_term_on_its_first_subset():
+    """Pauli coefficients of every block, read off with ``qcore.pauli_string``: each
+    term of W sits on the first collection subset that holds its support."""
+    n, d = 3, 8
+    for rho, subsets in ((dicke_mix_dense(3, (0, 0.5, 0.5, 0)), PAIR_CHAIN),
+                         (dicke_vector(3, 1).to_density().matrix, all_k_subsets(3, 2))):
+        _alpha, wit = fully_decomposable_alpha(rho, subsets)
+        blocks = [(s.mask, expand_operator(n, s.indices, h)) for s, h in wit.blocks]
+        # W from one decomposition W = P + Q^(T_S), not from the blocks
+        subset, p, q = wit.certificates[0]
+        w = p + qcore.partial_transpose(q, subset)
+        for labels in itertools.product("IXYZ", repeat=n):
+            pauli = qcore.pauli_string(n, "".join(labels))
+            support = sum(1 << j for j, ch in enumerate(labels) if ch != "I")
+            home = next((mask for mask in wit.collection.edges if support & ~mask == 0), None)
+            total = 0.0
+            for mask, big in blocks:
+                coeff = np.trace(pauli @ big) / d
+                total += coeff
+                if mask != home:
+                    assert abs(coeff) < 1e-12, (labels, mask)
+            assert abs(total - np.trace(pauli @ w) / d) < 1e-5, labels
 
 
 def test_verify_witness_failure_modes():
@@ -453,7 +500,7 @@ def test_general_collections_match_full_program():
             assert abs(np.vdot(psi.amplitudes, rho @ psi.amplitudes) - res.alpha) <= 1e-9, where
         # every reference that converges here takes at most 3,304 iterations
         try:
-            ref = witness._full_determination(psi, coll, max_iter=10000)
+            ref = oracle.full_determination(psi, coll, max_iter=10000)
         except EdlkitError as err:
             # a compatible set that is the single point psi has no interior, and the
             # full program stalls on it (D_4^2 on the pair chain); the face program
@@ -477,15 +524,15 @@ def test_adaptive_penalty_cuts_iterations():
     # form; a fixed penalty sigma = 1 takes 1,801 iterations here
     amp = np.zeros(16, dtype=complex)
     amp[[0b1000, 0b0100, 0b0010, 0b0001, 0b1111]] = np.sqrt([1 / 2, 1 / 3, 1 / 12, 1 / 24, 1 / 24])
-    res = witness._full_determination(qcore.PureVector(4, amp), all_k_subsets(4, 2))
+    res = oracle.full_determination(qcore.PureVector(4, amp), all_k_subsets(4, 2))
     assert res.status == "OPTIMAL"
     assert abs(res.alpha - 121 / 144) <= 1e-6
     assert res.iterations <= 600
     # a random three-qubit state is fixed by its pairs; sigma = 1 takes 2,160 iterations
     rng = np.random.default_rng(20240811)
     amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-    res = witness._full_determination(qcore.PureVector(3, amp / np.linalg.norm(amp)),
-                                      all_k_subsets(3, 2))
+    res = oracle.full_determination(qcore.PureVector(3, amp / np.linalg.norm(amp)),
+                                    all_k_subsets(3, 2))
     assert res.alpha >= 1 - 1e-6
     assert res.iterations <= 1000
     assert res.penalty != 1.0
@@ -530,10 +577,16 @@ def test_determination_matches_generic_path():
     for psi in states:
         for k in (1, 2):
             sol = _generic_determination(psi, k)
-            res = witness._full_determination(psi, all_k_subsets(3, k))
+            res = oracle.full_determination(psi, all_k_subsets(3, k))
             assert sol.status == "OPTIMAL"
             assert abs(res.alpha - sol.objective) <= 1e-9
             assert res.iterations == sol.iterations
+            if k == 1:
+                # every 1-marginal has full rank, so the face is the whole space
+                fast = pure_determination_alpha(psi, all_k_subsets(3, 1))
+                assert fast.route == "full_program" and fast.face_dim == 8 and fast.gap is None
+                assert abs(fast.alpha - res.alpha) <= 1e-9
+                assert fast.iterations == res.iterations
     w3 = SymmetricCoeffs(3, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
     res = symmetric_sdl_probe(w3, 2)
     assert res.verdict == "UNIQUE"
