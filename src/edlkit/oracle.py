@@ -29,6 +29,11 @@ of ``qcore``; the fast paths describe locality by partial traces instead and
 build no Pauli string.  What the references share with the fast paths is
 ``witness._collection_of``, ``witness._bipartition_masks`` and, through
 ``solve_sdp`` and ``witness._solve_pinned``, the ``_admm`` splitting loop.
+That loop has its own reference: :func:`admm_reference` is its unfused form
+(one temporary per term, the relaxed point kept apart from the dual), sharing
+only the loop constants, so a test runs both on the same projections and
+compares the iterates; :func:`psd_projection` projects one symmetrised matrix
+at a time, as the reference for the batched ``witness._clip_psd``.
 :func:`full_determination` is the ``2^n x 2^n`` determination program pinned
 on the allowed Pauli strings (:func:`pauli_span`), and
 :func:`sdl_pure_full_program` scans the determination length with it at every
@@ -55,7 +60,8 @@ from ._simplex import simplex_max
 from .graphstate import OrbitResult, SimpleGraph
 from .symmetric import solution_family
 from .hypergraph import all_k_subsets
-from .witness import (DEFAULT_TOL, MAX_ITER, SdpBlock, SdpProblem, _bipartition_masks,
+from .witness import (ADAPT_EVERY, DEFAULT_TOL, MAX_ITER, RELAX, SIGMA_MAX, SIGMA_MIN,
+                      SIGMA_START, SIGMA_STEP, SdpBlock, SdpProblem, _bipartition_masks,
                       _collection_of, _solve_pinned, smat, svec)
 
 
@@ -440,3 +446,69 @@ def probe_face_rank(coeffs, k, cut=1e-9):
         r, k + 1, lambda x: reduce_coeff_matrix_loop(n, k, face @ x @ face.conj().T))
     s = np.linalg.svd(np.vstack([svec(np.eye(r))[None, :], restricted]), compute_uv=False)
     return r, int(np.sum(s > cut * s[0]))
+
+
+def psd_projection(stack):
+    """Nearest PSD matrix to the Hermitian part of each matrix of a ``(k, d, d)`` stack,
+    one matrix at a time: the sum of ``lam |v><v|`` over the positive eigenpairs of
+    ``(H + H^dag) / 2``."""
+    out = []
+    for h in np.asarray(stack, dtype=complex):
+        w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+        pos = w > 0.0
+        out.append((q[:, pos] * w[pos]) @ q[:, pos].conj().T)
+    return np.array(out)
+
+
+def admm_reference(c, project_affine, project_cone, tol, max_iter):
+    """The splitting loop of ``witness._admm`` in its unfused form, one temporary per
+    term: ``x = A(z - u - c / sigma)``, ``xr = RELAX x + (1 - RELAX) z``,
+    ``z+ = K(xr + u)``, ``u += xr - z+``, with the same stop test, stall window and
+    residual-balancing penalty (the dual ``u`` rescaled by ``sigma_old / sigma_new`` at
+    every change).  It shares the loop constants with ``witness`` and nothing else, and
+    returns the same ``(x, z, status, res_p, res_d, iters, sigma)``."""
+    def sqnorm(a):
+        return np.vdot(a, a).real
+
+    x = np.zeros_like(c)
+    z = np.zeros_like(c)
+    u = np.zeros_like(c)
+    sigma = SIGMA_START
+    shift = c / sigma
+    c2 = sqnorm(c)
+    tol2 = tol * tol
+    stall_window = []
+    status = "MAX_ITER"
+    rp2 = rd2 = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        x = project_affine(z - u - shift)
+        xr = RELAX * x + (1.0 - RELAX) * z
+        z_new = project_cone(xr + u)
+        u += xr - z_new
+        rp2 = sqnorm(x - z_new)
+        rd2 = sigma * sigma * sqnorm(z_new - z)
+        z = z_new
+        x2, z2 = sqnorm(x), sqnorm(z)
+        scale2 = max(1.0, x2, z2)
+        if rp2 <= tol2 * scale2 and rd2 <= tol2 * scale2:
+            status = "OPTIMAL"
+            break
+        if it % 200 == 0:
+            stall_window.append(math.sqrt(rp2) / math.sqrt(scale2))
+            if len(stall_window) > 12:
+                stall_window.pop(0)
+                flat = stall_window[0] < stall_window[-1] * 1.01
+                if flat and stall_window[-1] > 1000 * tol and rd2 <= 100 * tol2 * scale2:
+                    status = "INFEASIBLE"
+                    break
+        if it % ADAPT_EVERY == 0:
+            num = rp2 * max(sigma * sigma * sqnorm(u), c2)
+            den = rd2 * max(x2, z2)
+            if num > 0.0 and den > 0.0:
+                proposal = min(max(sigma * math.sqrt(math.sqrt(num / den)), SIGMA_MIN), SIGMA_MAX)
+                if not sigma / SIGMA_STEP <= proposal <= sigma * SIGMA_STEP:
+                    u *= sigma / proposal
+                    sigma = proposal
+                    shift = c / sigma
+    return x, z, status, math.sqrt(rp2), math.sqrt(rd2), it, sigma

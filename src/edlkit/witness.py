@@ -34,6 +34,12 @@ basis, so its UNIQUE verdict is a rank certificate.
 Both are solved by the same first-order operator-splitting loop: alternate
 a projection onto the affine constraints against a projection onto the
 semidefinite cones (batched eigenvalue clipping), with over-relaxation 1.5.
+One iteration is one closed-form affine step, one batched ``eigh`` of the PSD
+blocks and a few passes over the iterate: the cone input is built in place in
+the buffer of the scaled dual, which the dual update then reuses, and ``eigh``
+reads only the lower triangle of a stack that is Hermitian by construction, so
+nothing is symmetrised.  ``oracle.admm_reference`` keeps the unfused loop as
+the reference for these iterates.
 The penalty adapts by residual balancing (Boyd et al. 2011, sec. 3.4.1, in
 the normalised form of OSQP's adaptive rho): every 25 iterations it moves
 towards the point where the normalised primal and dual residuals agree, when
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -164,15 +171,21 @@ class SdpSolution:
 
 
 def _clip_psd(stack):
-    """Project every matrix of a ``(k, d, d)`` stack onto the PSD cone."""
-    stack = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
+    """Project every matrix of a Hermitian ``(k, d, d)`` stack onto the PSD cone, into a
+    new array.  ``eigh`` reads only the lower triangle, so a stack that is Hermitian
+    up to rounding needs no symmetrising first."""
     w, q = np.linalg.eigh(stack)
-    w = np.clip(w, 0.0, None)
-    return q * w[:, None, :] @ q.conj().transpose(0, 2, 1)
+    return q * np.maximum(w, 0.0)[:, None, :] @ q.conj().transpose(0, 2, 1)
 
 
 def _sqnorm(a):
     return np.vdot(a, a).real
+
+
+def _check_tol(tol):
+    """BAD_TOL unless ``tol`` is a finite real number, at least 0."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise EdlkitError("BAD_TOL", "tolerance must be finite and at least 0, got %r" % (tol,))
 
 
 def _admm(c, project_affine, project_cone, tol, max_iter):
@@ -188,7 +201,9 @@ def _admm(c, project_affine, project_cone, tol, max_iter):
     only when it moves sigma by more than a factor ``SIGMA_STEP``; the scaled
     dual ``u`` is then rescaled by ``sigma_old / sigma_new`` and ``shift``
     recomputed.  Both projections are Euclidean, so neither depends on sigma.
-    The final penalty is returned."""
+    The final penalty is returned.  ``project_cone`` must return a new array and leave
+    its argument untouched.  BAD_TOL unless ``tol`` is finite and at least 0."""
+    _check_tol(tol)
     x = np.zeros_like(c)
     z = np.zeros_like(c)
     u = np.zeros_like(c)
@@ -202,9 +217,12 @@ def _admm(c, project_affine, project_cone, tol, max_iter):
     it = 0
     for it in range(1, max_iter + 1):
         x = project_affine(z - u - shift)
-        xr = RELAX * x + (1.0 - RELAX) * z
-        z_new = project_cone(xr + u)
-        u += xr - z_new
+        # the cone input v = RELAX x + (1 - RELAX) z + u, built in the buffer of u;
+        # the dual update u + (RELAX x + (1 - RELAX) z - z_new) is then v - z_new
+        u += RELAX * x
+        u += (1.0 - RELAX) * z
+        z_new = project_cone(u)
+        u -= z_new
         rp2 = _sqnorm(x - z_new)
         rd2 = sigma * sigma * _sqnorm(z_new - z)
         z = z_new
@@ -246,11 +264,13 @@ def _factor_rows(A, b):
 def _solve_pinned(c, span, anchor, what, tol, max_iter):
     """Minimize ``<c, X>`` over PSD ``X`` (shape ``(1, d, d)``) with ``span @ vec X`` equal
     to ``span @ anchor``, ``span`` orthonormal rows; the affine step is
-    ``X - span^dag span (vec X - anchor)``, with ``span^dag`` formed once.  Returns a
-    DeterminationResult on the full route of this ``d x d`` program."""
+    ``X - span^dag (span vec X - span anchor)``, with ``span^dag`` and ``span anchor``
+    formed once.  Returns a DeterminationResult on the full route of this ``d x d``
+    program."""
     span_h = np.ascontiguousarray(span.conj().T)
+    pinned = span @ anchor
     x, _z, status, res_p, res_d, iters, sigma = _admm(
-        c, lambda v: v - (span_h @ (span @ (v.ravel() - anchor))).reshape(v.shape),
+        c, lambda v: v - (span_h @ (span @ v.ravel() - pinned)).reshape(v.shape),
         _clip_psd, tol, max_iter)
     if status != "OPTIMAL":
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
@@ -501,6 +521,8 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     pt_index = np.array([_pt_permutation(n, mask) + i * d * d for i, mask in enumerate(masks)])
     span = _locality_span(n, coll)
     span_h = np.ascontiguousarray(span.conj().T)
+    # the consensus average (W + sum_i (P_i + Q_i^(T_i)) / 2) / (1 + m/2), folded into the rows
+    span_avg = span / (1.0 + m / 2.0)
 
     def pt(blocks):
         return blocks.ravel()[pt_index].reshape(m, d, d)
@@ -508,11 +530,17 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     def project_affine(v):
         p, q = v[1:1 + m], v[1 + m:]
         ks = p + pt(q)
-        w = (v[0] + 0.5 * ks.sum(axis=0)) / (1.0 + m / 2.0)
-        w = (span_h @ (span @ w.ravel())).reshape(d, d)
-        w.flat[::d + 1] += (1.0 - np.trace(w).real) / d
-        r = 0.5 * (w - ks)
-        return np.concatenate([w[None], p + r, q + pt(r)])
+        out = np.empty_like(v)
+        w = out[0]
+        w[...] = (span_h @ (span_avg @ (v[0] + 0.5 * ks.sum(axis=0)).ravel())).reshape(d, d)
+        diag = w.reshape(-1)[::d + 1]
+        diag += (1.0 - diag.sum().real) / d
+        r = out[1:1 + m]
+        np.subtract(w, ks, out=r)
+        r *= 0.5
+        np.add(q, pt(r), out=out[1 + m:])
+        r += p
+        return out
 
     def project_cone(v):
         return np.concatenate([v[:1], _clip_psd(v[1:])])
@@ -605,8 +633,14 @@ def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         perm = _pt_permutation(n, mask)
 
         def project_affine(v, perm=perm):
-            r = 0.5 * (w - v[0] - v[1].ravel()[perm].reshape(d, d))
-            return np.stack([v[0] + r, v[1] + r.ravel()[perm].reshape(d, d)])
+            out = np.empty_like(v)
+            r = out[0]
+            np.subtract(w, v[0], out=r)
+            r -= v[1].ravel()[perm].reshape(d, d)
+            r *= 0.5
+            np.add(v[1], r.ravel()[perm].reshape(d, d), out=out[1])
+            r += v[0]
+            return out
 
         subset = qcore.Subset(n, mask)
         z, status = _admm(np.zeros((2, d, d), dtype=complex), project_affine, _clip_psd,

@@ -24,8 +24,9 @@ is full.  Not collected by pytest (~30 s); run it as
     PYTHONPATH=src python tests/check_face_routes.py
 
 It prints the number of cases checked, how many determination results each
-route decided and how many faces it compared, and exits 1 listing any cases
-that disagree.
+route decided with their total ADMM iterations (a change to the splitting loop
+that keeps its iterates keeps these totals) and how many faces it compared, and
+exits 1 listing any cases that disagree.
 """
 
 import collections
@@ -137,11 +138,13 @@ def face_rank_mismatch(psi, coll):
     return None
 
 
-def chain_mismatch(psi, coll, routes):
+def chain_mismatch(psi, coll, routes, iterations):
     """None if ``pure_determination_alpha`` on ``coll`` agrees with the full program.
-    Tallies the route in ``routes``, and a stalled full program under "stalled"."""
+    Tallies the route in ``routes`` and its ADMM iterations in ``iterations``, and a
+    stalled full program under "stalled"."""
     res = witness.pure_determination_alpha(psi, coll)
     routes[res.route] += 1
+    iterations[res.route] += res.iterations
     determined = res.alpha >= 1 - SLACK
     try:
         ref = oracle.full_determination(psi, coll)
@@ -158,11 +161,14 @@ def chain_mismatch(psi, coll, routes):
 def main():
     checked, faces, bad = 0, 0, []
     routes = collections.Counter()
+    iterations = collections.Counter()
     for name, psi in pure_cases():
         checked += 1
         value, levels = witness.determination_levels(psi)
         alphas = {k: level.alpha for k, level in levels.items()}
-        routes.update(level.route for level in levels.values())
+        for level in levels.values():
+            routes[level.route] += 1
+            iterations[level.route] += level.iterations
         ref, ref_alphas = oracle.sdl_pure_full_program(psi)
         if value != ref or alphas.keys() != ref_alphas.keys() or any(
                 abs(alphas[k] - ref_alphas[k]) > 1e-6 for k in alphas):
@@ -170,7 +176,7 @@ def main():
         chains = [min_marginal_count(psi.n, k)[1] for k in range(2, psi.n)] if psi.n <= 4 else []
         for coll in chains:
             checked += 1
-            why = chain_mismatch(psi, coll, routes)
+            why = chain_mismatch(psi, coll, routes, iterations)
             if why:
                 bad.append("chain %s on %s: %s" % (name, coll.to_lists(), why))
         for coll in [all_k_subsets(psi.n, k) for k in levels] + chains:
@@ -189,8 +195,9 @@ def main():
                     bad.append("probe D_%d^%d at k=%d: %s" % (n, i, k, why))
     print("checked %d cases: %d disagree" % (checked, len(bad)))
     stalled = routes.pop("stalled", 0)
-    print("determination routes: %s; the full program stalled on %d chain(s)"
-          % (", ".join("%s %d" % kv for kv in sorted(routes.items())), stalled))
+    print("determination routes (results, ADMM iterations): %s; the full program stalled on"
+          " %d chain(s)" % (", ".join("%s %d (%d)" % (route, count, iterations[route])
+                                      for route, count in sorted(routes.items())), stalled))
     print("compared the marginal and Pauli ranks on %d faces" % faces)
     for line in bad:
         print("  " + line)

@@ -402,6 +402,29 @@ def test_solver_failures_exit_three(tmp_path, capsys, monkeypatch):
     assert "converge" in doc["error"]["message"]
 
 
+def test_edl_rejects_bad_tolerance(tmp_path, capsys, monkeypatch):
+    # refused before any work: neither the solver nor the analytic route runs
+    def never(*_a, **_k):
+        raise AssertionError("ran with a bad tolerance")
+
+    monkeypatch.setattr(cli.wit, "edl_upper_bound", never)
+    monkeypatch.setattr(cli.symmetric, "edl_diagonal", never)
+    rho = np.eye(8) / 8
+    dense = write(tmp_path, "dense.json",
+                  {"format": cli.STATE_FORMAT, "n": 3, "kind": "dense",
+                   "rho_real": rho.tolist(), "rho_imag": np.zeros((8, 8)).tolist()})
+    dicke = write(tmp_path, "dicke.json", diagonal_state(3, ["0", "1", "0", "0"]))
+    for path, method in ((dense, "sdp"), (dicke, "analytic")):
+        for tol in ("-1", "nan", "inf", "-inf", "-1e-12"):
+            code, doc = run(capsys, "edl", "--state", path, "--method", method, "--tol=" + tol)
+            assert code == 2, (method, tol)
+            assert doc["error"]["code"] == "BAD_TOL", (method, tol)
+    # tol = 0 stays legal
+    monkeypatch.undo()
+    code, doc = run(capsys, "edl", "--state", dicke, "--tol", "0")
+    assert code == 0 and doc["result"]["edl"] == 2
+
+
 def test_gap_demo_rejects_unknown_mixed_size(capsys):
     code, doc = run(capsys, "gap-demo", "--family", "mixed", "--n", "6")
     assert code == 2

@@ -142,6 +142,93 @@ def test_bad_block_kind():
     assert err.value.code == "BAD_KIND"
 
 
+def test_clip_psd_matches_oracle_projection(rng):
+    stacks = [np.array([random_hermitian(rng, d) for _ in range(k)])
+              for k, d in ((1, 2), (3, 4), (6, 8))]
+    # Hermitian up to rounding: the triangles differ in the last bits, as after an
+    # affine step; the projection reads the lower one
+    skew = np.array([random_hermitian(rng, 8) for _ in range(4)])
+    noise = rng.normal(size=skew.shape) + 1j * rng.normal(size=skew.shape)
+    skew += 1e-15 * np.tril(noise)
+    assert 0 < np.max(np.abs(skew - skew.conj().transpose(0, 2, 1))) < 1e-14
+    stacks.append(skew)
+    # a PSD, a negative semidefinite and a rank-deficient block pass through exactly
+    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    stacks.append(np.array([g @ g.conj().T, -(g @ g.conj().T), np.zeros((4, 4))]))
+    for stack in stacks:
+        before = stack.copy()
+        out = witness._clip_psd(stack)
+        assert np.array_equal(stack, before)
+        ref = oracle.psd_projection(stack)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        for block in out:
+            assert np.max(np.abs(block - block.conj().T)) <= 1e-12
+            assert np.linalg.eigvalsh((block + block.conj().T) / 2)[0] >= -1e-12
+        assert np.max(np.abs(witness._clip_psd(out) - out)) <= 1e-12
+
+
+def _loop_programs(monkeypatch):
+    """``(c, project_affine, project_cone, tol)`` of two programs, caught at their call
+    into ``_admm``: the random three-qubit pairs determination program (its penalty
+    leaves 1 at iteration 25) and the W_3 all-pairs witness program."""
+    programs = []
+    real = witness._admm
+
+    def capture(c, project_affine, project_cone, tol, max_iter):
+        programs.append((c, project_affine, project_cone, tol))
+        return real(c, project_affine, project_cone, tol, max_iter)
+
+    monkeypatch.setattr(witness, "_admm", capture)
+    rng = np.random.default_rng(20240811)
+    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    oracle.full_determination(qcore.PureVector(3, amp / np.linalg.norm(amp)), all_k_subsets(3, 2))
+    w3 = dicke_vector(3, 1).to_density().matrix
+    fully_decomposable_alpha(w3, all_k_subsets(3, 2))
+    monkeypatch.undo()
+    return programs
+
+
+def test_admm_matches_reference_loop(monkeypatch):
+    # the fused loop against the unfused one on the same projections: before and
+    # after the first penalty change (a dropped dual rescale shows after it), part
+    # way and at convergence; the two differ only by rounding
+    determination, witness_program = _loop_programs(monkeypatch)
+    for (c, project_affine, project_cone, tol), caps in ((determination, (24, 26, 60, MAX_ITER)),
+                                                         (witness_program, (1, 26, 100, MAX_ITER))):
+        for cap in caps:
+            got = witness._admm(c, project_affine, project_cone, tol, cap)
+            ref = oracle.admm_reference(c, project_affine, project_cone, tol, cap)
+            assert got[2] == ref[2] and got[5] == ref[5], cap
+            assert np.max(np.abs(got[0] - ref[0])) <= 1e-10, cap
+            assert np.max(np.abs(got[1] - ref[1])) <= 1e-10, cap
+            assert abs(got[6] - ref[6]) <= 1e-10, cap
+        assert ref[2] == "OPTIMAL" and ref[5] < MAX_ITER
+    # the caps straddle the determination program's first penalty change
+    sigmas = [oracle.admm_reference(*determination, cap)[6] for cap in (24, 26)]
+    assert sigmas[0] == 1.0 and sigmas[1] != 1.0
+
+
+def test_admm_rejects_bad_tolerances():
+    c = np.zeros((1, 2, 2), dtype=complex)
+    c[0] = np.diag([1.0, -1.0])
+
+    def unit_trace(v):
+        out = v.copy()
+        out[0] += (1.0 - np.trace(v[0]).real) / 2 * np.eye(2)
+        return out
+
+    for tol in (-1e-7, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(EdlkitError) as err:
+            witness._admm(c, unit_trace, witness._clip_psd, tol, 10)
+        assert err.value.code == "BAD_TOL"
+    with pytest.raises(EdlkitError) as err:
+        fully_decomposable_alpha(np.eye(8) / 8, all_k_subsets(3, 2), tol=float("inf"))
+    assert err.value.code == "BAD_TOL"
+    # tol = 0 stays legal: the loop runs to its cap
+    out = witness._admm(c, unit_trace, witness._clip_psd, 0.0, 7)
+    assert out[2] == "MAX_ITER" and out[5] == 7
+
+
 # ---------------------------------------------------------------------------
 # operator embedding
 # ---------------------------------------------------------------------------
