@@ -280,7 +280,7 @@ def _route_record(res):
 
 def _cmd_edl(args):
     if args.tol is not None:
-        wit._check_tol(args.tol)
+        qcore._check_tol(args.tol)
     doc = _load_json(args.state)
     state = state_from_json(doc)
     kind = doc["kind"]

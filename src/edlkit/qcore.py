@@ -25,6 +25,7 @@ raised.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -49,6 +50,12 @@ PAULI_1Q = {
 def _is_integer(x):
     """An integer of any integral type; ``True`` and ``False`` are not."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_tol(tol):
+    """BAD_TOL unless ``tol`` is a finite real number, at least 0."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        raise EdlkitError("BAD_TOL", "tolerance must be finite and at least 0, got %r" % (tol,))
 
 
 def _check_n(n):

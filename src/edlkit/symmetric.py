@@ -360,6 +360,7 @@ def is_ppt_diagonal(mix, tol=PSD_TOL):
     Exact inputs are decided exactly by symmetric elimination; float inputs
     compare the smallest Hankel eigenvalues against ``-tol``.
     """
+    qcore._check_tol(tol)
     pair = hankel_pair(mix)
     verdict, eigs = _hankel_verdict(pair, pair.exact, tol)
     e0, e1 = eigs or pair.min_eigenvalues()
@@ -433,6 +434,7 @@ def edl_diagonal(mix, tol=PSD_TOL):
     levels are decided by elimination alone, and the smallest Hankel
     eigenvalues are computed only for the level that is reported.
     """
+    qcore._check_tol(tol)
     n = mix.n
     if n < 2:
         raise EdlkitError("DIM_MISMATCH", "need n >= 2")
@@ -492,6 +494,7 @@ def edl_symmetric(coeffs, tol=PSD_TOL):
     more qubits certifies nothing, so any such level downgrades the result
     flag to ``"PPT_BOUND"``.
     """
+    qcore._check_tol(tol)
     n = coeffs.n
     if n < 2:
         raise EdlkitError("DIM_MISMATCH", "need n >= 2")
@@ -733,6 +736,7 @@ def sdl_diagonal(mix, tol=1e-9):
     per ``(n, m, zero set)`` with no coordinate LP, and the solution family is
     built only at the level that has an alternative.
     """
+    qcore._check_tol(tol)
     n = mix.n
     full = sdl_full_level(mix)
     if full:
@@ -818,6 +822,7 @@ class CompatVerdict:
 
 def check_compatibility(sigma, rho, subsets, tol=1e-10):
     """Check that two states share every marginal named by ``subsets``."""
+    qcore._check_tol(tol)
     sig_mat, n_sig = qcore._as_matrix(sigma)
     rho_mat, n_rho = qcore._as_matrix(rho)
     if n_sig != n_rho:

@@ -44,6 +44,13 @@ The penalty adapts by residual balancing (Boyd et al. 2011, sec. 3.4.1, in
 the normalised form of OSQP's adaptive rho): every 25 iterations it moves
 towards the point where the normalised primal and dual residuals agree, when
 that move exceeds a factor 5.  No single fixed penalty suits every input.
+The determination, refit and generic programs also run safeguarded type-II
+Anderson acceleration (Zhang, O'Donoghue & Boyd 2020) of the loop's fixed
+point in the cone input ``v = z + u`` (:class:`_Anderson`): up to
+``ANDERSON_MEMORY`` difference pairs, one extrapolation every
+``ANDERSON_EVERY`` iterations off the penalty iterations, kept only if its
+residual does not grow, and the memory cleared at every penalty change.  The
+witness program runs the plain loop, whose iterates ``admm_reference`` keeps.
 Every program iterates on a stack of complex matrices with a closed-form
 affine step: partial-transpose index permutations and an orthonormal basis of
 the local operators (witness program, whole-space determination), built once
@@ -57,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +80,7 @@ RELAX = 1.5
 ADAPT_EVERY = 25
 SIGMA_START, SIGMA_MIN, SIGMA_MAX = 1.0, 1e-6, 1e6
 SIGMA_STEP = 5.0
+ANDERSON_MEMORY, ANDERSON_EVERY = 10, 10
 FACE_CUT = 1e-9
 
 
@@ -182,13 +189,68 @@ def _sqnorm(a):
     return np.vdot(a, a).real
 
 
-def _check_tol(tol):
-    """BAD_TOL unless ``tol`` is a finite real number, at least 0."""
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-        raise EdlkitError("BAD_TOL", "tolerance must be finite and at least 0, got %r" % (tol,))
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration (Zhang, O'Donoghue & Boyd 2020) of the
+    loop's fixed point ``v = T(v)``, ``v`` the cone input and ``g = v - T(v)`` its residual.
+
+    :meth:`next_input` takes each point with its residual and returns the next cone
+    input: the plain step ``v - g``, or when asked to extrapolate,
+    ``v - g - (dV - dG) gamma`` over the stored difference pairs ``(dV, dG)`` of
+    consecutive points, ``gamma`` the real least-squares fit of ``g`` by ``dG``.  An
+    extrapolated point is kept only if its residual is no larger than that of the point
+    it came from; otherwise that point's plain step is taken and the pairs are dropped.
+    ``memory`` slots hold the pairs and the previous point, which takes the oldest
+    pair's slot once all are full: at most ``2 memory`` iterate-sized arrays, and
+    ``memory`` pairs at each extrapolation."""
+
+    def __init__(self, memory, like):
+        self.dv = np.empty((memory, like.size), like.dtype)
+        self.dg = np.empty_like(self.dv)
+        self.clear()
+
+    def clear(self):
+        """Drop every pair and the previous point (the fixed-point map changed)."""
+        self.last = None  # slot of the previous point; the pairs fill the slots before it
+        self.pairs = 0
+        self.ref2 = None  # |g|^2 at the point the pending extrapolation came from
+
+    def next_input(self, v, g, extrapolate):
+        """The cone input after point ``v`` with residual ``g``, and whether it is the
+        plain step from ``v``."""
+        ref2, self.ref2 = self.ref2, None
+        if ref2 is not None and _sqnorm(g) > ref2:
+            self.pairs = 0
+            return (self.dv[self.last] - self.dg[self.last]).reshape(v.shape), False
+        memory = len(self.dv)
+        flat_v, flat_g = v.reshape(-1), g.reshape(-1)
+        if self.last is not None:
+            np.subtract(flat_v, self.dv[self.last], out=self.dv[self.last])
+            np.subtract(flat_g, self.dg[self.last], out=self.dg[self.last])
+            self.pairs += 1
+        step = v - g
+        plain = not (extrapolate and self.pairs)
+        if not plain:
+            rows = slice(None) if self.pairs == memory else [
+                (self.last - j) % memory for j in range(self.pairs)]
+            dv, dg = self.dv[rows], self.dg[rows]
+            # real coefficients: Re <a, b> of complex arrays is the dot of their float views
+            dg_real = dg.view(np.float64)
+            # the k x k normal equations by eigh, cut like lstsq's default rcond; the loop
+            # runs eigh already, and a first lstsq call adds about 1 MB of resident memory
+            w, q = np.linalg.eigh(dg_real @ dg_real.T)
+            keep = w > len(w) * np.finfo(float).eps * w[-1]
+            gamma = q[:, keep] @ (q[:, keep].T @ (dg_real @ flat_g.view(np.float64)) / w[keep])
+            step -= (gamma @ dv - gamma @ dg).reshape(v.shape)
+            self.ref2 = _sqnorm(g)
+        self.last = 0 if self.last is None else (self.last + 1) % memory
+        if self.pairs == memory:
+            self.pairs -= 1
+        self.dv[self.last] = flat_v
+        self.dg[self.last] = flat_g
+        return step, plain
 
 
-def _admm(c, project_affine, project_cone, tol, max_iter):
+def _admm(c, project_affine, project_cone, tol, max_iter, memory=0):
     """Shared over-relaxed splitting loop on iterates shaped like ``c``; returns
     (x, z, status, res_p, res_d, iters, sigma).  Norms of a Hermitian stack equal svec norms.
     The stop test compares squared norms; square roots are taken only for the
@@ -202,11 +264,20 @@ def _admm(c, project_affine, project_cone, tol, max_iter):
     dual ``u`` is then rescaled by ``sigma_old / sigma_new`` and ``shift``
     recomputed.  Both projections are Euclidean, so neither depends on sigma.
     The final penalty is returned.  ``project_cone`` must return a new array and leave
-    its argument untouched.  BAD_TOL unless ``tol`` is finite and at least 0."""
-    _check_tol(tol)
+    its argument untouched.  BAD_TOL unless ``tol`` is finite and at least 0.
+
+    ``memory > 0`` accelerates the fixed point of the cone input ``v = z + u``,
+    ``T(v) = v + RELAX (P_A(2 P_C(v) - v - c / sigma) - P_C(v))`` with residual
+    ``RELAX (z - x)``, by :class:`_Anderson` with that many pairs.  It extrapolates every
+    ``ANDERSON_EVERY`` iterations except on a penalty iteration, and its safeguard runs
+    at the next iteration, before the penalty rule; a penalty change clears it.  The
+    stop test, the stall window and the penalty rule read only plain steps, whose
+    ``x`` and ``z`` come from one point.  ``memory = 0`` runs the plain loop."""
+    qcore._check_tol(tol)
     x = np.zeros_like(c)
     z = np.zeros_like(c)
     u = np.zeros_like(c)
+    accel = _Anderson(memory, c) if memory else None
     sigma = SIGMA_START
     shift = c / sigma
     c2 = _sqnorm(c)
@@ -217,15 +288,23 @@ def _admm(c, project_affine, project_cone, tol, max_iter):
     it = 0
     for it in range(1, max_iter + 1):
         x = project_affine(z - u - shift)
-        # the cone input v = RELAX x + (1 - RELAX) z + u, built in the buffer of u;
-        # the dual update u + (RELAX x + (1 - RELAX) z - z_new) is then v - z_new
-        u += RELAX * x
-        u += (1.0 - RELAX) * z
+        plain = True
+        if accel is None:
+            # the cone input v = RELAX x + (1 - RELAX) z + u, built in the buffer of u;
+            # the dual update u + (RELAX x + (1 - RELAX) z - z_new) is then v - z_new
+            u += RELAX * x
+            u += (1.0 - RELAX) * z
+        else:
+            g = z - x
+            g *= RELAX
+            u, plain = accel.next_input(z + u, g, it % ANDERSON_EVERY == 0 and it % ADAPT_EVERY != 0)
         z_new = project_cone(u)
         u -= z_new
         rp2 = _sqnorm(x - z_new)
         rd2 = sigma * sigma * _sqnorm(z_new - z)
         z = z_new
+        if not plain:
+            continue
         x2, z2 = _sqnorm(x), _sqnorm(z)
         scale2 = max(1.0, x2, z2)
         if rp2 <= tol2 * scale2 and rd2 <= tol2 * scale2:
@@ -249,6 +328,8 @@ def _admm(c, project_affine, project_cone, tol, max_iter):
                     u *= sigma / proposal
                     sigma = proposal
                     shift = c / sigma
+                    if accel is not None:
+                        accel.clear()
     return x, z, status, math.sqrt(rp2), math.sqrt(rd2), it, sigma
 
 
@@ -271,7 +352,7 @@ def _solve_pinned(c, span, anchor, what, tol, max_iter):
     pinned = span @ anchor
     x, _z, status, res_p, res_d, iters, sigma = _admm(
         c, lambda v: v - (span_h @ (span @ v.ravel() - pinned)).reshape(v.shape),
-        _clip_psd, tol, max_iter)
+        _clip_psd, tol, max_iter, memory=ANDERSON_MEMORY)
     if status != "OPTIMAL":
         raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
                           "%s did not converge (%s, primal %.2e, dual %.2e, %d iters)"
@@ -311,7 +392,8 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
     c = problem.cost_vector()
     x, z, status, res_p, res_d, iters, _sigma = _admm(
-        c, lambda v: v - vr.T @ (ur.T @ (A @ v - b) / sr), project_cone, tol, max_iter)
+        c, lambda v: v - vr.T @ (ur.T @ (A @ v - b) / sr), project_cone, tol, max_iter,
+        memory=ANDERSON_MEMORY)
     blocks = [smat(x[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
     cone_blocks = [smat(z[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
     return SdpSolution(status, float(c @ x), blocks, cone_blocks, res_p, res_d, iters)
@@ -644,7 +726,7 @@ def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
         subset = qcore.Subset(n, mask)
         z, status = _admm(np.zeros((2, d, d), dtype=complex), project_affine, _clip_psd,
-                          tol, max_iter)[1:3]
+                          tol, max_iter, memory=ANDERSON_MEMORY)[1:3]
         if status != "OPTIMAL":
             raise EdlkitError("INFEASIBLE" if status == "INFEASIBLE" else "MAX_ITER",
                               "no decomposition found at bipartition %s (%s)"

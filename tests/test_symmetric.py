@@ -669,6 +669,26 @@ def test_compatibility_check():
     assert not verdict and verdict.worst_subset is not None
 
 
+def test_symmetric_routes_reject_bad_tolerances():
+    # W_3 is detected at pairs; a NaN or infinite tolerance would let no eigenvalue
+    # compare below -tol and report it NOT_ENTANGLED
+    w3 = SymmetricCoeffs(3, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
+    mix = DickeMixture(3, (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    dense = to_dense(mix)
+    subs = [qcore.Subset.from_indices(3, (1, 2))]
+    calls = [lambda tol: edl_symmetric(w3, tol=tol), lambda tol: edl_diagonal(mix, tol=tol),
+             lambda tol: is_ppt_diagonal(mix, tol=tol), lambda tol: sdl_diagonal(mix, tol=tol),
+             lambda tol: check_compatibility(dense, dense, subs, tol=tol)]
+    for call in calls:
+        for tol in (-1e-9, float("nan"), float("inf"), -float("inf"), "1e-9", None):
+            with pytest.raises(EdlkitError) as err:
+                call(tol)
+            assert err.value.code == "BAD_TOL", tol
+        call(0.0)  # tol = 0 stays legal
+    res = edl_symmetric(w3, tol=0.0)
+    assert (res.value, res.flag) == (2, "EXACT")
+
+
 def test_ghz_mixture_compatibility_small():
     n = 4
     ghz = qcore.ghz_vector(n).to_density().matrix

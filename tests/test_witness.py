@@ -174,9 +174,9 @@ def _loop_programs(monkeypatch):
     programs = []
     real = witness._admm
 
-    def capture(c, project_affine, project_cone, tol, max_iter):
+    def capture(c, project_affine, project_cone, tol, max_iter, memory=0):
         programs.append((c, project_affine, project_cone, tol))
-        return real(c, project_affine, project_cone, tol, max_iter)
+        return real(c, project_affine, project_cone, tol, max_iter, memory)
 
     monkeypatch.setattr(witness, "_admm", capture)
     rng = np.random.default_rng(20240811)
@@ -206,6 +206,49 @@ def test_admm_matches_reference_loop(monkeypatch):
     # the caps straddle the determination program's first penalty change
     sigmas = [oracle.admm_reference(*determination, cap)[6] for cap in (24, 26)]
     assert sigmas[0] == 1.0 and sigmas[1] != 1.0
+
+
+def test_anderson_safeguard_and_memory():
+    acc = witness._Anderson(2, np.zeros(2))
+    v0, g0 = np.array([1.0, 0.0]), np.array([0.5, 0.0])
+    v1, g1 = np.array([0.5, 0.0]), np.array([0.0, 0.25])
+    step, plain = acc.next_input(v0, g0, True)  # no pair yet: a plain step
+    assert plain and np.array_equal(step, v0 - g0)
+    step, plain = acc.next_input(v1, g1, True)
+    # one pair: gamma fits g1 by dg = g1 - g0 in least squares
+    dv, dg = v1 - v0, g1 - g0
+    gamma = (dg @ g1) / (dg @ dg)
+    assert not plain and np.allclose(step, v1 - g1 - gamma * (dv - dg), atol=1e-15)
+    # a larger residual at the extrapolated point: the plain step from v1 instead
+    back, plain = acc.next_input(step, 10 * g1, False)
+    assert not plain and np.array_equal(back, v1 - g1)
+    assert acc.pairs == 0
+    # the next pair runs from v1 to the plain step, and a smaller residual is kept
+    v2, g2 = back, np.array([0.0, 0.125])
+    step, plain = acc.next_input(v2, g2, True)
+    dv, dg = v2 - v1, g2 - g1
+    assert not plain and np.allclose(step, v2 - g2 - (dg @ g2) / (dg @ dg) * (dv - dg), atol=1e-15)
+    kept, plain = acc.next_input(step, 0.5 * g2, False)
+    assert plain and np.array_equal(kept, step - 0.5 * g2)
+    # two pairs now, and this point takes the older one's slot
+    assert acc.pairs == 1
+
+
+def test_penalty_change_clears_acceleration_memory(monkeypatch):
+    determination, _witness_program = _loop_programs(monkeypatch)
+    clears = []
+    clear = witness._Anderson.clear
+
+    def spy(self):
+        clears.append(getattr(self, "pairs", 0))
+        clear(self)
+
+    monkeypatch.setattr(witness._Anderson, "clear", spy)
+    c, project_affine, project_cone, tol = determination
+    out = witness._admm(c, project_affine, project_cone, tol, MAX_ITER, witness.ANDERSON_MEMORY)
+    assert out[2] == "OPTIMAL" and out[6] != witness.SIGMA_START
+    # one clear at construction, one at each penalty change, with pairs stored
+    assert len(clears) >= 2 and max(clears[1:]) > 0
 
 
 def test_admm_rejects_bad_tolerances():
@@ -606,23 +649,45 @@ def test_determination_solver_honours_iteration_cap():
     assert err.value.code == "MAX_ITER"
 
 
-def test_adaptive_penalty_cuts_iterations():
+def test_adaptive_penalty_cuts_iterations(monkeypatch):
     # criterion-09 probe state at pairs: the optimum 121/144 is known in closed
-    # form; a fixed penalty sigma = 1 takes 1,801 iterations here
+    # form; a fixed penalty sigma = 1 takes 1,801 iterations here.  A random
+    # three-qubit state is fixed by its pairs; sigma = 1 takes 2,160 iterations.
+    # The bounds hold with and without acceleration; the penalty is read on the
+    # plain loop, which the accelerated one need not reach a penalty change in.
     amp = np.zeros(16, dtype=complex)
     amp[[0b1000, 0b0100, 0b0010, 0b0001, 0b1111]] = np.sqrt([1 / 2, 1 / 3, 1 / 12, 1 / 24, 1 / 24])
-    res = oracle.full_determination(qcore.PureVector(4, amp), all_k_subsets(4, 2))
-    assert res.status == "OPTIMAL"
-    assert abs(res.alpha - 121 / 144) <= 1e-6
-    assert res.iterations <= 600
-    # a random three-qubit state is fixed by its pairs; sigma = 1 takes 2,160 iterations
+    probe = qcore.PureVector(4, amp)
     rng = np.random.default_rng(20240811)
     amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-    res = oracle.full_determination(qcore.PureVector(3, amp / np.linalg.norm(amp)),
-                                    all_k_subsets(3, 2))
-    assert res.alpha >= 1 - 1e-6
-    assert res.iterations <= 1000
+    random3 = qcore.PureVector(3, amp / np.linalg.norm(amp))
+    for memory in (witness.ANDERSON_MEMORY, 0):
+        monkeypatch.setattr(witness, "ANDERSON_MEMORY", memory)
+        res = oracle.full_determination(probe, all_k_subsets(4, 2))
+        assert res.status == "OPTIMAL"
+        assert abs(res.alpha - 121 / 144) <= 1e-6
+        assert res.iterations <= 600, memory
+        res = oracle.full_determination(random3, all_k_subsets(3, 2))
+        assert res.alpha >= 1 - 1e-6
+        assert res.iterations <= 1000, memory
     assert res.penalty != 1.0
+
+
+def test_acceleration_cuts_slow_determination(monkeypatch):
+    # the second pool random three-qubit state at k = 1: at every penalty check
+    # sqrt(pn/dn) reads 0.76-1.01, so sigma stays 1 and the plain loop takes 2,061
+    # iterations
+    rng = np.random.default_rng(20240811)
+    for _ in range(2):
+        amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi = qcore.PureVector(3, amp / np.linalg.norm(amp))
+    fast = pure_determination_alpha(psi, all_k_subsets(3, 1))
+    monkeypatch.setattr(witness, "ANDERSON_MEMORY", 0)
+    plain = pure_determination_alpha(psi, all_k_subsets(3, 1))
+    assert fast.route == plain.route == "full_program"
+    assert plain.iterations > 2000 and plain.penalty == 1.0
+    assert fast.status == "OPTIMAL" and fast.iterations <= 400
+    assert abs(fast.alpha - plain.alpha) <= 100 * witness.DEFAULT_TOL
 
 
 def _generic_determination(psi, k):
@@ -746,8 +811,8 @@ def test_probe_reports_solver_status(monkeypatch):
     # a solve the stall heuristic flags INFEASIBLE is a failure, not an iteration cap
     admm = witness._admm
 
-    def stalled(*args):
-        x, z, _status, res_p, res_d, iters, sigma = admm(*args)
+    def stalled(*args, **kwargs):
+        x, z, _status, res_p, res_d, iters, sigma = admm(*args, **kwargs)
         return x, z, "INFEASIBLE", res_p, res_d, iters, sigma
 
     monkeypatch.setattr(witness, "_admm", stalled)
