@@ -274,8 +274,10 @@ def uniformity_level(psi, tol=1e-9):
     by marginals of k or fewer qubits.  Each marginal is ``M M^dagger``, with
     ``M`` the amplitude tensor with the kept qubits first, reshaped to
     ``(2^k, 2^(n-k))``; so the scan needs only the ``2^n`` amplitudes and
-    runs up to the ``PureVector`` cap of ``qcore.MAX_QUBITS`` qubits.
+    runs up to the ``PureVector`` cap of ``qcore.MAX_QUBITS`` qubits.  BAD_TOL unless
+    ``tol`` is finite and at least 0.
     """
+    qcore._check_tol(tol)
     n = psi.n
     tensor = psi.amplitudes.reshape([2] * n)  # axis j-1 is particle j
     level = 0

@@ -11,8 +11,9 @@ term, as a reference for the moment walk of
 the cofactor-expansion determinant that freezes exact Hankel minors and,
 through Sylvester's criterion, checks the elimination in
 ``symmetric._exact_psd``.  :func:`reduce_coeff_matrix_loop` reduces a
-Dicke-basis coefficient matrix term by term, as a reference for the
-cached-weight contraction of ``symmetric._reduce_coeff_matrix``.
+Dicke-basis coefficient matrix term by term, as a reference for the Pascal
+walk of ``symmetric._reduce_coeff_matrix`` and the probe's reduction table
+``witness._reduction_table``.
 :func:`alternative_nonneg_point_lp` runs the full coordinate-LP search for an
 alternative diagonal solution, as a reference for the zero-pattern cone test
 in ``symmetric._alternative_nonneg_point``; it shares the kernel basis of

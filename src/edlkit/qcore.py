@@ -290,8 +290,9 @@ def min_eigenvalue(mat, tol=STRUCT_TOL):
     """Smallest eigenvalue of a Hermitian matrix.
 
     Raises ``NOT_HERMITIAN`` if the input deviates from hermiticity by more
-    than ``tol`` in max norm.
+    than ``tol`` in max norm; BAD_TOL unless ``tol`` is finite and at least 0.
     """
+    _check_tol(tol)
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise EdlkitError("DIM_MISMATCH", "expected a square matrix, got shape %r" % (arr.shape,))
@@ -321,8 +322,9 @@ def is_density(rho, tol=PSD_TOL):
     """Check hermiticity, unit trace and positivity of a matrix.
 
     Returns a :class:`DensityVerdict`; truthy iff all three checks pass
-    within ``tol``.
+    within ``tol``.  BAD_TOL unless ``tol`` is finite and at least 0.
     """
+    _check_tol(tol)
     mat, _n = _as_matrix(rho)
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     hermitian = herm_dev <= tol

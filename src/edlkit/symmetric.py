@@ -14,12 +14,15 @@ is discontinuous in which weights vanish, so exact inputs are decided
 exactly (their arithmetic never leaves the rationals) and float inputs use
 a fixed nonzero threshold.
 
-Diagonal states are handled through their Hankel moments
-``p_s = lam_s / C(n, s)``.  Tracing out one qubit is Pascal's rule on them,
-``p'_s = p_s + p_{s+1}``, so every marginal follows from the moments by
-additions alone, and the PPT test reads its two Hankel matrices straight off
-the moments of the marginal.  Exact PSD tests run a fraction-free
-elimination on Python integers.
+Diagonal and coherent states share one coordinate system, the moments
+``m_st = a_st / sqrt(C(n, s) C(n, t))`` of the coefficient matrix ``a``; a
+diagonal state keeps only the Hankel moments ``p_s = m_ss = lam_s / C(n, s)``.
+Tracing out one qubit is Pascal's rule on them, ``m'_st = m_st + m_(s+1)(t+1)``
+(``p'_s = p_s + p_{s+1}`` on the diagonal), so every marginal follows from the
+moments by additions alone.  The PPT test of a diagonal marginal reads its two
+Hankel matrices straight off its moments, and the half-cut partial transpose
+of any marginal is one gather from its coefficient matrix.  Exact PSD tests
+run a fraction-free elimination on Python integers.
 """
 
 from __future__ import annotations
@@ -40,13 +43,6 @@ NONZERO_TOL = 1e-12
 PSD_TOL = 1e-9
 
 
-def _comb(n, k):
-    """Binomial coefficient with the convention C(n, k) = 0 outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
-
-
 def _is_exact(values):
     return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
 
@@ -55,6 +51,19 @@ def _nonzero(x, exact):
     if exact:
         return x != 0
     return abs(x) > NONZERO_TOL
+
+
+def _is_diagonal(a, tol=NONZERO_TOL):
+    """Whether no off-diagonal entry of the matrix ``a`` exceeds ``tol`` in modulus."""
+    return float(np.max(np.abs(a - np.diag(np.diag(a))))) <= tol
+
+
+@functools.lru_cache(maxsize=qcore.MAX_QUBITS + 1)
+def _root_comb(n):
+    """Read-only ``sqrt(C(n, i))`` for i = 0..n, the norms of the unnormalised Dicke vectors."""
+    root = np.sqrt([float(math.comb(n, i)) for i in range(n + 1)])
+    root.flags.writeable = False
+    return root
 
 
 @dataclass(frozen=True)
@@ -152,15 +161,13 @@ class SymmetricCoeffs:
 
     def diagonal_mixture(self):
         """Diagonal part as a DickeMixture (only valid if off-diagonals vanish)."""
-        off = self.a - np.diag(np.diag(self.a))
-        if np.max(np.abs(off)) > NONZERO_TOL:
+        if not _is_diagonal(self.a):
             raise EdlkitError("BAD_WEIGHT", "state has Dicke coherences; not diagonal")
         diag = np.clip(np.diag(self.a).real, 0.0, None)
         return DickeMixture(self.n, tuple(diag / diag.sum()))
 
     def is_diagonal(self, tol=NONZERO_TOL):
-        off = self.a - np.diag(np.diag(self.a))
-        return float(np.max(np.abs(off))) <= tol
+        return _is_diagonal(self.a, tol)
 
 
 @functools.lru_cache(maxsize=qcore.MAX_QUBITS)
@@ -168,8 +175,7 @@ def _dicke_basis(n):
     """Real ``(2^n, n+1)`` matrix whose column i is |D_n^i>, read-only; ``n`` must
     already be a valid qubit count."""
     weight = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).sum(axis=1)
-    norms = np.sqrt([math.comb(n, i) for i in range(n + 1)])
-    basis = (weight[:, None] == np.arange(n + 1)) / norms
+    basis = (weight[:, None] == np.arange(n + 1)) / _root_comb(n)
     basis.flags.writeable = False
     return basis
 
@@ -195,29 +201,15 @@ def to_dense(state):
     return qcore.DenseState(state.n, b @ a @ b.T, validate=False)
 
 
-@functools.lru_cache(maxsize=64)
-def _reduction_weights(n, k):
-    """Real weights ``w[i, j, s, t]`` of ``|D_n^i><D_n^j| -> |D_k^s><D_k^t|`` under the
-    k-qubit reduction (see :func:`symmetric_marginal`), zero unless ``t - s = j - i``;
-    read-only."""
-    w = np.zeros((n + 1, n + 1, k + 1, k + 1))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            for s in range(k + 1):
-                t = j - i + s
-                c = _comb(n - k, i - s)
-                if 0 <= t <= k and c:
-                    w[i, j, s, t] = (c * math.sqrt(_comb(k, s) * _comb(k, t))
-                                     / math.sqrt(_comb(n, i) * _comb(n, j)))
-    w.flags.writeable = False
-    return w
-
-
 def _reduce_coeff_matrix(n, k, a):
-    """Raw linear reduction map on coefficient matrices, no state validation: one
-    contraction with the cached weights of :func:`_reduction_weights`."""
-    flat = np.asarray(a, dtype=complex).ravel() @ _reduction_weights(n, k).reshape((n + 1) ** 2, -1)
-    return flat.reshape(k + 1, k + 1)
+    """Raw linear reduction map on n-qubit coefficient matrices, no state validation:
+    ``n - k`` Pascal steps ``m'_st = m_st + m_(s+1)(t+1)`` on the moments
+    ``m_st = a_st / sqrt(C(n,s) C(n,t))``.  It acts on the last two axes of ``a``, so it
+    also reduces a stack of matrices."""
+    m = np.asarray(a) / np.outer(_root_comb(n), _root_comb(n))
+    for _ in range(n - k):
+        m = m[..., :-1, :-1] + m[..., 1:, 1:]
+    return m * np.outer(_root_comb(k), _root_comb(k))
 
 
 def symmetric_marginal(coeffs, k):
@@ -225,7 +217,8 @@ def symmetric_marginal(coeffs, k):
 
     The reduction of ``|D_n^i><D_n^j|`` onto any k qubits is
     ``sum_s C(n-k, i-s) sqrt(C(k,s) C(k,j-i+s)) / sqrt(C(n,i) C(n,j))
-    |D_k^s><D_k^{j-i+s}|``, so coherences survive only if ``|i-j| <= k``.
+    |D_k^s><D_k^{j-i+s}|``, so coherences survive only if ``|i-j| <= k``; it is
+    computed by the Pascal walk on the moments (:func:`_reduce_coeff_matrix`).
     """
     n = coeffs.n
     if not qcore._is_integer(k) or not 1 <= k <= n:
@@ -238,7 +231,7 @@ def symmetric_marginal(coeffs, k):
 def _moments(mix):
     """Hankel moments ``p_s = lam_s / C(n, s)``: Fractions for exact weights, else floats."""
     num = Fraction if mix.exact else float
-    return [num(v) / _comb(mix.n, s) for s, v in enumerate(mix.lam)]
+    return [num(v) / math.comb(mix.n, s) for s, v in enumerate(mix.lam)]
 
 
 def _trace_out_one(p):
@@ -260,7 +253,7 @@ def diagonal_marginal(mix, k):
     p = _moments(mix)
     for _ in range(n - k):
         p = _trace_out_one(p)
-    return DickeMixture(k, tuple(x * _comb(k, s) for s, x in enumerate(p)))
+    return DickeMixture(k, tuple(x * math.comb(k, s) for s, x in enumerate(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,28 +451,33 @@ def edl_diagonal(mix, tol=PSD_TOL):
     return EdlResult(None, "NOT_ENTANGLED", {"levels_checked": list(range(2, n + 1))})
 
 
-@functools.lru_cache(maxsize=qcore.MAX_QUBITS)
-def _half_cut_isometry(k):
-    """Real ``((j+1)(k-j+1), k+1)`` isometry ``(B_j (x) B_(k-j))^T B_k``, ``j = k // 2``,
-    taking Sym^k into Sym^j (x) Sym^(k-j) with the Dicke bases ``B``; read-only."""
+@functools.lru_cache(maxsize=qcore.MAX_QUBITS + 1)
+def _half_cut_gather(k):
+    """Read-only ``(rows, cols, scale)`` with which ``a[rows, cols] * scale`` is the partial
+    transpose, on its first ``j = k // 2`` qubits, of the k-qubit symmetric state with
+    coefficient matrix ``a``, inside Sym^j (x) Sym^(k-j) with the Dicke bases: entry
+    ``((x,y),(x',y'))`` is ``a[x'+y, x+y']`` times
+    ``sqrt(C(j,x) C(k-j,y) C(j,x') C(k-j,y') / (C(k,x'+y) C(k,x+y')))``."""
     j = k // 2
-    iso = np.kron(_dicke_basis(j), _dicke_basis(k - j)).T @ _dicke_basis(k)
-    iso.flags.writeable = False
-    return iso
+    x, y = np.divmod(np.arange((j + 1) * (k - j + 1)), k - j + 1)
+    rows, cols = x + y[:, None], x[:, None] + y
+    w = _root_comb(j)[x] * _root_comb(k - j)[y]
+    scale = np.outer(w, w) / (_root_comb(k)[rows] * _root_comb(k)[cols])
+    for arr in (rows, cols, scale):
+        arr.flags.writeable = False
+    return rows, cols, scale
 
 
-def _half_cut_min_eig(bk):
-    """Smallest eigenvalue of the partial transpose of the symmetric state ``bk`` on its
-    first ``k // 2`` qubits, taken inside Sym^j (x) Sym^(k-j).
+def _half_cut_min_eig(a):
+    """Smallest eigenvalue of the partial transpose on the first ``k // 2`` qubits of the
+    k-qubit symmetric state with coefficient matrix ``a``, taken inside Sym^j (x) Sym^(k-j).
 
     That space holds the state and, its Dicke basis being real, is kept by the
     transpose on the first factor; the remaining eigenvalues of the ``2^k`` partial
     transpose are zeros.
     """
-    k = bk.n
-    d0, d1 = k // 2 + 1, k - k // 2 + 1
-    iso = _half_cut_isometry(k)
-    pt = (iso @ bk.a @ iso.T).reshape(d0, d1, d0, d1).transpose(2, 1, 0, 3).reshape(d0 * d1, -1)
+    rows, cols, scale = _half_cut_gather(len(a) - 1)
+    pt = a[rows, cols] * scale
     return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
 
 
@@ -487,7 +485,9 @@ def edl_symmetric(coeffs, tol=PSD_TOL):
     """Detection length of a general symmetric state via marginal PPT scans.
 
     Every level k is tested by the partial transpose on ``k // 2`` qubits, inside
-    the Dicke product space Sym^j (x) Sym^(k-j) (at most 36 x 36 at k = 10).
+    the Dicke product space Sym^j (x) Sym^(k-j) (at most 36 x 36 at k = 10), read
+    off the marginal's coefficient matrix from the Pascal walk; no level builds or
+    validates a :class:`SymmetricCoeffs`.
     Marginals on two or three qubits and all diagonal marginals are decided
     exactly (PPT = separability there, and for diagonal states the half cut
     is the decisive one).  A PPT verdict on a non-diagonal marginal of four or
@@ -500,12 +500,12 @@ def edl_symmetric(coeffs, tol=PSD_TOL):
         raise EdlkitError("DIM_MISMATCH", "need n >= 2")
     saw_uncertified_ppt = False
     for k in range(2, n + 1):
-        bk = symmetric_marginal(coeffs, k)
-        min_eig = _half_cut_min_eig(bk)
+        a = _reduce_coeff_matrix(n, k, coeffs.a)
+        min_eig = _half_cut_min_eig(a)
         if min_eig < -tol:
             flag = "PPT_BOUND" if saw_uncertified_ppt else "EXACT"
             return EdlResult(k, flag, {"level": k, "route": "dicke_ppt", "min_eig": min_eig})
-        if k >= 4 and not bk.is_diagonal():
+        if k >= 4 and not _is_diagonal(a):
             saw_uncertified_ppt = True
     cert = {"levels_checked": list(range(2, n + 1)),
             "separability_certified": not saw_uncertified_ppt}
@@ -561,7 +561,7 @@ def _kernel_rows(n, k):
     rows = [[Fraction(0)] * (n - k) for _ in range(n + 1)]
     for col, i in enumerate(range(k + 1, n + 1)):
         for r in range(k + 1):
-            rows[r][col] = Fraction((-1) ** (k - r + 1) * _comb(i, k) * _comb(k, r) * (i - k), i - r)
+            rows[r][col] = Fraction((-1) ** (k - r + 1) * math.comb(i, k) * math.comb(k, r) * (i - k), i - r)
         rows[i][col] = Fraction(1)
     return tuple(tuple(row) for row in rows)
 
@@ -662,9 +662,10 @@ def has_alternative_nonneg(mix, k, tol=1e-9):
     exceeds k (for k >= 2, where marginal collections pin the symmetric
     form).  Levels whose zero pattern leaves no feasible direction are
     answered from the cached cone test of :func:`_level_has_directions`
-    without a coordinate LP.
+    without a coordinate LP.  BAD_TOL unless ``tol`` is finite and at least 0.
     """
     _check_level(mix.n, k)
+    qcore._check_tol(tol)
     return _alternative_nonneg_point(mix, k, tol=tol) is not None
 
 
@@ -798,8 +799,10 @@ def sdl_diagonal(mix, tol=1e-9):
 def rank_criterion_sdl1(rho, tol=PSD_TOL):
     """True iff at most one single-qubit marginal has rank above one.
 
-    That is exactly the condition for the determination length to be 1.
+    That is exactly the condition for the determination length to be 1.  BAD_TOL
+    unless ``tol`` is finite and at least 0.
     """
+    qcore._check_tol(tol)
     mat, n = qcore._as_matrix(rho)
     heavy = 0
     for j in range(1, n + 1):

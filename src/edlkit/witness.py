@@ -71,7 +71,7 @@ import numpy as np
 from . import qcore
 from .errors import EdlkitError
 from .hypergraph import SubsetCollection, all_k_subsets
-from .symmetric import SymmetricCoeffs, _reduce_coeff_matrix, _reduction_weights
+from .symmetric import SymmetricCoeffs, _reduce_coeff_matrix
 
 MAX_SDP_QUBITS = 5
 DEFAULT_TOL = 1e-7
@@ -537,8 +537,11 @@ def verify_witness(witness, rho=None, recon_tol=1e-6, trace_tol=1e-7, psd_tol=1e
 
     Locality holds by reconstruction from the blocks; completeness requires
     one certificate per bipartition class.  Returns a verdict carrying the
-    failure list and, when ``rho`` is given, the witness value.
+    failure list and, when ``rho`` is given, the witness value.  BAD_TOL unless
+    every tolerance is finite and at least 0.
     """
+    for tol in (recon_tol, trace_tol, psd_tol):
+        qcore._check_tol(tol)
     w = witness.assemble()
     failures = []
     trace = float(np.trace(w).real)
@@ -877,6 +880,17 @@ class ProbeResult:
         return self.verdict == "UNIQUE"
 
 
+@functools.lru_cache(maxsize=64)
+def _reduction_table(n, k):
+    """Read-only ``((n+1)^2, (k+1)^2)`` table of the level-k reduction ``R_k``: row
+    ``(n+1) i + j`` is ``R_k(|D_n^i><D_n^j|)``, the Pascal walk of
+    ``symmetric._reduce_coeff_matrix`` on the stack of matrix units."""
+    dd = n + 1
+    table = _reduce_coeff_matrix(n, k, np.eye(dd * dd).reshape(-1, dd, dd)).reshape(dd * dd, -1)
+    table.flags.writeable = False
+    return table
+
+
 def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
     """Whether the level-k marginals pin a symmetric state within the symmetric family.
 
@@ -900,16 +914,15 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
     if not qcore._is_integer(k) or not 1 <= k <= n:  # before the cache keyed by k
         raise EdlkitError("BAD_LEVEL", "marginal size %r outside 1..%d" % (k, n))
     a = coeffs.a
-    dd = n + 1
-    weights = _reduction_weights(n, k).reshape(dd * dd, -1)
+    table = _reduction_table(n, k)
     null = _kernel_face(_reduce_coeff_matrix(n, k, a))[0]
-    # R_k(X) = vec X @ weights, so Tr(Y R_k(X)) = Tr(R_k^*(Y) X) with R_k^*(Y) below
+    # R_k(X) = vec X @ table, so Tr(Y R_k(X)) = Tr(R_k^*(Y) X) with R_k^*(Y) below
     slack = null @ null.conj().T
-    face = _kernel_face((weights @ slack.conj().ravel()).reshape(dd, dd).T)[0]
+    face = _kernel_face((table @ slack.conj().ravel()).reshape(n + 1, n + 1).T)[0]
 
     def face_rows(v):
         r = v.shape[1]
-        return np.vstack([np.eye(r).ravel(), weights.T @ np.kron(v, v.conj())])
+        return np.vstack([np.eye(r).ravel(), table.T @ np.kron(v, v.conj())])
 
     def certify(v, x0):
         """UNIQUE if the map is injective on face ``v``, an exact NONUNIQUE witness

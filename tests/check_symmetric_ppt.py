@@ -1,14 +1,20 @@
-"""Check the Dicke-space partial transpose of ``edl_symmetric`` against the dense one.
+"""Check the Dicke-space routes of ``edl_symmetric`` against dense and loop references.
 
 For seeded symmetric states with n in 2..max_n, at every level k of each
-state, the smallest eigenvalue of the partial transpose on k // 2 qubits taken
-inside Sym^j (x) Sym^(k-j) (``symmetric._half_cut_min_eig``) must agree with
-the one of ``to_dense`` + ``qcore.partial_transpose`` on the ``2^k`` space.
-The dense spectrum adds zeros only, so both are clipped at 0 before they are
-compared; the PPT verdicts then agree as well.  The states come from four
-families: random rank 1..n+1 under white noise, diagonal weights with zeros,
-spin-coherent mixtures and GHZ/Dicke mixtures.  Not collected by pytest
-(about 10 s at n <= 10); run it as
+state:
+
+- the Pascal walk ``symmetric._reduce_coeff_matrix`` must agree with the
+  term-by-term ``oracle.reduce_coeff_matrix_loop`` to ``WALK_TOL``;
+- the smallest eigenvalue of the partial transpose on k // 2 qubits taken
+  inside Sym^j (x) Sym^(k-j) (``symmetric._half_cut_min_eig`` on the marginal's
+  coefficient matrix) must agree with the one of ``to_dense`` +
+  ``qcore.partial_transpose`` on the ``2^k`` space.  The dense spectrum adds
+  zeros only, so both are clipped at 0 before they are compared; the PPT
+  verdicts then agree as well.
+
+The states come from four families: random rank 1..n+1 under white noise,
+diagonal weights with zeros, spin-coherent mixtures and GHZ/Dicke mixtures.
+Not collected by pytest (about 10 s at n <= 10); run it as
 
     PYTHONPATH=src python tests/check_symmetric_ppt.py [max_n] [per_family]
 
@@ -20,11 +26,13 @@ import sys
 
 import numpy as np
 
-from edlkit import qcore
-from edlkit.symmetric import PSD_TOL, SymmetricCoeffs, _half_cut_min_eig, symmetric_marginal, to_dense
+from edlkit import oracle, qcore
+from edlkit.symmetric import (PSD_TOL, SymmetricCoeffs, _half_cut_min_eig, _reduce_coeff_matrix,
+                              symmetric_marginal, to_dense)
 
 SEED = 15
 MIN_EIG_TOL = 1e-12
+WALK_TOL = 1e-13
 
 
 def _coherent(n, theta, phi):
@@ -68,19 +76,24 @@ def dense_min_eig(bk):
 
 
 def ppt_mismatches(max_n, per_family):
-    """``(checked, npt, disagreeing (n, k, dicke, dense) tuples)`` over every level of the
-    seeded states, ``npt`` counting the levels whose dense minimum is below ``-PSD_TOL``."""
+    """``(checked, npt, disagreements)`` over every level of the seeded states, ``npt``
+    counting the levels whose dense minimum is below ``-PSD_TOL`` and each disagreement
+    a line naming its state size, level and values."""
     rng = np.random.default_rng(SEED)
     checked, npt, bad = 0, 0, []
     for n in range(2, max_n + 1):
         for coeffs in seeded_states(n, per_family, rng):
             for k in range(2, n + 1):
+                walk_dev = np.max(np.abs(_reduce_coeff_matrix(n, k, coeffs.a)
+                                         - oracle.reduce_coeff_matrix_loop(n, k, coeffs.a)))
+                if walk_dev > WALK_TOL:
+                    bad.append("n=%d k=%d walk deviates from the loop by %.3e" % (n, k, walk_dev))
                 bk = symmetric_marginal(coeffs, k)
-                dicke, dense = _half_cut_min_eig(bk), dense_min_eig(bk)
+                dicke, dense = _half_cut_min_eig(bk.a), dense_min_eig(bk)
                 checked += 1
                 npt += dense < -PSD_TOL
                 if abs(min(dicke, 0.0) - min(dense, 0.0)) > MIN_EIG_TOL:
-                    bad.append((n, k, dicke, dense))
+                    bad.append("n=%d k=%d dicke %.3e dense %.3e" % (n, k, dicke, dense))
     return checked, npt, bad
 
 
@@ -90,8 +103,8 @@ def main(argv):
     checked, npt, bad = ppt_mismatches(max_n, per_family)
     print("checked %d levels of seeded symmetric states (%d NPT), n <= %d: %d disagree"
           % (checked, npt, max_n, len(bad)))
-    for n, k, dicke, dense in bad:
-        print("  n=%d k=%d dicke %.3e dense %.3e" % (n, k, dicke, dense))
+    for line in bad:
+        print("  " + line)
     return 1 if bad else 0
 
 

@@ -230,6 +230,18 @@ def test_uniformity_levels():
     assert uniformity_level(plus) == 0
 
 
+def test_uniformity_level_rejects_bad_tolerances():
+    # a NaN tolerance would let no marginal deviate from the maximally mixed one, so
+    # GHZ_3 would read 2
+    ghz3 = qcore.ghz_vector(3)
+    for tol in (-1e-9, float("nan"), float("inf"), -float("inf"), "1e-9", None):
+        with pytest.raises(EdlkitError) as err:
+            uniformity_level(ghz3, tol=tol)
+        assert err.value.code == "BAD_TOL", tol
+    assert uniformity_level(ghz3) == 1
+    uniformity_level(ghz3, tol=0.0)  # tol = 0 stays legal
+
+
 def test_uniformity_matches_cut_rank():
     # a graph-state marginal on A is maximally mixed iff the cut rank of A is |A|
     rng = np.random.default_rng(29)

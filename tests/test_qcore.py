@@ -189,6 +189,24 @@ def test_min_eigenvalue_rejects_non_hermitian():
     assert err.value.code == "NOT_HERMITIAN"
 
 
+def test_structure_checks_reject_bad_tolerances():
+    # a NaN tolerance would let the deviation of [[0, 1], [0, 0]] from Hermitian pass
+    # unnoticed and every structure check of is_density fail
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    calls = [lambda tol: qcore.min_eigenvalue(skew, tol=tol),
+             lambda tol: qcore.is_density(np.eye(2) / 2, tol=tol)]
+    for call in calls:
+        for tol in (-1e-9, float("nan"), float("inf"), -float("inf"), "1e-9", None):
+            with pytest.raises(EdlkitError) as err:
+                call(tol)
+            assert err.value.code == "BAD_TOL", tol
+    # tol = 0 stays legal
+    assert qcore.is_density(np.eye(2) / 2, tol=0.0)
+    with pytest.raises(EdlkitError) as err:
+        qcore.min_eigenvalue(skew, tol=0.0)
+    assert err.value.code == "NOT_HERMITIAN"
+
+
 def test_pauli_string_entries():
     xx = qcore.pauli_string(2, "XX")
     assert np.array_equal(xx, np.fliplr(np.eye(4)))

@@ -152,16 +152,24 @@ def test_symmetric_marginal_matches_brute_force():
 
 
 def test_reduce_coeff_matrix_matches_loop_reference():
-    # the cached-weight contraction against the term-by-term loop, every level k
+    # the Pascal walk against the term-by-term loop, every level k, one matrix at a
+    # time and as a stack (the last two axes are reduced)
     rng = np.random.default_rng(23)
     for n in range(1, 9):
         for k in range(1, n + 1):
+            mats = []
             for _ in range(3):
                 g = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
                 a = (g + g.conj().T) / 2
                 fast = _reduce_coeff_matrix(n, k, a)
                 assert fast.shape == (k + 1, k + 1)
                 assert np.max(np.abs(fast - oracle.reduce_coeff_matrix_loop(n, k, a))) <= 1e-13
+                mats.append(a)
+            stack = np.stack(mats).reshape(3, 1, n + 1, n + 1)
+            fast = _reduce_coeff_matrix(n, k, stack)
+            assert fast.shape == (3, 1, k + 1, k + 1)
+            for a, b in zip(mats, fast[:, 0]):
+                assert np.max(np.abs(b - oracle.reduce_coeff_matrix_loop(n, k, a))) <= 1e-13
 
 
 def test_symmetric_marginal_is_subset_independent():
@@ -479,14 +487,20 @@ def test_edl_symmetric_matches_oracle_scan():
 
 
 def test_edl_symmetric_stays_in_the_dicke_product_space(monkeypatch):
-    # no 2^k embedding, dense partial transpose or Hankel route at any level
+    # no 2^k embedding or Dicke basis, dense partial transpose, Hankel route or
+    # validated per-level state at any level; the caches are cleared first, so a
+    # table built earlier from the Dicke basis cannot hide its use
     def banned(*args, **kwargs):
-        raise AssertionError("dense or Hankel route taken")
+        raise AssertionError("dense, Hankel or validating route taken")
+    for value in vars(symmetric).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    coeffs = SymmetricCoeffs(10, np.full((11, 11), 1 / 22) + np.eye(11) / 22)
     for module, name in ((symmetric, "to_dense"), (symmetric, "is_ppt_diagonal"),
+                         (symmetric, "_dicke_basis"), (symmetric, "SymmetricCoeffs"),
                          (qcore, "partial_transpose")):
         monkeypatch.setattr(module, name, banned)
-    a = np.full((11, 11), 1 / 22) + np.eye(11) / 22
-    res = edl_symmetric(SymmetricCoeffs(10, a))
+    res = edl_symmetric(coeffs)
     assert res.certificate["route"] == "dicke_ppt"
 
 
@@ -671,14 +685,20 @@ def test_compatibility_check():
 
 def test_symmetric_routes_reject_bad_tolerances():
     # W_3 is detected at pairs; a NaN or infinite tolerance would let no eigenvalue
-    # compare below -tol and report it NOT_ENTANGLED
+    # compare below -tol and report it NOT_ENTANGLED.  With a NaN tolerance GHZ_3 would
+    # also pass the rank criterion and the two-weight mixture lose its alternative.
     w3 = SymmetricCoeffs(3, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
     mix = DickeMixture(3, (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(0)))
     dense = to_dense(mix)
     subs = [qcore.Subset.from_indices(3, (1, 2))]
+    ghz3 = qcore.ghz_vector(3).to_density().matrix
+    pair = DickeMixture(5, (0, 0.5, 0, 0, 0.5, 0))
+    assert not rank_criterion_sdl1(ghz3) and has_alternative_nonneg(pair, 3)
     calls = [lambda tol: edl_symmetric(w3, tol=tol), lambda tol: edl_diagonal(mix, tol=tol),
              lambda tol: is_ppt_diagonal(mix, tol=tol), lambda tol: sdl_diagonal(mix, tol=tol),
-             lambda tol: check_compatibility(dense, dense, subs, tol=tol)]
+             lambda tol: check_compatibility(dense, dense, subs, tol=tol),
+             lambda tol: rank_criterion_sdl1(ghz3, tol=tol),
+             lambda tol: has_alternative_nonneg(pair, 3, tol=tol)]
     for call in calls:
         for tol in (-1e-9, float("nan"), float("inf"), -float("inf"), "1e-9", None):
             with pytest.raises(EdlkitError) as err:

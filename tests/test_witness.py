@@ -234,6 +234,29 @@ def test_anderson_safeguard_and_memory():
     assert acc.pairs == 1
 
 
+def test_accelerated_solves_stop_on_plain_iterations(monkeypatch):
+    # Only a plain step has x and z from one point, so only it may pass the stop test.
+    # These seeded single-qubit-marginal programs would pass it at iteration 20, an
+    # extrapolation, if the test read every iteration.
+    plain = []
+    next_input = witness._Anderson.next_input
+
+    def spy(self, v, g, extrapolate):
+        out = next_input(self, v, g, extrapolate)
+        plain.append(out[1])
+        return out
+
+    monkeypatch.setattr(witness._Anderson, "next_input", spy)
+    for n, tol in ((3, 3e-5), (4, 5e-6), (4, 1e-5)):
+        rng = np.random.default_rng(20240811)
+        amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        plain.clear()
+        res = pure_determination_alpha(qcore.PureVector(n, amp / np.linalg.norm(amp)),
+                                       all_k_subsets(n, 1), tol=tol)
+        assert res.route == "full_program" and res.status == "OPTIMAL", (n, tol)
+        assert len(plain) == res.iterations and plain[-1], (n, tol)
+
+
 def test_penalty_change_clears_acceleration_memory(monkeypatch):
     determination, _witness_program = _loop_programs(monkeypatch)
     clears = []
@@ -470,6 +493,37 @@ def test_verify_witness_failure_modes():
     with pytest.raises(EdlkitError) as err:
         verify_witness(witness, np.eye(4) / 4)
     assert err.value.code == "DIM_MISMATCH"
+
+
+def test_probe_reduction_table_is_the_loop_on_matrix_units():
+    # row (n+1) i + j of the probe's cached table is R_k(|D_n^i><D_n^j|)
+    for n in range(1, 7):
+        dd = n + 1
+        for k in range(1, n + 1):
+            table = witness._reduction_table(n, k)
+            assert table.shape == (dd * dd, (k + 1) ** 2) and not table.flags.writeable
+            for i, j in itertools.product(range(dd), repeat=2):
+                unit = np.zeros((dd, dd))
+                unit[i, j] = 1.0
+                ref = oracle.reduce_coeff_matrix_loop(n, k, unit).ravel()
+                assert np.max(np.abs(table[dd * i + j] - ref)) <= 1e-15, (n, k, i, j)
+
+
+def test_verify_witness_rejects_bad_tolerances():
+    # a W_3 witness with its blocks scaled by 5 fails the trace and decomposition checks;
+    # NaN tolerances would let both pass
+    w3 = dicke_vector(3, 1).to_density().matrix
+    alpha, wit = fully_decomposable_alpha(w3, all_k_subsets(3, 2))
+    scaled = Witness(wit.n, wit.collection, alpha, [(s, 5.0 * h) for s, h in wit.blocks],
+                     wit.certificates)
+    assert not verify_witness(scaled).ok
+    for name in ("recon_tol", "trace_tol", "psd_tol"):
+        for tol in (-1e-7, float("nan"), float("inf"), -float("inf"), "1e-7", None):
+            with pytest.raises(EdlkitError) as err:
+                verify_witness(scaled, **{name: tol})
+            assert err.value.code == "BAD_TOL", (name, tol)
+    # tol = 0 stays legal
+    assert not verify_witness(scaled, recon_tol=0.0, trace_tol=0.0, psd_tol=0.0).ok
 
 
 def test_refit_certificates_roundtrip():
