@@ -272,20 +272,18 @@ def uniformity_level(psi, tol=1e-9):
 
     A k-uniform state cannot be determined, nor its entanglement detected,
     by marginals of k or fewer qubits.  Each marginal is ``M M^dagger``, with
-    ``M`` the amplitude tensor with the kept qubits first, reshaped to
-    ``(2^k, 2^(n-k))``; so the scan needs only the ``2^n`` amplitudes and
+    ``M`` the amplitudes split by ``qcore._split`` into the kept qubits and the
+    rest, shape ``(2^k, 2^(n-k))``; so the scan needs only the ``2^n`` amplitudes and
     runs up to the ``PureVector`` cap of ``qcore.MAX_QUBITS`` qubits.  BAD_TOL unless
     ``tol`` is finite and at least 0.
     """
     qcore._check_tol(tol)
     n = psi.n
-    tensor = psi.amplitudes.reshape([2] * n)  # axis j-1 is particle j
     level = 0
     for k in range(1, n):
         eye = np.eye(1 << k) / (1 << k)
-        for combo in itertools.combinations(range(n), k):
-            rest = [j for j in range(n) if j not in combo]
-            m = tensor.transpose(combo + tuple(rest)).reshape(1 << k, -1)
+        for combo in itertools.combinations(range(n), k):  # particle j+1 is bit j
+            m = qcore._split(psi.amplitudes, n, sum(1 << j for j in combo))
             if np.max(np.abs(m @ m.conj().T - eye)) > tol:
                 return level
         level = k

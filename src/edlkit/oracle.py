@@ -4,10 +4,15 @@ The brute-force routines are plain loop nests over computational basis
 indices and deliberately share no code with the implementations they check
 (``qcore.partial_trace``, the Hankel criteria, the hypergraph counting
 formula, the Pascal-rule marginals of ``symmetric``).  Sizes are small,
-clarity wins over speed.  :func:`diagonal_marginal_binomial` builds each
-diagonal marginal weight from the full weights with one binomial Fraction per
-term, as a reference for the moment walk of
-``symmetric.diagonal_marginal``.  :func:`exact_det` is
+clarity wins over speed.  :func:`brute_marginal`,
+:func:`brute_partial_transpose` and :func:`brute_embed` read each particle's
+bit of an index one at a time, as references for the one particle layout of
+``qcore`` (``qcore._axes``): the partial trace, the partial transpose and
+the flat permutation ``witness._pt_permutation`` built from its axis order,
+``witness.expand_operator`` and the marginal split ``qcore._split``.
+:func:`diagonal_marginal_binomial` builds each diagonal marginal weight from
+the full weights with one binomial Fraction per term, as a reference for the
+moment walk of ``symmetric.diagonal_marginal``.  :func:`exact_det` is
 the cofactor-expansion determinant that freezes exact Hankel minors and,
 through Sylvester's criterion, checks the elimination in
 ``symmetric._exact_psd``.  :func:`reduce_coeff_matrix_loop` reduces a
@@ -204,24 +209,52 @@ def brute_marginal(rho, n, keep):
     return out
 
 
-def brute_ppt(rho, n, tol=1e-9):
-    """PPT check by an index-level partial transpose of the first floor(n/2) qubits.
+def _particle_bits(n, mask):
+    """Index bits of the particles of bitmask ``mask`` (bit j-1 for particle j), most
+    significant first: particle j owns bit ``n - j`` of a basis index."""
+    return [n - j for j in range(1, n + 1) if mask >> (j - 1) & 1]
 
-    Returns ``(is_ppt, min_eigenvalue)``.
-    """
+
+def brute_partial_transpose(rho, n, mask):
+    """Partial transpose on the particles of bitmask ``mask`` by explicit index loops:
+    entry ``(r, c)`` is the entry of ``rho`` whose row and column indices trade the
+    bits of those particles."""
     mat = _as_array(rho)
     if mat.shape[0] != 1 << n:
         raise EdlkitError("DIM_MISMATCH", "matrix does not match n=%d" % n)
-    nt = n // 2          # number of transposed (most significant) qubits
-    lo_bits = n - nt
-    d = 1 << n
-    out = np.zeros((d, d), dtype=complex)
-    for r in range(d):
-        r_hi, r_lo = divmod(r, 1 << lo_bits)
-        for c in range(d):
-            c_hi, c_lo = divmod(c, 1 << lo_bits)
-            out[r, c] = mat[(c_hi << lo_bits) | r_lo, (r_hi << lo_bits) | c_lo]
-    min_eig = float(np.linalg.eigvalsh(out)[0])
+    swap = sum(1 << b for b in _particle_bits(n, mask))
+    out = np.zeros_like(mat)
+    for r in range(1 << n):
+        for c in range(1 << n):
+            out[r, c] = mat[r & ~swap | c & swap, c & ~swap | r & swap]
+    return out
+
+
+def brute_embed(n, mask, h):
+    """``h (x) I`` by explicit index loops, the factors of ``h`` on the particles of
+    bitmask ``mask`` in ascending order: entry ``(r, c)`` is ``h[r_S, c_S]`` when r
+    and c agree on every other particle, else 0."""
+    bits = _particle_bits(n, mask)
+    other = (1 << n) - 1 - sum(1 << b for b in bits)
+
+    def sub(i):  # the bits of i on the mask, read as a 2^|S|-dimensional index
+        return sum((i >> b & 1) << (len(bits) - 1 - t) for t, b in enumerate(bits))
+
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for r in range(1 << n):
+        for c in range(1 << n):
+            if r & other == c & other:
+                out[r, c] = h[sub(r), sub(c)]
+    return out
+
+
+def brute_ppt(rho, n, tol=1e-9):
+    """PPT check by the index-level partial transpose (:func:`brute_partial_transpose`)
+    of the first floor(n/2) qubits.
+
+    Returns ``(is_ppt, min_eigenvalue)``.
+    """
+    min_eig = float(np.linalg.eigvalsh(brute_partial_transpose(rho, n, (1 << (n // 2)) - 1))[0])
     return min_eig >= -tol, min_eig
 
 

@@ -11,6 +11,15 @@ simple.
 Subsets of particles use 1-based labels.  A :class:`Subset` stores them as a
 bitmask where bit ``j-1`` is set iff particle ``j`` belongs to the subset.
 
+Reshaped to ``(2,) * n``, a state vector has particle j on axis ``j-1``, and a
+``2^n x 2^n`` matrix has particle j's row bit on axis ``j-1`` and its column
+bit on axis ``n + j-1``.  One helper reads that layout for a subset:
+:func:`_axes` lists the axes of the particles in a mask, ascending, then those
+of the rest.  The marginal split (:func:`_split`), :func:`partial_trace`, the
+partial-transpose axis order (:func:`_pt_axes`, read by
+:func:`partial_transpose`) and the embedding ``h (x) I`` (:func:`_embed`) all
+go through it; no other code flips index bits for a subset.
+
 One rule for counts and labels holds across the package: an integer is any
 ``numbers.Integral`` except ``bool`` (:func:`_is_integer`), so numpy integers
 pass while ``True`` and ``1.0`` do not.  Particle labels become bitmasks only
@@ -25,6 +34,7 @@ raised.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -226,11 +236,60 @@ def kron(*mats):
 
 
 def _subset_mask(n, subset):
+    """Bitmask of a :class:`Subset` over ``n`` particles or of an iterable of distinct
+    1-based labels (:func:`_mask_of`); None is the empty subset.  DIM_MISMATCH on a
+    Subset over another n, a repeated label or a value that is not iterable."""
+    if subset is None:
+        return 0
     if isinstance(subset, Subset):
         if subset.n != n:
             raise EdlkitError("DIM_MISMATCH", "subset is over n=%d, state has n=%d" % (subset.n, n))
         return subset.mask
-    return Subset.from_indices(n, subset).mask
+    try:
+        labels = tuple(subset)
+    except TypeError:
+        raise EdlkitError("DIM_MISMATCH", "expected a Subset or particle labels, got %r"
+                          % (subset,)) from None
+    mask = _mask_of(n, labels)
+    if mask.bit_count() != len(labels):
+        raise EdlkitError("DIM_MISMATCH", "repeated particle label in %r" % (labels,))
+    return mask
+
+
+@functools.lru_cache(maxsize=None)
+def _axes(n, mask):
+    """Axes of the particles in ``mask``, ascending, then those of the rest: particle j
+    sits on axis j-1 of a vector reshaped to ``(2,) * n``.  Cached, since the scan of
+    ``graphstate.uniformity_level`` asks for the same masks on every call; every
+    caller has ``n <= MAX_QUBITS``, so the cache holds under ``2^(MAX_QUBITS+1)`` entries."""
+    return tuple(sorted(range(n), key=lambda j: not mask >> j & 1))
+
+
+def _split(v, n, mask):
+    """``v`` with its leading ``2^n`` axis as ``(2^|S|, 2^(n-|S|))``, the particles of
+    ``mask`` first; any trailing axes are kept."""
+    k, tail = mask.bit_count(), v.shape[1:]
+    t = v.reshape((2,) * n + tail).transpose(_axes(n, mask) + tuple(range(n, v.ndim + n - 1)))
+    return t.reshape((1 << k, 1 << (n - k)) + tail)
+
+
+def _pt_axes(n, mask):
+    """Axis order of a ``2^n x 2^n`` matrix reshaped to ``(2,) * 2n`` that transposes the
+    particles in ``mask``: each one's row and column axes trade places."""
+    order = list(range(2 * n))
+    for a in _axes(n, mask)[:mask.bit_count()]:
+        order[a], order[n + a] = n + a, a
+    return order
+
+
+def _embed(n, mask, h):
+    """``h (x) I`` on n qubits, the factors of ``h`` on the particles of ``mask`` in
+    ascending order: built in the split layout, then moved back to particle order."""
+    k = mask.bit_count()
+    r = 1 << (n - k)
+    axes = _axes(n, mask)
+    t = (h.reshape(1 << k, 1, 1 << k, 1) * np.eye(r).reshape(1, r, 1, r)).reshape((2,) * (2 * n))
+    return t.transpose(np.argsort(axes + tuple(n + a for a in axes))).reshape(1 << n, 1 << n)
 
 
 def partial_trace(rho, keep):
@@ -239,7 +298,7 @@ def partial_trace(rho, keep):
     Parameters
     ----------
     rho : DenseState or square ndarray
-    keep : Subset or iterable of 1-based labels; must be nonempty.
+    keep : Subset or iterable of distinct 1-based labels; must be nonempty.
 
     Returns
     -------
@@ -249,41 +308,23 @@ def partial_trace(rho, keep):
     mask = _subset_mask(n, keep)
     if mask == 0:
         raise EdlkitError("EMPTY_SUBSET", "cannot keep the empty subset in a partial trace")
-    if mask == (1 << n) - 1:
-        return mat.copy()
-    keep_axes = [j - 1 for j in range(1, n + 1) if mask >> (j - 1) & 1]
-    trace_axes = [j - 1 for j in range(1, n + 1) if not mask >> (j - 1) & 1]
-    # axis j-1 of the reshaped tensor is the row bit of particle j (most
-    # significant first), axis n + (j-1) the matching column bit
-    tensor = mat.reshape([2] * (2 * n))
-    for a in sorted(trace_axes, reverse=True):
-        tensor = np.trace(tensor, axis1=a, axis2=a + tensor.ndim // 2)
-    k = len(keep_axes)
-    return tensor.reshape(1 << k, 1 << k)
+    k = mask.bit_count()
+    axes = _axes(n, mask)
+    t = mat.reshape((2,) * (2 * n)).transpose(axes + tuple(n + a for a in axes))
+    return np.trace(t.reshape(1 << k, 1 << (n - k), 1 << k, 1 << (n - k)), axis1=1, axis2=3)
 
 
 def partial_transpose(rho, subset):
-    """Transpose the tensor factors of the particles in ``subset``.
+    """Transpose the tensor factors of the particles in ``subset`` (a Subset, distinct
+    1-based labels or None).
 
-    The empty subset is allowed and acts as the identity.  Returns a raw
-    complex matrix; the result of a partial transpose is generally not a
-    state.
+    The empty subset is allowed and acts as the identity.  Returns a new raw
+    complex matrix, never a view of ``rho``; the result of a partial transpose
+    is generally not a state.
     """
     mat, n = _as_matrix(rho)
-    if isinstance(subset, Subset):
-        mask = _subset_mask(n, subset)
-    elif subset is None:
-        mask = 0
-    else:
-        mask = _subset_mask(n, subset) if subset else 0
-    if mask == 0:
-        return mat.copy()
-    tensor = mat.reshape([2] * (2 * n))
-    perm = list(range(2 * n))
-    for j in range(1, n + 1):
-        if mask >> (j - 1) & 1:
-            perm[j - 1], perm[n + j - 1] = perm[n + j - 1], perm[j - 1]
-    return tensor.transpose(perm).reshape(1 << n, 1 << n)
+    order = _pt_axes(n, _subset_mask(n, subset))
+    return mat.reshape((2,) * (2 * n)).transpose(order).copy().reshape(1 << n, 1 << n)
 
 
 def min_eigenvalue(mat, tol=STRUCT_TOL):

@@ -15,7 +15,12 @@ operators ``sum_S H^S (x) I``, so the witness program projects onto it with one
 orthonormal row basis per call; the blocks ``H^S`` of a solved W are split off
 by successive partial traces (:func:`_split_blocks`).  There are no Pauli
 projectors in this module; ``oracle`` keeps Pauli strings as the independent
-reference.
+reference.  Which axis belongs to which particle is decided in ``qcore`` alone
+(``qcore._axes``): the map reads each subset through the marginal split
+``qcore._split``, a block ``H^S`` becomes ``H^S (x) I`` through
+``qcore._embed`` (behind :func:`expand_operator`), and the flat
+partial-transpose permutations (:func:`_pt_permutation`) are the axis order
+``qcore._pt_axes`` applied to the flat indices.
 
 Determination (:func:`pure_determination_alpha`, for any marginal collection;
 :func:`determination_levels` calls it once per marginal size) first takes a
@@ -415,23 +420,13 @@ def _collection_of(n, subsets):
     return coll
 
 
-def _split(v, n, mask):
-    """Columns of ``v`` (shape ``(2^n, r)``) as a ``(2^|S|, 2^(n-|S|), r)`` tensor: the
-    particles of ``mask`` first, ascending, then the others."""
-    keep = [j for j in range(n) if mask >> j & 1]  # particle j+1: axis j
-    rest = [j for j in range(n) if not mask >> j & 1]
-    r = v.shape[1]
-    t = v.reshape((2,) * n + (r,)).transpose(keep + rest + [n])
-    return t.reshape(1 << len(keep), 1 << len(rest), r)
-
-
 def _marginal_rows(v, coll):
     """Rows of the marginal map ``X -> (Tr_(not S) V X V^dag)_S`` on row-major vec X
     (``X`` is ``r x r``), one ``4^|S| x r^2`` block per subset in ``coll.edges`` order."""
     r = v.shape[1]
     blocks = []
     for mask in coll.edges:
-        a = _split(v, coll.n, mask)
+        a = qcore._split(v, coll.n, mask)
         blocks.append(np.einsum("aci,bcj->abij", a, a.conj()).reshape(-1, r * r))
     return np.vstack(blocks)
 
@@ -452,43 +447,25 @@ def _bipartition_masks(n):
 
 
 def _pt_permutation(n, mask):
-    """Flat index permutation implementing the partial transpose on ``mask``."""
+    """Flat index permutation implementing the partial transpose on ``mask``: the axis
+    order ``qcore._pt_axes`` applied to the flat indices."""
     d = 1 << n
-    bits = [n - j for j in range(1, n + 1) if mask >> (j - 1) & 1]
-    swap = 0
-    for b in bits:
-        swap |= 1 << b
-    idx = np.arange(d * d)
-    r, c = idx // d, idx % d
-    r2 = (r & ~swap) | (c & swap)
-    c2 = (c & ~swap) | (r & swap)
-    return r2 * d + c2
+    return np.arange(d * d).reshape((2,) * (2 * n)).transpose(qcore._pt_axes(n, mask)).ravel()
 
 
 def expand_operator(n, labels, h):
-    """Embed an operator on the qubits ``labels`` into n qubits, its tensor factors in
-    ascending label order.  BAD_VERTEX unless every label is an integer in 1..n,
-    DIM_MISMATCH on a repeated label."""
-    labels = tuple(labels)
-    mask = qcore._mask_of(n, labels)
-    if mask.bit_count() != len(labels):
-        raise EdlkitError("DIM_MISMATCH", "repeated particle label in %r" % (labels,))
-    k = len(labels)
+    """Embed an operator on the qubits ``labels`` (1-based labels or a ``Subset``) into
+    n qubits, its tensor factors in ascending label order (``qcore._embed``).
+    DIM_MISMATCH unless ``n`` is a positive integer, TOO_LARGE past
+    ``qcore.MAX_QUBITS``, BAD_VERTEX unless every label is an integer in 1..n, and
+    DIM_MISMATCH on a repeated label or a block of the wrong shape."""
+    qcore._check_n(n)
+    mask = qcore._subset_mask(n, labels)
+    k = mask.bit_count()
     h = np.asarray(h, dtype=complex)
     if h.shape != (1 << k, 1 << k):
         raise EdlkitError("DIM_MISMATCH", "block shape %r does not match %d qubits" % (h.shape, k))
-    d = 1 << n
-    idx = np.arange(d)
-    sub = np.zeros(d, dtype=int)
-    rest = np.zeros(d, dtype=int)
-    for j in range(1, n + 1):
-        bit = idx >> (n - j) & 1
-        if mask >> (j - 1) & 1:
-            sub = (sub << 1) | bit
-        else:
-            rest = (rest << 1) | bit
-    match = rest[:, None] == rest[None, :]
-    return h[np.ix_(sub, sub)] * match
+    return qcore._embed(n, mask, h)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +492,7 @@ class Witness:
         d = 1 << self.n
         out = np.zeros((d, d), dtype=complex)
         for subset, h in self.blocks:
-            out += expand_operator(self.n, subset.indices, h)
+            out += expand_operator(self.n, subset, h)  # checks the shape of each block
         return out
 
 
@@ -653,7 +630,7 @@ def _split_blocks(n, coll, w):
     for mask in coll.edges:
         subset = qcore.Subset(n, mask)
         h = qcore.partial_trace(rest, subset) / (1 << (n - subset.size))
-        rest = rest - expand_operator(n, subset.indices, h)
+        rest = rest - qcore._embed(n, mask, h)
         blocks.append((subset, h))
     return blocks
 
@@ -673,14 +650,17 @@ def negative_by_margin(alpha, tol=DEFAULT_TOL):
 
     A separable state has true value 0 or more, yet its solve to tolerance
     ``tol`` can land a little below 0, so a plain sign test is not enough.
-    NaN is never negative.
+    NaN is never negative.  BAD_TOL unless ``tol`` is finite and at least 0.
     """
+    qcore._check_tol(tol)
     return alpha < -10.0 * tol
 
 
 def determined_by_margin(alpha, tol=DEFAULT_TOL):
     """Whether a minimum fidelity solved to ``tol`` counts as determined:
-    ``alpha >= 1 - 100 tol``.  NaN is never determined."""
+    ``alpha >= 1 - 100 tol``.  NaN is never determined.  BAD_TOL unless ``tol`` is
+    finite and at least 0."""
+    qcore._check_tol(tol)
     return alpha >= 1.0 - 100.0 * tol
 
 
@@ -782,9 +762,9 @@ def _face_hamiltonian(psi, coll):
     n = psi.n
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for mask in coll.edges:
-        schmidt = _split(psi.amplitudes[:, None], n, mask)[:, :, 0]
+        schmidt = qcore._split(psi.amplitudes, n, mask)
         null = _kernel_face(schmidt @ schmidt.conj().T)[0]
-        h += expand_operator(n, qcore._labels_of(mask), null @ null.conj().T)
+        h += qcore._embed(n, mask, null @ null.conj().T)
     return h
 
 
@@ -802,8 +782,10 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     (``face_program``), the same program on the whole space when that is the
     face (``full_program``, ``face_dim = 2^n`` and no gap); the minimizer is
     returned as ``rho``, a different compatible state when the value drops
-    below 1.
+    below 1.  BAD_TOL unless ``tol`` is finite and at least 0, also when no
+    solve runs.
     """
+    qcore._check_tol(tol)
     if not isinstance(psi, qcore.PureVector):
         raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
     n = psi.n
@@ -842,8 +824,9 @@ def determination_levels(psi, tol=DEFAULT_TOL):
     Returns ``(value, levels)``, ``levels`` mapping each scanned k to the
     :class:`DeterminationResult` of :func:`pure_determination_alpha` on all
     k-subsets.  The scan stops at the first level that :func:`determined_by_margin`
-    accepts.
+    accepts.  BAD_TOL unless ``tol`` is finite and at least 0.
     """
+    qcore._check_tol(tol)
     if not isinstance(psi, qcore.PureVector):
         raise EdlkitError("DIM_MISMATCH", "expected a PureVector")
     levels = {}
@@ -907,7 +890,10 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
       compatible X: a value above ``100 tol`` is NONUNIQUE with the maximiser
       as witness, else every compatible X lives on ``range(X0)`` and the two
       tests above decide there.
+
+    BAD_TOL unless ``tol`` is finite and at least 0, also when no solve runs.
     """
+    qcore._check_tol(tol)
     if not isinstance(coeffs, SymmetricCoeffs):
         raise EdlkitError("DIM_MISMATCH", "expected SymmetricCoeffs")
     n = coeffs.n

@@ -77,6 +77,30 @@ def test_brute_marginal_of_product_state_factorizes():
     assert np.max(np.abs(marg - qcore.kron(singles[0], singles[2]))) < 1e-12
 
 
+def test_brute_partial_transpose_of_bell_pair_and_full_mask():
+    bell = (qcore.basis_ket(2, (0, 0)) + qcore.basis_ket(2, (1, 1))) / np.sqrt(2)
+    pt = oracle.brute_partial_transpose(np.outer(bell, bell.conj()), 2, 0b01)
+    # the transposed Bell projector is half the swap
+    want = np.zeros((4, 4))
+    want[0, 0] = want[3, 3] = want[1, 2] = want[2, 1] = 0.5
+    assert np.max(np.abs(pt - want)) < 1e-15
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    assert np.array_equal(oracle.brute_partial_transpose(a, 3, 0b111), a.T)
+    assert np.array_equal(oracle.brute_partial_transpose(a, 3, 0), a)
+
+
+def test_brute_embed_places_factors():
+    x = qcore.PAULI_1Q["X"]
+    z = qcore.PAULI_1Q["Z"]
+    # mask 0b101 holds particles 1 and 3; mask 0b010 particle 2
+    assert np.array_equal(oracle.brute_embed(3, 0b101, np.kron(x, z)),
+                          np.kron(np.kron(x, np.eye(2)), z))
+    assert np.array_equal(oracle.brute_embed(3, 0b010, z),
+                          np.kron(np.kron(np.eye(2), z), np.eye(2)))
+    assert np.array_equal(oracle.brute_embed(2, 0, np.array([[2.0]])), 2 * np.eye(4))
+
+
 def test_brute_ppt_flags_bell_pair():
     bell = (qcore.basis_ket(2, (0, 0)) + qcore.basis_ket(2, (1, 1))) / np.sqrt(2)
     is_ppt, min_eig = oracle.brute_ppt(np.outer(bell, bell.conj()), 2)

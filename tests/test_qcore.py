@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from edlkit import qcore
+from edlkit import oracle, qcore, witness
 from edlkit.errors import EdlkitError
-from edlkit import oracle
 
 
 def cholesky_min_eig(h, tol=1e-11):
@@ -173,6 +172,76 @@ def test_partial_transpose_agrees_with_oracle_split():
         front = qcore.Subset.from_indices(n, range(1, n // 2 + 1))
         pt = qcore.partial_transpose(rho, front)
         assert np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0] == pytest.approx(min_eig, abs=1e-10)
+
+
+def test_layout_matches_index_loop_references():
+    # every mask at n = 1..4: each route of qcore's one particle layout against the loops
+    rng = np.random.default_rng(17)
+    for n in range(1, 5):
+        d = 1 << n
+        rho = random_density(rng, n)
+        v = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        for mask in range(1 << n):
+            labels = qcore._labels_of(mask)
+            rest = qcore._labels_of(((1 << n) - 1) ^ mask)
+            pt = oracle.brute_partial_transpose(rho, n, mask)
+            assert np.array_equal(qcore.partial_transpose(rho, labels), pt), (n, mask)
+            gather = rho.ravel()[witness._pt_permutation(n, mask)].reshape(d, d)
+            assert np.array_equal(gather, pt), (n, mask)
+            shape = (1 << len(labels),) * 2
+            h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.array_equal(witness.expand_operator(n, labels, h),
+                                  oracle.brute_embed(n, mask, h)), (n, mask)
+            if mask:
+                marg = qcore.partial_trace(rho, labels)
+                assert np.max(np.abs(marg - oracle.brute_marginal(rho, n, labels))) < 1e-14
+            else:
+                with pytest.raises(EdlkitError) as err:
+                    qcore.partial_trace(rho, labels)
+                assert err.value.code == "EMPTY_SUBSET"
+            # the split of one vector and of three columns: M M^dag is the marginal on
+            # the mask, M^T conj(M) the one on the rest
+            for cols in (v[:, 0], v):
+                a = qcore._split(cols, n, mask)
+                assert a.shape == (1 << len(labels), 1 << len(rest)) + cols.shape[1:]
+                a = a.reshape(a.shape[0], a.shape[1], -1)
+                gram = cols.reshape(d, -1) @ cols.reshape(d, -1).conj().T
+                for sub, got in ((labels, np.einsum("aci,bci->ab", a, a.conj())),
+                                 (rest, np.einsum("cai,cbi->ab", a, a.conj()))):
+                    if sub:
+                        ref = oracle.brute_marginal(gram, n, sub)
+                        assert np.max(np.abs(got - ref)) < 1e-12, (n, mask, sub)
+
+
+def test_layout_entry_points_share_one_label_rule():
+    rng = np.random.default_rng(18)
+    rho = random_density(rng, 3)
+    for call in (qcore.partial_trace, qcore.partial_transpose,
+                 lambda m, s: witness.expand_operator(3, s, np.eye(4))):
+        for subset, code in ((2, "DIM_MISMATCH"), (0, "DIM_MISMATCH"), (1.5, "DIM_MISMATCH"),
+                             ([1, 1], "DIM_MISMATCH"), ((2, 3, 2), "DIM_MISMATCH"),
+                             (qcore.Subset(2, 0b11), "DIM_MISMATCH"), ([0, 1], "BAD_VERTEX"),
+                             ([1, 4], "BAD_VERTEX"), ([1.0, 2], "BAD_VERTEX"),
+                             ([True, 2], "BAD_VERTEX")):
+            with pytest.raises(EdlkitError) as err:
+                call(rho, subset)
+            assert err.value.code == code, (call, subset)
+    # None and [] are the empty subset, a Subset its mask, labels in any order
+    for empty in (None, [], qcore.Subset(3, 0)):
+        out = qcore.partial_transpose(rho, empty)
+        assert np.array_equal(out, rho) and not np.shares_memory(out, rho)
+        with pytest.raises(EdlkitError) as err:
+            qcore.partial_trace(rho, empty)
+        assert err.value.code == "EMPTY_SUBSET"
+    want = qcore.partial_transpose(rho, [1, 3])
+    for subset in ((3, 1), qcore.Subset(3, 0b101), np.array([1, 3])):
+        assert np.array_equal(qcore.partial_transpose(rho, subset), want)
+    assert np.array_equal(qcore.partial_trace(rho, (3, 1)), qcore.partial_trace(rho, [1, 3]))
+    # the embedding checks its qubit count as the matrix entry points do
+    for n, code in ((-1, "DIM_MISMATCH"), (0, "DIM_MISMATCH"), (qcore.MAX_QUBITS + 1, "TOO_LARGE")):
+        with pytest.raises(EdlkitError) as err:
+            witness.expand_operator(n, [], np.eye(1))
+        assert err.value.code == code, n
 
 
 def test_min_eigenvalue_against_cholesky_bisection():

@@ -8,8 +8,8 @@ import pytest
 from edlkit import oracle, qcore, witness
 from edlkit.errors import EdlkitError
 from edlkit.hypergraph import SubsetCollection, all_k_subsets, min_marginal_count
-from edlkit.symmetric import (SymmetricCoeffs, _reduce_coeff_matrix, check_compatibility,
-                              dicke_vector)
+from edlkit.symmetric import (DickeMixture, SymmetricCoeffs, _reduce_coeff_matrix,
+                              check_compatibility, dicke_vector)
 from edlkit.witness import (
     MAX_ITER,
     SdpBlock,
@@ -295,6 +295,27 @@ def test_admm_rejects_bad_tolerances():
     assert out[2] == "MAX_ITER" and out[5] == 7
 
 
+def test_determination_routes_reject_bad_tolerances():
+    # no solve runs on these inputs, so only an entry check sees the tolerance: a NaN
+    # one read determination length 3 for the product state |010>
+    psi = qcore.PureVector(3, qcore.basis_ket(3, "010"))
+    coeffs = SymmetricCoeffs.from_diagonal(DickeMixture(3, (0.5, 0, 0, 0.5)))
+    calls = [lambda tol: sdl_pure(psi, tol=tol),
+             lambda tol: witness.determination_levels(psi, tol),
+             lambda tol: pure_determination_alpha(psi, all_k_subsets(3, 1), tol=tol),
+             lambda tol: symmetric_sdl_probe(coeffs, 2, tol=tol),
+             lambda tol: witness.negative_by_margin(-1.0, tol),
+             lambda tol: witness.determined_by_margin(1.0, tol)]
+    for call in calls:
+        for tol in (-1.0, float("nan"), float("inf"), -float("inf"), "1e-7", None):
+            with pytest.raises(EdlkitError) as err:
+                call(tol)
+            assert err.value.code == "BAD_TOL", tol
+    # tol = 0 stays legal
+    assert sdl_pure(psi, tol=0.0)[0] == 1
+    assert witness.negative_by_margin(-1.0, 0.0) and witness.determined_by_margin(1.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # operator embedding
 # ---------------------------------------------------------------------------
@@ -318,6 +339,12 @@ def test_expand_operator_rejects_bad_labels():
         assert err.value.code == code, labels
     # labels are read in ascending order whatever order they come in
     assert np.array_equal(expand_operator(3, (3, 1), h), expand_operator(3, (1, 3), h))
+    # a block of the wrong shape, also inside a witness
+    bad = Witness(3, all_k_subsets(3, 2), 0.0, [(qcore.Subset(3, 0b011), np.eye(2))], [])
+    for call in (lambda: expand_operator(3, (1, 2), np.eye(2)), bad.assemble):
+        with pytest.raises(EdlkitError) as err:
+            call()
+        assert err.value.code == "DIM_MISMATCH"
 
 
 def test_marginal_rows_match_partial_traces(rng):
