@@ -29,7 +29,10 @@ reference for the adjacency-bitmask search of ``graphstate``.
 
 The generic SDP references (:func:`build_fdw_problem`, :func:`_linmap_matrix`)
 state a program as svec-packed constraint rows for ``witness.solve_sdp``,
-which tests compare against the matrix-native fast paths.  They take Pauli
+which tests compare against the matrix-native fast paths.  Every reference
+program has blocks of one size, as ``solve_sdp`` requires: it reads the rows
+once as Hermitian functionals on the stack of blocks and iterates on that
+stack.  They take Pauli
 strings and partial transposes from the Kronecker-product and index routines
 of ``qcore``; the fast paths describe locality by partial traces instead and
 build no Pauli string.  What the references share with the fast paths is

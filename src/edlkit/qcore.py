@@ -24,8 +24,8 @@ One rule for counts and labels holds across the package: an integer is any
 ``numbers.Integral`` except ``bool`` (:func:`_is_integer`), so numpy integers
 pass while ``True`` and ``1.0`` do not.  Particle labels become bitmasks only
 through :func:`_mask_of`, which rejects any label that is not an integer in
-``1..n`` with ``BAD_VERTEX``, and masks become labels through
-:func:`_labels_of`.
+``1..n`` with ``BAD_VERTEX`` and a repeated label with ``DIM_MISMATCH``, and
+masks become labels through :func:`_labels_of`.
 
 All dense operations are capped at ``MAX_QUBITS`` qubits; beyond that the
 matrices do not fit the intended workload and a ``TOO_LARGE`` error is
@@ -76,15 +76,19 @@ def _check_n(n):
 
 
 def _mask_of(n, labels):
-    """Bitmask of 1-based particle labels; BAD_VERTEX unless each is an integer in 1..n,
-    DIM_MISMATCH unless ``n`` is an integer."""
+    """Bitmask of distinct 1-based particle labels; BAD_VERTEX unless each is an integer
+    in 1..n, then DIM_MISMATCH on a repeated label; DIM_MISMATCH unless ``n`` is an
+    integer."""
     if not _is_integer(n):
         raise EdlkitError("DIM_MISMATCH", "particle count must be an integer, got %r" % (n,))
+    labels = tuple(labels)
     mask = 0
     for j in labels:
         if not _is_integer(j) or not 1 <= j <= n:
             raise EdlkitError("BAD_VERTEX", "particle label %r outside 1..%d" % (j, n))
         mask |= 1 << (int(j) - 1)
+    if mask.bit_count() != len(labels):
+        raise EdlkitError("DIM_MISMATCH", "repeated particle label in %r" % (labels,))
     return mask
 
 
@@ -250,10 +254,7 @@ def _subset_mask(n, subset):
     except TypeError:
         raise EdlkitError("DIM_MISMATCH", "expected a Subset or particle labels, got %r"
                           % (subset,)) from None
-    mask = _mask_of(n, labels)
-    if mask.bit_count() != len(labels):
-        raise EdlkitError("DIM_MISMATCH", "repeated particle label in %r" % (labels,))
-    return mask
+    return _mask_of(n, labels)
 
 
 @functools.lru_cache(maxsize=None)

@@ -56,13 +56,18 @@ point in the cone input ``v = z + u`` (:class:`_Anderson`): up to
 ``ANDERSON_EVERY`` iterations off the penalty iterations, kept only if its
 residual does not grow, and the memory cleared at every penalty change.  The
 witness program runs the plain loop, whose iterates ``admm_reference`` keeps.
-Every program iterates on a stack of complex matrices with a closed-form
-affine step: partial-transpose index permutations and an orthonormal basis of
-the local operators (witness program, whole-space determination), built once
-per call, or an orthonormal basis of a face's constraint rows from one SVD.
-Only the generic :func:`solve_sdp` packs its iterate with svec and factors its
-constraint matrix (:func:`_factor_rows`).  Iterations are deterministic; no
-external solver is used.
+Every program iterates on a stack of complex matrices and takes one of two
+closed-form affine steps.  The decomposition step (:func:`_decomposition`)
+projects every pair ``(P_i, Q_i)`` onto ``P_i + Q_i^(T_i) = W`` through one
+partial-transpose gather built once per call: the witness program takes it
+after averaging W into the span of the local operators, the certificate refit
+with W fixed.  The pinned-row step (:func:`_pinned_step`) is
+``X - span^dag (span vec X - pinned)`` for orthonormal rows ``span``: a basis
+of the local operators (whole-space determination), of a face's constraint
+rows, or of the Hermitian functionals that the generic :func:`solve_sdp` reads
+once from its svec-packed rows.  No iterate is packed with svec.  A solve that
+stops short of OPTIMAL raises through one helper (:func:`_optimal`).
+Iterations are deterministic; no external solver is used.
 """
 
 from __future__ import annotations
@@ -143,32 +148,14 @@ class SdpBlock:
 class SdpProblem:
     """Minimize ``sum_b <objective[b], X_b>`` s.t. ``rows @ x = rhs`` and cones.
 
-    ``x`` is the concatenation of the svec of every block.  ``objective``
-    entries may be None (no cost on that block).
+    ``x`` is the concatenation of the svec of every block, and every block has
+    one size.  ``objective`` entries may be None (no cost on that block).
     """
 
     blocks: list
     objective: list
     rows: np.ndarray
     rhs: np.ndarray
-
-    def block_slices(self):
-        out = []
-        off = 0
-        for b in self.blocks:
-            out.append(slice(off, off + b.dim * b.dim))
-            off += b.dim * b.dim
-        return out
-
-    def dim(self):
-        return sum(b.dim * b.dim for b in self.blocks)
-
-    def cost_vector(self):
-        c = np.zeros(self.dim())
-        for sl, b, obj in zip(self.block_slices(), self.blocks, self.objective):
-            if obj is not None:
-                c[sl] = svec(obj)
-        return c
 
 
 @dataclass
@@ -338,30 +325,32 @@ def _admm(c, project_affine, project_cone, tol, max_iter, memory=0):
     return x, z, status, math.sqrt(rp2), math.sqrt(rd2), it, sigma
 
 
-def _factor_rows(A, b):
-    """Rank-cut thin SVD of ``A``, least-norm solution of ``A x = b``, its residual."""
-    u_svd, s_svd, vt_svd = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s_svd > max(1.0, s_svd[0] if s_svd.size else 1.0) * 1e-12))
-    ur, sr, vr = u_svd[:, :rank], s_svd[:rank], vt_svd[:rank]
-    x_ls = vr.T @ (ur.T @ b / sr)
-    return ur, sr, vr, x_ls, float(np.linalg.norm(A @ x_ls - b))
+def _optimal(out, what, stall="SOLVER_FAIL"):
+    """The output of :func:`_admm` if it stopped OPTIMAL.  Otherwise raise MAX_ITER at
+    the iteration cap and ``stall`` when the stall window stopped it (INFEASIBLE)."""
+    _x, _z, status, res_p, res_d, iters, _sigma = out
+    if status != "OPTIMAL":
+        raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else stall,
+                          "%s did not converge (%s, primal %.2e, dual %.2e, %d iters)"
+                          % (what, status, res_p, res_d, iters))
+    return out
+
+
+def _pinned_step(span, pinned):
+    """The affine step onto ``span @ vec X = pinned`` for orthonormal rows ``span``:
+    ``X - span^dag (span vec X - pinned)``, on an iterate of any shape, with
+    ``span^dag`` formed once."""
+    span_h = np.ascontiguousarray(span.conj().T)
+    return lambda v: v - (span_h @ (span @ v.ravel() - pinned)).reshape(v.shape)
 
 
 def _solve_pinned(c, span, anchor, what, tol, max_iter):
     """Minimize ``<c, X>`` over PSD ``X`` (shape ``(1, d, d)``) with ``span @ vec X`` equal
-    to ``span @ anchor``, ``span`` orthonormal rows; the affine step is
-    ``X - span^dag (span vec X - span anchor)``, with ``span^dag`` and ``span anchor``
-    formed once.  Returns a DeterminationResult on the full route of this ``d x d``
-    program."""
-    span_h = np.ascontiguousarray(span.conj().T)
-    pinned = span @ anchor
-    x, _z, status, res_p, res_d, iters, sigma = _admm(
-        c, lambda v: v - (span_h @ (span @ v.ravel() - pinned)).reshape(v.shape),
-        _clip_psd, tol, max_iter, memory=ANDERSON_MEMORY)
-    if status != "OPTIMAL":
-        raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
-                          "%s did not converge (%s, primal %.2e, dual %.2e, %d iters)"
-                          % (what, status, res_p, res_d, iters))
+    to ``span @ anchor``, ``span`` orthonormal rows (:func:`_pinned_step`).  Returns a
+    DeterminationResult on the full route of this ``d x d`` program."""
+    x, _z, status, res_p, res_d, iters, sigma = _optimal(_admm(
+        c, _pinned_step(span, span @ anchor), _clip_psd, tol, max_iter, memory=ANDERSON_MEMORY),
+        what)
     return DeterminationResult(float(np.vdot(c, x).real), status, x[0], iters, res_p, res_d, sigma,
                                "full_program", c.shape[-1], None)
 
@@ -369,39 +358,46 @@ def _solve_pinned(c, span, anchor, what, tol, max_iter):
 def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Solve an :class:`SdpProblem` with the operator-splitting loop.
 
-    The affine projection uses a cached thin SVD of the constraint matrix;
-    an inconsistent linear system reports INFEASIBLE immediately.  Raises
-    nothing on nonconvergence: inspect ``status`` on the returned solution.
+    The iterate is the ``(B, d, d)`` stack of the blocks.  Each svec row is read
+    once as a Hermitian functional on that stack (``smat`` of the unit vectors),
+    and one SVD of the functionals gives the pinned-row affine step
+    (:func:`_pinned_step`) and the consistency test: an inconsistent linear
+    system reports INFEASIBLE with 0 iterations.  The cone step clips the PSD
+    blocks.  DIM_MISMATCH unless every block has one size and the rows fit the
+    blocks.  Raises nothing on nonconvergence: inspect ``status`` on the returned
+    solution.
     """
+    sizes = {bl.dim for bl in problem.blocks}
+    if len(sizes) != 1:
+        raise EdlkitError("DIM_MISMATCH", "blocks must share one size, got sizes %r" % (sorted(sizes),))
+    d, nb = sizes.pop(), len(problem.blocks)
     A = np.asarray(problem.rows, dtype=float)
     b = np.asarray(problem.rhs, dtype=float).reshape(-1)
-    if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != problem.dim():
+    if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != nb * d * d:
         raise EdlkitError("DIM_MISMATCH", "constraint matrix shape %r mismatch" % (A.shape,))
-    slices = problem.block_slices()
-    ur, sr, vr, x_ls, lin_res = _factor_rows(A, b)
+    units = np.array([smat(e, d).ravel() for e in np.eye(d * d)])
+    # svec is an isometry, so row j applied to the svec of the blocks is
+    # sum_b Tr(F_jb X_b) = vdot(F_j, X) with F_jb = smat(A_jb), Hermitian
+    u, s, wh = np.linalg.svd((A.reshape(len(A), nb, d * d) @ units.conj()).reshape(len(A), -1),
+                             full_matrices=False)
+    rank = int(np.sum(s > max(1.0, s[0] if s.size else 1.0) * 1e-12))
+    ub = u[:, :rank].conj().T @ b
+    lin_res = float(np.linalg.norm(u[:, :rank] @ ub - b))
     if lin_res > 1e-8 * max(1.0, float(np.linalg.norm(b))):
-        zeros = [np.zeros((bl.dim, bl.dim), dtype=complex) for bl in problem.blocks]
-        return SdpSolution("INFEASIBLE", float("nan"), zeros, [z.copy() for z in zeros], lin_res, 0.0, 0)
-    psd_groups = {}
-    for bl, sl in zip(problem.blocks, slices):
-        if bl.cone == "psd":
-            psd_groups.setdefault(bl.dim, []).append(sl)
+        zeros = np.zeros((nb, d, d), dtype=complex)
+        return SdpSolution("INFEASIBLE", float("nan"), list(zeros), list(zeros.copy()), lin_res, 0.0, 0)
+    psd = [i for i, bl in enumerate(problem.blocks) if bl.cone == "psd"]
 
     def project_cone(v):
         out = v.copy()
-        for d, members in psd_groups.items():
-            clipped = _clip_psd(np.array([smat(v[sl], d) for sl in members]))
-            for sl, block in zip(members, clipped):
-                out[sl] = svec(block)
+        out[psd] = _clip_psd(v[psd])
         return out
 
-    c = problem.cost_vector()
+    c = np.array([np.zeros((d, d)) if obj is None else obj for obj in problem.objective], dtype=complex)
+    c = (c + c.conj().transpose(0, 2, 1)) / 2.0
     x, z, status, res_p, res_d, iters, _sigma = _admm(
-        c, lambda v: v - vr.T @ (ur.T @ (A @ v - b) / sr), project_cone, tol, max_iter,
-        memory=ANDERSON_MEMORY)
-    blocks = [smat(x[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
-    cone_blocks = [smat(z[sl], bl.dim) for sl, bl in zip(slices, problem.blocks)]
-    return SdpSolution(status, float(c @ x), blocks, cone_blocks, res_p, res_d, iters)
+        c, _pinned_step(wh[:rank], ub / s[:rank]), project_cone, tol, max_iter, memory=ANDERSON_MEMORY)
+    return SdpSolution(status, float(np.vdot(c, x).real), list(x), list(z), res_p, res_d, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +447,33 @@ def _pt_permutation(n, mask):
     order ``qcore._pt_axes`` applied to the flat indices."""
     d = 1 << n
     return np.arange(d * d).reshape((2,) * (2 * n)).transpose(qcore._pt_axes(n, mask)).ravel()
+
+
+def _decomposition(n):
+    """``(masks, pt, decompose)`` for the m bipartitions of n qubits (particle 1 inside).
+
+    ``pt(blocks)`` partially transposes block i of an ``(m, d, d)`` stack on
+    ``masks[i]``, one gather built once from :func:`_pt_permutation`.
+    ``decompose(w, p, q, ks, p_out, q_out)`` writes into ``p_out`` and ``q_out`` the
+    projection of the stacks ``p = (P_1..P_m)``, ``q = (Q_1..Q_m)`` onto
+    ``P_i + Q_i^(T_i) = w`` for every i, given ``ks = p + pt(q)``: partial transpose
+    is an orthogonal involution, so with ``r = (w - P_i - Q_i^(T_i)) / 2`` it is
+    ``P_i + r`` and ``Q_i + r^(T_i)``."""
+    d = 1 << n
+    masks = _bipartition_masks(n)
+    m = len(masks)
+    index = np.array([_pt_permutation(n, mask) + i * d * d for i, mask in enumerate(masks)])
+
+    def pt(blocks):
+        return blocks.ravel()[index].reshape(m, d, d)
+
+    def decompose(w, p, q, ks, p_out, q_out):
+        np.subtract(w, ks, out=p_out)  # r, then P + r in place
+        p_out *= 0.5
+        np.add(q, pt(p_out), out=q_out)
+        p_out += p
+
+    return masks, pt, decompose
 
 
 def expand_operator(n, labels, h):
@@ -577,17 +600,12 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     _check_sdp_size(n)
     coll = _collection_of(n, subsets)
     d = 1 << n
-    masks = _bipartition_masks(n)
+    masks, pt, decompose = _decomposition(n)
     m = len(masks)
-    # block i of an (m, d, d) stack, partially transposed on masks[i]
-    pt_index = np.array([_pt_permutation(n, mask) + i * d * d for i, mask in enumerate(masks)])
     span = _locality_span(n, coll)
     span_h = np.ascontiguousarray(span.conj().T)
     # the consensus average (W + sum_i (P_i + Q_i^(T_i)) / 2) / (1 + m/2), folded into the rows
     span_avg = span / (1.0 + m / 2.0)
-
-    def pt(blocks):
-        return blocks.ravel()[pt_index].reshape(m, d, d)
 
     def project_affine(v):
         p, q = v[1:1 + m], v[1 + m:]
@@ -597,11 +615,7 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         w[...] = (span_h @ (span_avg @ (v[0] + 0.5 * ks.sum(axis=0)).ravel())).reshape(d, d)
         diag = w.reshape(-1)[::d + 1]
         diag += (1.0 - diag.sum().real) / d
-        r = out[1:1 + m]
-        np.subtract(w, ks, out=r)
-        r *= 0.5
-        np.add(q, pt(r), out=out[1 + m:])
-        r += p
+        decompose(w, p, q, ks, out[1:1 + m], out[1 + m:])
         return out
 
     def project_cone(v):
@@ -609,11 +623,7 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
     c = np.zeros((1 + 2 * m, d, d), dtype=complex)
     c[0] = (mat + mat.conj().T) / 2.0
-    x, z, status, res_p, res_d, iters, _sigma = _admm(c, project_affine, project_cone, tol, max_iter)
-    if status != "OPTIMAL":
-        raise EdlkitError("MAX_ITER" if status == "MAX_ITER" else "SOLVER_FAIL",
-                          "witness program did not converge (%s, primal %.2e, dual %.2e, %d iters)"
-                          % (status, res_p, res_d, iters))
+    x, z = _optimal(_admm(c, project_affine, project_cone, tol, max_iter), "witness program")[:2]
     alpha = float(np.trace(x[0] @ mat).real)
     certificates = [(qcore.Subset(n, mask), p, q)
                     for mask, p, q in zip(masks, z[1:1 + m], z[1 + m:])]
@@ -683,38 +693,29 @@ def edl_upper_bound(rho, tol=DEFAULT_TOL):
 def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Recompute the per-bipartition decompositions of a witness from its W.
 
-    Each bipartition is an independent feasibility program: find PSD ``P, Q``
-    with ``P + Q^(T_S) = W``; partial transpose is an orthogonal involution, so
-    its projection is ``r = W - P - Q^(T_S); P += r/2; Q += r^(T_S)/2``.
-    Returns a new witness with fresh certificates.
+    One feasibility program finds PSD ``P_i, Q_i`` with ``P_i + Q_i^(T_i) = W`` for
+    every bipartition i at once: the witness program's decomposition step
+    (:func:`_decomposition`) with W fixed, on the stack ``(P_1..P_m, Q_1..Q_m)``.
+    Returns a new witness with fresh certificates; INFEASIBLE when the loop
+    stalls (no decomposition), MAX_ITER at the iteration cap.
     """
     n = witness.n
     _check_sdp_size(n)
     w = witness.assemble()
     w = (w + w.conj().T) / 2.0
     d = 1 << n
-    certificates = []
-    for mask in _bipartition_masks(n):
-        perm = _pt_permutation(n, mask)
+    masks, pt, decompose = _decomposition(n)
+    m = len(masks)
 
-        def project_affine(v, perm=perm):
-            out = np.empty_like(v)
-            r = out[0]
-            np.subtract(w, v[0], out=r)
-            r -= v[1].ravel()[perm].reshape(d, d)
-            r *= 0.5
-            np.add(v[1], r.ravel()[perm].reshape(d, d), out=out[1])
-            r += v[0]
-            return out
+    def project_affine(v):
+        p, q = v[:m], v[m:]
+        out = np.empty_like(v)
+        decompose(w, p, q, p + pt(q), out[:m], out[m:])
+        return out
 
-        subset = qcore.Subset(n, mask)
-        z, status = _admm(np.zeros((2, d, d), dtype=complex), project_affine, _clip_psd,
-                          tol, max_iter, memory=ANDERSON_MEMORY)[1:3]
-        if status != "OPTIMAL":
-            raise EdlkitError("INFEASIBLE" if status == "INFEASIBLE" else "MAX_ITER",
-                              "no decomposition found at bipartition %s (%s)"
-                              % (subset.indices, status))
-        certificates.append((subset, z[0], z[1]))
+    z = _optimal(_admm(np.zeros((2 * m, d, d), dtype=complex), project_affine, _clip_psd,
+                       tol, max_iter, memory=ANDERSON_MEMORY), "decomposition program", "INFEASIBLE")[1]
+    certificates = [(qcore.Subset(n, mask), p, q) for mask, p, q in zip(masks, z[:m], z[m:])]
     return Witness(witness.n, witness.collection, witness.alpha, witness.blocks, certificates)
 
 
@@ -744,15 +745,6 @@ def _kernel_face(h):
     w, q = np.linalg.eigh(h)
     null = w <= FACE_CUT
     return q[:, null], (float(w[~null][0]) if not null.all() else None)
-
-
-def _row_space(rows, cut):
-    """Rows of the right singular factor of ``rows`` above ``cut`` times the largest
-    singular value, and all the others (a basis of the null space when ``rows``
-    is complete)."""
-    _u, s, wh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-    rank = int(np.sum(s > cut * s[0]))
-    return wh[:rank], wh[rank:]
 
 
 def _face_hamiltonian(psi, coll):
@@ -906,15 +898,20 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
     slack = null @ null.conj().T
     face = _kernel_face((table @ slack.conj().ravel()).reshape(n + 1, n + 1).T)[0]
 
-    def face_rows(v):
+    def face_svd(v):
+        """Singular values and right singular factor of (trace, ``R_k``) on face ``v``,
+        complete when there are fewer rows than columns, so that the rows past the
+        rank span the kernel."""
         r = v.shape[1]
-        return np.vstack([np.eye(r).ravel(), table.T @ np.kron(v, v.conj())])
+        rows = np.vstack([np.eye(r).ravel(), table.T @ np.kron(v, v.conj())])
+        _u, s, wh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+        return s, wh
 
-    def certify(v, x0):
-        """UNIQUE if the map is injective on face ``v``, an exact NONUNIQUE witness
-        if ``x0 = v^dag a v`` is positive definite there, else None."""
+    def certify(v, x0, s, wh):
+        """UNIQUE if the map is injective on face ``v`` (its SVD ``s, wh``), an exact
+        NONUNIQUE witness if ``x0 = v^dag a v`` is positive definite there, else None."""
         r = v.shape[1]
-        null = _row_space(face_rows(v), FACE_CUT)[1]
+        null = wh[int(np.sum(s > FACE_CUT * s[0])):]
         if not null.shape[0]:
             return ProbeResult("UNIQUE", 0.0, None, r)
         lam = float(np.linalg.eigvalsh(x0)[0])
@@ -928,16 +925,18 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
         return ProbeResult("NONUNIQUE", float(np.linalg.norm(wit - a)), wit, r)
 
     x0 = face.conj().T @ a @ face
-    verdict = certify(face, x0)
+    s, wh = face_svd(face)
+    verdict = certify(face, x0, s, wh)
     if verdict is not None:
         return verdict
     lam, vecs = np.linalg.eigh(x0)
     inside = lam > FACE_CUT
-    basis = _row_space(face_rows(face), 1e-12)[0]
     outside = vecs[:, ~inside] @ vecs[:, ~inside].conj().T
-    res = _solve_pinned(-outside[None], basis, x0.ravel(), "probe solve", tol, MAX_ITER)
+    res = _solve_pinned(-outside[None], wh[:int(np.sum(s > 1e-12 * s[0]))], x0.ravel(),
+                        "probe solve", tol, MAX_ITER)
     if -res.alpha > 100.0 * tol:
         wit = face @ res.rho @ face.conj().T
         return ProbeResult("NONUNIQUE", float(np.linalg.norm(wit - a)), wit, face.shape[1])
     # every compatible X lives on range(X0), where X0 is diagonal and positive definite
-    return certify(face @ vecs[:, inside], np.diag(lam[inside]).astype(complex))
+    inner = face @ vecs[:, inside]
+    return certify(inner, np.diag(lam[inside]).astype(complex), *face_svd(inner))

@@ -378,6 +378,10 @@ def test_input_error_paths(tmp_path, capsys):
         code, doc = run(capsys, "marginal", "--state", path, "--keep", keep)
         assert code == 2
         assert doc["error"]["code"] == "BAD_VERTEX"
+    # and a repeated label is refused, not read as the one-particle marginal
+    code, doc = run(capsys, "marginal", "--state", path, "--keep", "1,1")
+    assert code == 2
+    assert doc["error"]["code"] == "DIM_MISMATCH"
 
 
 def test_sdl_rejects_dense_mixed_state(tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_collection_rejects_bad_subsets():
         with pytest.raises(EdlkitError) as err:
             bad()
         assert err.value.code == "BAD_VERTEX"
-    for n, subsets in ((3.0, [[1, 2]]), ("3", [[1]])):
+    for n, subsets in ((3.0, [[1, 2]]), ("3", [[1]]), (3, [[1, 1, 2]]), (3, [[2], [3, 3]])):
         with pytest.raises(EdlkitError) as err:
             SubsetCollection.from_lists(n, subsets)
         assert err.value.code == "DIM_MISMATCH"
@@ -159,6 +159,9 @@ def test_transitivity_query_validation():
     with pytest.raises(EdlkitError) as err:
         TransitivityQuery(coll, (1.5,))
     assert err.value.code == "BAD_VERTEX"
+    with pytest.raises(EdlkitError) as err:
+        TransitivityQuery(coll, (2, 2))
+    assert err.value.code == "DIM_MISMATCH"
     assert TransitivityQuery(coll, (np.int64(3), 1)).target == (1, 3)
 
 

@@ -77,6 +77,11 @@ def test_subset_rejects_bad_labels():
         with pytest.raises(EdlkitError) as err:
             qcore.Subset.from_indices(3, labels)
         assert err.value.code == "BAD_VERTEX"
+    # a repeated label is refused, as by the layout entry points, not deduplicated
+    for labels in ([1, 1], (2, 3, 2), iter([3, 3])):
+        with pytest.raises(EdlkitError) as err:
+            qcore.Subset.from_indices(3, labels)
+        assert err.value.code == "DIM_MISMATCH"
     for n, mask in ((3, 1.0), (True, 1)):
         with pytest.raises(EdlkitError) as err:
             qcore.Subset(n, mask)

@@ -124,7 +124,7 @@ def test_sdp_flags_cone_infeasibility():
     assert sol.status == "INFEASIBLE"
 
 
-def test_sdp_reports_iteration_cap(rng):
+def test_sdp_reports_iteration_cap(rng, monkeypatch):
     c = random_hermitian(rng, 4)
     problem = SdpProblem(
         blocks=[SdpBlock(4, "psd")],
@@ -132,8 +132,28 @@ def test_sdp_reports_iteration_cap(rng):
         rows=svec(np.eye(4))[None, :],
         rhs=np.array([1.0]),
     )
-    sol = solve_sdp(problem, max_iter=3)
-    assert sol.status == "MAX_ITER"
+    # the rows are unpacked once, before the loop: no svec or smat per iteration
+    calls = []
+    for name in ("svec", "smat"):
+        def counted(*args, real=getattr(witness, name)):
+            calls.append(real)
+            return real(*args)
+        monkeypatch.setattr(witness, name, counted)
+    sols, counts = [], []
+    for max_iter in (3, 300):
+        calls.clear()
+        sols.append(solve_sdp(problem, max_iter=max_iter))
+        counts.append(len(calls))
+    assert sols[0].status == "MAX_ITER" and sols[1].iterations > 3
+    assert counts[0] == counts[1]
+
+
+def test_sdp_blocks_share_one_size():
+    # blocks of sizes 1 and 2 (five svec coordinates): the iterate is a stack of one size
+    with pytest.raises(EdlkitError) as err:
+        solve_sdp(SdpProblem([SdpBlock(1, "psd"), SdpBlock(2, "psd")], [None, np.eye(2)],
+                             np.ones((1, 5)), np.array([1.0])))
+    assert err.value.code == "DIM_MISMATCH"
 
 
 def test_bad_block_kind():
@@ -568,6 +588,28 @@ def test_refit_certificates_roundtrip():
         with pytest.raises(EdlkitError) as err:
             refit_certificates(negative, max_iter=max_iter)
         assert err.value.code == code
+
+
+def test_refit_is_one_program(monkeypatch):
+    # the criterion-08 witness blocks: every bipartition is refit in one solve
+    xx_yy = qcore.pauli_string(2, "XX") + qcore.pauli_string(2, "YY")
+    zz = qcore.pauli_string(2, "ZZ")
+    bare = Witness(3, SubsetCollection.from_lists(3, PAIR_CHAIN), float("nan"),
+                   [(qcore.Subset.from_indices(3, (1, 2)), np.eye(4) / 8 - xx_yy / 18 - zz / 72),
+                    (qcore.Subset.from_indices(3, (2, 3)), -xx_yy / 18 - zz / 72)], [])
+    calls = []
+    admm = witness._admm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return admm(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "_admm", counted)
+    refit = refit_certificates(bare)
+    assert calls == [(6, 8, 8)]
+    verdict = verify_witness(refit, dicke_mix_dense(3, (0, 0.5, 0.5, 0)))
+    assert verdict.ok, verdict.failures
+    assert abs(verdict.value + 1 / 72) <= 1e-9
 
 
 def test_edl_upper_bound_scan():
