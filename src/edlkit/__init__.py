@@ -36,8 +36,6 @@ from .symmetric import (
     hankel_pair,
     has_alternative_nonneg,
     is_ppt_diagonal,
-    marginal2_ppt,
-    marginal3_ppt,
     rank_criterion_sdl1,
     sdl_diagonal,
     sdl_full_level,
@@ -112,8 +110,6 @@ __all__ = [
     "is_ppt_diagonal",
     "lc_orbit_min_max_degree",
     "local_complement",
-    "marginal2_ppt",
-    "marginal3_ppt",
     "min_eigenvalue",
     "min_marginal_count",
     "noise_threshold",

@@ -76,7 +76,8 @@ def _index_array(doc, key, what):
 
 
 def _jsonable(x):
-    """Recursive conversion to plain JSON types; rationals become strings."""
+    """Recursive conversion to plain JSON types; rationals become strings and
+    non-finite floats ``null``."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (bool, np.bool_)):
@@ -84,13 +85,13 @@ def _jsonable(x):
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, (float, np.floating)):
-        return float(x)
+        return float(x) if math.isfinite(x) else None
     if isinstance(x, (complex, np.complexfloating)):
-        return {"real": float(x.real), "imag": float(x.imag)}
+        return {"real": _jsonable(x.real), "imag": _jsonable(x.imag)}
     if isinstance(x, np.ndarray):
         if np.iscomplexobj(x):
-            return {"real": x.real.tolist(), "imag": x.imag.tolist()}
-        return x.tolist()
+            return {"real": _jsonable(x.real.tolist()), "imag": _jsonable(x.imag.tolist())}
+        return _jsonable(x.tolist())
     if isinstance(x, qcore.Subset):
         return list(x.indices)
     if isinstance(x, dict):
@@ -438,6 +439,8 @@ def _cmd_gap_demo(args):
     inputs = {"family": args.family, "n": args.n}
     if args.family == "pure":
         alpha2 = 0.94 if args.alpha2 is None else args.alpha2
+        if not alpha2 >= 0:
+            raise EdlkitError("BAD_AMPLITUDE", "|alpha|^2 = %r is not a nonnegative number" % alpha2)
         inputs["alpha2"] = alpha2
         res = symmetric.gap_pure_family(args.n, math.sqrt(alpha2))
         result = {"family": "pure", "n": args.n, "edl": res.edl, "sdl": res.sdl, "gap": res.gap}
@@ -546,7 +549,7 @@ def main(argv=None):
         doc = {"command": args.command,
                "error": {"code": exc.code, "message": exc.message},
                "timing_ms": (time.perf_counter() - start) * 1000.0}
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
         return 3 if exc.code in SOLVER_CODES else 2
     doc = {"command": args.command,
            "inputs": _jsonable(inputs),
@@ -554,7 +557,7 @@ def main(argv=None):
            "certificates": _jsonable(certificates),
            "flags": list(flags),
            "timing_ms": (time.perf_counter() - start) * 1000.0}
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
     return 0
 
 

@@ -12,7 +12,11 @@ the flat permutation ``witness._pt_permutation`` built from its axis order,
 ``witness.expand_operator`` and the marginal split ``qcore._split``.
 :func:`diagonal_marginal_binomial` builds each diagonal marginal weight from
 the full weights with one binomial Fraction per term, as a reference for the
-moment walk of ``symmetric.diagonal_marginal``.  :func:`exact_det` is
+moment walk of ``symmetric.diagonal_marginal``.  :func:`marginal2_ppt` and
+:func:`marginal3_ppt` are the paper's closed-form PPT values of the two- and
+three-qubit marginals of a diagonal state, as references for the one Hankel
+rule of ``symmetric.is_ppt_diagonal`` and ``symmetric.edl_diagonal``; they
+decide nothing in the package.  :func:`exact_det` is
 the cofactor-expansion determinant that freezes exact Hankel minors and,
 through Sylvester's criterion, checks the elimination in
 ``symmetric._exact_psd``.  :func:`reduce_coeff_matrix_loop` reduces a
@@ -118,6 +122,39 @@ def diagonal_marginal_binomial(lam, n, k):
                 acc += lam[i] * num / math.comb(n, i)
         out.append(acc)
     return tuple(out)
+
+
+def marginal2_ppt(mix):
+    """The paper's closed-form PPT test of the 2-qubit marginal of a DickeMixture.
+
+    Returns ``(ppt, value)`` where the marginal is PPT iff ``value >= 0``:
+    ``value = [sum (n-i)(n-i-1) lam_i][sum i(i-1) lam_i] - [sum i(n-i) lam_i]^2``,
+    which is ``(n(n-1))^2`` times the determinant of the marginal's Hankel ``m0``.
+    The comparison is exact, so a float value is read by its sign.
+    """
+    n, lam = mix.n, mix.lam
+    if n < 2:
+        raise EdlkitError("DIM_MISMATCH", "need n >= 2")
+    sa = sum((n - i) * (n - i - 1) * lam[i] for i in range(n + 1))
+    sb = sum(i * (i - 1) * lam[i] for i in range(n + 1))
+    sc = sum(i * (n - i) * lam[i] for i in range(n + 1))
+    value = sa * sb - sc * sc
+    return value >= 0, value
+
+
+def marginal3_ppt(mix):
+    """The paper's closed-form PPT test of the 3-qubit marginal of a DickeMixture:
+    ``(ppt, value_a, value_b)``, PPT iff both values are nonnegative (read exactly)."""
+    n, lam = mix.n, mix.lam
+    if n < 3:
+        raise EdlkitError("DIM_MISMATCH", "need n >= 3")
+    s0 = sum((n - i) * (n - i - 1) * (n - i - 2) * lam[i] for i in range(n + 1))
+    s1 = sum(i * (i - 1) * (n - i) * lam[i] for i in range(n + 1))
+    s2 = sum(i * (n - i) * (n - i - 1) * lam[i] for i in range(n + 1))
+    s3 = sum(i * (i - 1) * (i - 2) * lam[i] for i in range(n + 1))
+    value_a = s0 * s1 - s2 * s2
+    value_b = s2 * s3 - s1 * s1
+    return value_a >= 0 and value_b >= 0, value_a, value_b
 
 
 def alternative_nonneg_point_lp(mix, k, tol=1e-9):
@@ -259,25 +296,6 @@ def brute_ppt(rho, n, tol=1e-9):
     """
     min_eig = float(np.linalg.eigvalsh(brute_partial_transpose(rho, n, (1 << (n // 2)) - 1))[0])
     return min_eig >= -tol, min_eig
-
-
-def is_swap_invariant(rho, n, tol=1e-10):
-    """True iff the state is invariant under every transposition of two qubits."""
-    mat = _as_array(rho)
-    if mat.shape[0] != 1 << n:
-        raise EdlkitError("DIM_MISMATCH", "matrix does not match n=%d" % n)
-    d = 1 << n
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        bi, bj = n - i, n - j    # bit positions of the two particles
-        perm = np.empty(d, dtype=int)
-        for idx in range(d):
-            vi = idx >> bi & 1
-            vj = idx >> bj & 1
-            swapped = idx & ~(1 << bi) & ~(1 << bj) | (vj << bi) | (vi << bj)
-            perm[idx] = swapped
-        if np.max(np.abs(mat[np.ix_(perm, perm)] - mat)) > tol:
-            return False
-    return True
 
 
 def exact_det(rows):

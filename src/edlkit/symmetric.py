@@ -23,6 +23,11 @@ moments by additions alone.  The PPT test of a diagonal marginal reads its two
 Hankel matrices straight off its moments, and the half-cut partial transpose
 of any marginal is one gather from its coefficient matrix.  Exact PSD tests
 run a fraction-free elimination on Python integers.
+
+Every PPT verdict on a diagonal marginal, the gap families' included, is the
+one Hankel rule of :func:`edl_diagonal`: elimination for exact moments, the
+smallest eigenvalues against ``-PSD_TOL`` for float ones.  The paper's closed
+forms for two and three qubits are references in ``oracle``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from ._simplex import simplex_max
 from .errors import EdlkitError
 
 NONZERO_TOL = 1e-12
-PSD_TOL = 1e-9
+PSD_TOL = qcore.PSD_TOL
 
 
 def _is_exact(values):
@@ -358,44 +363,6 @@ def is_ppt_diagonal(mix, tol=PSD_TOL):
     verdict, eigs = _hankel_verdict(pair, pair.exact, tol)
     e0, e1 = eigs or pair.min_eigenvalues()
     return PptVerdict(verdict, e0, e1, pair.exact)
-
-
-def marginal2_ppt(mix):
-    """Closed-form PPT test of the 2-qubit marginal.
-
-    Returns ``(ppt, value)`` where the marginal is PPT iff ``value >= 0``:
-    ``value = [sum (n-i)(n-i-1) lam_i][sum i(i-1) lam_i] - [sum i(n-i) lam_i]^2``.
-    """
-    n, lam = mix.n, mix.lam
-    if n < 2:
-        raise EdlkitError("DIM_MISMATCH", "need n >= 2")
-    sa = sum((n - i) * (n - i - 1) * lam[i] for i in range(n + 1))
-    sb = sum(i * (i - 1) * lam[i] for i in range(n + 1))
-    sc = sum(i * (n - i) * lam[i] for i in range(n + 1))
-    value = sa * sb - sc * sc
-    ppt = value >= 0 if mix.exact else value >= -NONZERO_TOL
-    return ppt, value
-
-
-def marginal3_ppt(mix):
-    """Closed-form PPT test of the 3-qubit marginal: ``(ppt, value_a, value_b)``.
-
-    PPT iff both values are nonnegative.
-    """
-    n, lam = mix.n, mix.lam
-    if n < 3:
-        raise EdlkitError("DIM_MISMATCH", "need n >= 3")
-    s0 = sum((n - i) * (n - i - 1) * (n - i - 2) * lam[i] for i in range(n + 1))
-    s1 = sum(i * (i - 1) * (n - i) * lam[i] for i in range(n + 1))
-    s2 = sum(i * (n - i) * (n - i - 1) * lam[i] for i in range(n + 1))
-    s3 = sum(i * (i - 1) * (i - 2) * lam[i] for i in range(n + 1))
-    value_a = s0 * s1 - s2 * s2
-    value_b = s2 * s3 - s1 * s1
-    if mix.exact:
-        ppt = value_a >= 0 and value_b >= 0
-    else:
-        ppt = value_a >= -NONZERO_TOL and value_b >= -NONZERO_TOL
-    return ppt, value_a, value_b
 
 
 # ---------------------------------------------------------------------------
@@ -862,10 +829,12 @@ def gap_pure_family(n, alpha):
     """Pure n-qubit family ``alpha |D_n^1> + beta |D_n^n>`` with detection
     length 2 and determination length n-1.
 
-    Requires n >= 4 and ``(n^2-2n)/(n^2-2n+1) < |alpha|^2 < 1``; in that
-    window the two-qubit marginal is already NPT while the diagonal sibling
-    ``|alpha|^2 |D^1><D^1| + |beta|^2 |D^n><D^n|`` matches every marginal of
-    n-2 qubits, so determination needs n-1 of them.
+    Requires n >= 4 and ``(n^2-2n)/(n^2-2n+1) < |alpha|^2 < 1``.  The diagonal
+    sibling ``sigma = |alpha|^2 |D^1><D^1| + |beta|^2 |D^n><D^n|`` matches every
+    marginal of n-2 qubits, so determination needs n-1 of them.  From n = 4 on,
+    the two-qubit marginal of ``sigma`` is that of the pure state, and the Hankel
+    rule of :func:`edl_diagonal` must find it NPT: BAD_AMPLITUDE unless the
+    smallest eigenvalue of its ``m0`` is below ``-PSD_TOL``.
     """
     if n < 4:
         raise EdlkitError("BAD_AMPLITUDE", "the pure gap family needs n >= 4")
@@ -878,22 +847,22 @@ def gap_pure_family(n, alpha):
     amp = alpha * dicke_vector(n, 1).amplitudes + beta * dicke_vector(n, n).amplitudes
     psi = qcore.PureVector(n, amp)
 
-    m0 = np.array([[(n - 2) * a2 / n, a2 / n], [a2 / n, 1.0 - a2]])
-    m0_min_eig = float(np.linalg.eigvalsh(m0)[0])
-    if m0_min_eig >= 0:
-        raise EdlkitError("BAD_AMPLITUDE", "two-qubit Hankel block unexpectedly PSD")
-
     lam = [0.0] * (n + 1)
     lam[1] = a2
     lam[n] = 1.0 - a2
     sigma = DickeMixture(n, tuple(lam))
+    pair = hankel_pair(diagonal_marginal(sigma, 2))
+    is_ppt, (m0_min_eig, _e1) = _hankel_verdict(pair, False, PSD_TOL)
+    if is_ppt:
+        raise EdlkitError("BAD_AMPLITUDE",
+                          "two-qubit marginal is PPT (Hankel eigenvalue %.3e)" % m0_min_eig)
     subsets = [qcore.Subset.from_indices(n, c)
                for c in itertools.combinations(range(1, n + 1), n - 2)]
     verdict = check_compatibility(to_dense(sigma), psi.to_density(), subsets)
     if not verdict:
         raise EdlkitError("BAD_AMPLITUDE",
                           "diagonal sibling failed marginal match (dev %.2e)" % verdict.max_dev)
-    return GapPureResult(psi, 2, n - 1, n - 3, m0, m0_min_eig, sigma, verdict.max_dev)
+    return GapPureResult(psi, 2, n - 1, n - 3, pair.m0_array(), m0_min_eig, sigma, verdict.max_dev)
 
 
 @dataclass(frozen=True)
@@ -910,10 +879,13 @@ class GapMixedResult:
 def gap_mixed_family(n, lam):
     """Diagonal family with detection length 2 and determination length n.
 
-    Requires ``lam_0 lam_n != 0`` (full-level determination) together with a
-    negative two-qubit PPT value, witnessed here both through the quadratic
-    form ``sum_{ij} (n-i) j lam_i lam_j [(n-i-1)(j-1) - i(n-j)]`` and the
-    closed-form marginal test.
+    Requires ``lam_0 lam_n != 0``, the extremal-pair condition of
+    :func:`sdl_full_level` (determination needs all n qubits), and a two-qubit
+    marginal that the Hankel rule of :func:`edl_diagonal` finds NPT; BAD_LAMBDA
+    otherwise.  The quadratic form
+    ``sum_{ij} (n-i) j lam_i lam_j [(n-i-1)(j-1) - i(n-j)]``, the paper's two-qubit
+    PPT value with the sign of ``det m0``, is reported as both ``quadratic_value``
+    and ``marginal2_value``; it decides nothing.
     """
     mix = lam if isinstance(lam, DickeMixture) else DickeMixture(n, tuple(lam))
     if mix.n != n:
@@ -921,14 +893,10 @@ def gap_mixed_family(n, lam):
     exact = mix.exact
     if not (_nonzero(mix.lam[0], exact) and _nonzero(mix.lam[n], exact)):
         raise EdlkitError("BAD_LAMBDA", "need lam_0 lam_n != 0")
-    quad = sum((n - i) * j * mix.lam[i] * mix.lam[j] * ((n - i - 1) * (j - 1) - i * (n - j))
-               for i in range(n + 1) for j in range(n + 1))
-    ppt2, value2 = marginal2_ppt(mix)
-    if not (quad < 0 and not ppt2):
+    quad = float(sum((n - i) * j * mix.lam[i] * mix.lam[j] * ((n - i - 1) * (j - 1) - i * (n - j))
+                     for i in range(n + 1) for j in range(n + 1)))
+    if edl_diagonal(mix).value != 2:
         raise EdlkitError("BAD_LAMBDA",
-                          "two-qubit marginal is PPT (value %.6g); no gap certified" % float(quad))
-    full = sdl_full_level(mix)
-    if not full:
-        raise EdlkitError("BAD_LAMBDA", "full-level condition lost (unreachable for valid input)")
+                          "two-qubit marginal is PPT (value %.6g); no gap certified" % quad)
     amp = math.sqrt(float(mix.lam[0]) * float(mix.lam[n])) / 2.0
-    return GapMixedResult(mix, 2, n, n - 2, float(quad), float(value2), amp)
+    return GapMixedResult(mix, 2, n, n - 2, quad, quad, amp)

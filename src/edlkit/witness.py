@@ -679,10 +679,12 @@ def edl_upper_bound(rho, tol=DEFAULT_TOL):
 
     Returns ``(k, alpha, witness)`` or ``(None, last_alpha, None)`` when no
     level is conclusive (the margin of :func:`negative_by_margin`).
+    DIM_MISMATCH below two qubits, where there is no level to test.
     """
     mat, n = qcore._as_matrix(rho)
+    if n < 2:
+        raise EdlkitError("DIM_MISMATCH", "need n >= 2")
     _check_sdp_size(n)
-    alpha = float("nan")
     for k in range(2, n + 1):
         alpha, witness = fully_decomposable_alpha(mat, all_k_subsets(n, k), tol=tol)
         if negative_by_margin(alpha, tol):

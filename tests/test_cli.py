@@ -12,10 +12,15 @@ from edlkit.errors import EdlkitError
 ENVELOPE_KEYS = {"command", "inputs", "result", "certificates", "flags", "timing_ms"}
 
 
+def reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
 def run(capsys, *argv):
+    """Exit code and parsed stdout of one CLI call; stdout must be standard JSON."""
     code = cli.main(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=reject_constant)
 
 
 def write(tmp_path, name, doc):
@@ -433,3 +438,42 @@ def test_gap_demo_rejects_unknown_mixed_size(capsys):
     code, doc = run(capsys, "gap-demo", "--family", "mixed", "--n", "6")
     assert code == 2
     assert doc["error"]["code"] == "BAD_LAMBDA"
+
+
+def test_gap_demo_rejects_negative_amplitude(capsys):
+    code, doc = run(capsys, "gap-demo", "--family", "pure", "--n", "5", "--alpha2", "-1")
+    assert code == 2
+    assert doc["error"]["code"] == "BAD_AMPLITUDE"
+
+
+def test_verify_witness_without_certificates_prints_null(tmp_path, capsys):
+    h = np.eye(4) / 4
+    path = write(tmp_path, "w.json",
+                 {"format": cli.WITNESS_FORMAT, "n": 2, "alpha": None, "certificates": [],
+                  "blocks": [{"subset": [1, 2], "h_real": h.tolist(), "h_imag": (0 * h).tolist()}]})
+    code, doc = run(capsys, "verify-witness", "--witness", path)
+    assert code == 0
+    assert doc["result"]["ok"] is False
+    assert doc["result"]["min_certificate_eig"] is None
+
+
+def test_edl_sdp_refuses_one_qubit(tmp_path, capsys):
+    rho = np.eye(2) / 2
+    path = write(tmp_path, "one.json",
+                 {"format": cli.STATE_FORMAT, "n": 1, "kind": "dense",
+                  "rho_real": rho.tolist(), "rho_imag": (0 * rho).tolist()})
+    code, doc = run(capsys, "edl", "--state", path, "--method", "sdp")
+    assert code == 2
+    assert doc["error"] == {"code": "DIM_MISMATCH", "message": "need n >= 2"}
+    with pytest.raises(EdlkitError) as err:
+        witness.edl_upper_bound(rho)
+    assert err.value.code == "DIM_MISMATCH"
+
+
+def test_jsonable_maps_non_finite_floats_to_null():
+    nan, inf = float("nan"), float("inf")
+    assert cli._jsonable({"a": nan, "b": [inf, -inf, 1.5], "c": np.float64(nan)}) == \
+        {"a": None, "b": [None, None, 1.5], "c": None}
+    assert cli._jsonable(np.array([1.0, nan])) == [1.0, None]
+    assert cli._jsonable(np.array([complex(1, inf)])) == {"real": [1.0], "imag": [None]}
+    assert cli._jsonable(complex(nan, 2)) == {"real": None, "imag": 2.0}

@@ -114,13 +114,6 @@ def test_brute_ppt_passes_product_state():
     assert is_ppt and min_eig >= 0
 
 
-def test_swap_invariance_detector():
-    sym = oracle.dense_from_diagonal([0.2, 0.5, 0.3], 2)
-    assert oracle.is_swap_invariant(sym, 2)
-    v = qcore.basis_ket(2, (0, 1))
-    assert not oracle.is_swap_invariant(np.outer(v, v.conj()), 2)
-
-
 def test_exhaustive_cover_small_counts():
     count, witness = oracle.exhaustive_min_connected_cover(5, 3)
     assert count == 2

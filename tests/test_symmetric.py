@@ -22,8 +22,6 @@ from edlkit.symmetric import (
     hankel_pair,
     has_alternative_nonneg,
     is_ppt_diagonal,
-    marginal2_ppt,
-    marginal3_ppt,
     rank_criterion_sdl1,
     sdl_diagonal,
     sdl_full_level,
@@ -362,7 +360,7 @@ def test_two_body_value_tracks_hankel_determinant_sign():
     for _ in range(40):
         n = int(rng.integers(2, 8))
         mix = random_exact_mixture(rng, n, zero_prob=0.3)
-        ppt, value = marginal2_ppt(mix)
+        ppt, value = oracle.marginal2_ppt(mix)
         reduced = diagonal_marginal(mix, 2) if n > 2 else mix
         det = oracle.exact_det([list(r) for r in hankel_pair(reduced).m0])
         assert (value >= 0) == (det >= 0)
@@ -372,10 +370,27 @@ def test_two_body_value_tracks_hankel_determinant_sign():
 def test_three_body_values_exact():
     mix = DickeMixture(4, (Fraction(1, 24), Fraction(1, 3), Fraction(1, 12),
                            Fraction(1, 2), Fraction(1, 24)))
-    ppt, value_a, value_b = marginal3_ppt(mix)
+    ppt, value_a, value_b = oracle.marginal3_ppt(mix)
     assert not ppt
     assert value_a == Fraction(41, 9)
     assert value_b == Fraction(-16, 9)
+
+
+def test_hankel_rule_gives_closed_form_verdicts():
+    # the one Hankel rule against the paper's closed forms, on exact weights
+    rng = np.random.default_rng(41)
+    counts = {}
+    for n in range(2, 11):
+        for trial in range(30):
+            mix = random_exact_mixture(rng, n, zero_prob=0.5 * (trial % 2))
+            _ppt, value = oracle.marginal2_ppt(mix)
+            det = oracle.exact_det([list(r) for r in hankel_pair(diagonal_marginal(mix, 2)).m0])
+            assert (value > 0, value < 0) == (det > 0, det < 0), (n, mix.lam)
+            for k, closed_form in ((2, oracle.marginal2_ppt), (3, oracle.marginal3_ppt))[:n - 1]:
+                verdict = is_ppt_diagonal(diagonal_marginal(mix, k)).is_ppt
+                assert verdict == closed_form(mix)[0], (n, k, mix.lam)
+                counts[k, verdict] = counts.get((k, verdict), 0) + 1
+    assert min(counts.values()) > 30 and len(counts) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -756,3 +771,29 @@ def test_gap_mixed_family_rejects_zero_extremal_weight():
     with pytest.raises(EdlkitError) as err:
         gap_mixed_family(4, DickeMixture(4, (0, Fraction(1, 2), Fraction(1, 2), 0, 0)))
     assert err.value.code == "BAD_LAMBDA"
+
+
+def gap_family_edl(family, *args):
+    """The detection length a gap family certifies, or None when it refuses."""
+    try:
+        return family(*args).edl
+    except EdlkitError as err:
+        assert err.code in ("BAD_LAMBDA", "BAD_AMPLITUDE"), err.code
+        return None
+
+
+def test_boundary_inputs_get_one_verdict():
+    # two-qubit marginals with a Hankel eigenvalue in [-PSD_TOL, 0): every route
+    # reads them as PPT, the gap families included
+    b = 0.5 + 5e-10
+    mixes = [DickeMixture(2, ((1 - b) / 2, b, (1 - b) / 2)),
+             DickeMixture(3, (0.251316701749, 0.648683298251, 0.0, 0.1))]
+    for mix in mixes:
+        edl = edl_diagonal(mix).value
+        assert edl == edl_symmetric(SymmetricCoeffs.from_diagonal(mix)).value, mix.lam
+        assert is_ppt_diagonal(diagonal_marginal(mix, 2)).is_ppt == (edl != 2), mix.lam
+        assert gap_family_edl(gap_mixed_family, mix.n, mix) in (None, edl), mix.lam
+    alpha = math.sqrt(0.937500001)
+    res = gap_family_edl(gap_pure_family, 5, alpha)
+    coeffs = SymmetricCoeffs.from_pure_amplitudes(5, [0, alpha, 0, 0, 0, math.sqrt(1 - alpha ** 2)])
+    assert res in (None, edl_symmetric(coeffs).value)
