@@ -18,10 +18,14 @@ three-qubit marginals of a diagonal state, as references for the one Hankel
 rule of ``symmetric.is_ppt_diagonal`` and ``symmetric.edl_diagonal``; they
 decide nothing in the package.  :func:`exact_det` is
 the cofactor-expansion determinant that freezes exact Hankel minors and,
-through Sylvester's criterion, checks the elimination in
-``symmetric._exact_psd``.  :func:`reduce_coeff_matrix_loop` reduces a
-Dicke-basis coefficient matrix term by term, as a reference for the Pascal
-walk of ``symmetric._reduce_coeff_matrix`` and the probe's reduction table
+through Sylvester's criterion (:func:`sylvester_psd`), checks the elimination
+in ``symmetric._exact_psd``; :func:`edl_diagonal_sylvester` decides every
+level of an exact diagonal state that way, on the marginals of
+:func:`diagonal_marginal_binomial`, as a reference for the integer moments
+and elimination of ``symmetric.edl_diagonal``.
+:func:`reduce_coeff_matrix_loop` reduces a Dicke-basis coefficient matrix
+term by term, as a reference for the Pascal walk of
+``symmetric._reduce_coeff_matrix`` and the probe's reduction table
 ``witness._reduction_table``.
 :func:`alternative_nonneg_point_lp` runs the full coordinate-LP search for an
 alternative diagonal solution, as a reference for the zero-pattern cone test
@@ -312,6 +316,35 @@ def exact_det(rows):
         minor = [[rows[r][c] for c in range(d) if c != j] for r in range(1, d)]
         total += (-1) ** j * rows[0][j] * exact_det(minor)
     return total
+
+
+def sylvester_psd(rows):
+    """PSD by Sylvester's criterion: every principal minor is nonnegative."""
+    d = len(rows)
+    return all(exact_det([[rows[r][c] for c in sel] for r in sel]) >= 0
+               for size in range(1, d + 1)
+               for sel in itertools.combinations(range(d), size))
+
+
+def edl_diagonal_sylvester(lam, n):
+    """``(value, certificate)`` of ``symmetric.edl_diagonal`` for the diagonal state
+    ``sum_i lam[i] |D_n^i><D_n^i|`` with exact weights, by Sylvester's criterion.
+
+    Level k = 2..n is the marginal of :func:`diagonal_marginal_binomial`, with Hankel
+    matrices ``p_(r+c)`` and ``p_(r+c+1)`` of Fractions ``p_s = lam'_s / C(k, s)``; the
+    first level where :func:`sylvester_psd` fails one of them is the value, and the
+    certificate carries the smallest eigenvalues of their float copies.
+    """
+    for k in range(2, n + 1):
+        p = [x / math.comb(k, s) for s, x in enumerate(diagonal_marginal_binomial(lam, n, k))]
+        m0 = [[p[r + c] for c in range(k // 2 + 1)] for r in range(k // 2 + 1)]
+        m1 = [[p[r + c + 1] for c in range((k + 1) // 2)] for r in range((k + 1) // 2)]
+        if not (sylvester_psd(m0) and sylvester_psd(m1)):
+            e0, e1 = (float(np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m]))[0])
+                      for m in (m0, m1))
+            return k, {"level": k, "route": "hankel", "min_eig_m0": e0, "min_eig_m1": e1,
+                       "exact": True}
+    return None, {"levels_checked": list(range(2, n + 1))}
 
 
 def _covers_and_connected(chosen, n):

@@ -21,8 +21,15 @@ Tracing out one qubit is Pascal's rule on them, ``m'_st = m_st + m_(s+1)(t+1)``
 (``p'_s = p_s + p_{s+1}`` on the diagonal), so every marginal follows from the
 moments by additions alone.  The PPT test of a diagonal marginal reads its two
 Hankel matrices straight off its moments, and the half-cut partial transpose
-of any marginal is one gather from its coefficient matrix.  Exact PSD tests
-run a fraction-free elimination on Python integers.
+of any marginal is one gather from its coefficient matrix.
+
+Exact weights give integer moments ``P_s = D lam_s / C(n, s)`` over one common
+denominator ``D > 0``.  The Pascal walk keeps ``D``, and a Hankel matrix is PSD
+exactly when its multiple by ``D`` is, so the exact diagonal routes decide
+every level by a fraction-free elimination on Python integers; Fractions are
+built only for what they return (the weights of :func:`diagonal_marginal`, the
+entries of :func:`hankel_pair`), and float eigenvalues only for a reported
+level.
 
 Every PPT verdict on a diagonal marginal, the gap families' included, is the
 one Hankel rule of :func:`edl_diagonal`: elimination for exact moments, the
@@ -48,8 +55,13 @@ NONZERO_TOL = 1e-12
 PSD_TOL = qcore.PSD_TOL
 
 
-def _is_exact(values):
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
+def _over_common_denominator(values, scales):
+    """``(nums, den)``, integers with ``values[i] / scales[i] = nums[i] / den`` for exact
+    ``values`` and positive integer ``scales``; ``den`` is the least common multiple of
+    the ``scales[i] * values[i].denominator``."""
+    dens = [c * v.denominator for v, c in zip(values, scales)]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _nonzero(x, exact):
@@ -76,11 +88,14 @@ class DickeMixture:
     """Diagonal symmetric state ``sum_i lam[i] |D_n^i><D_n^i|``.
 
     ``lam`` has length n+1, nonnegative entries summing to one.  Entries may
-    be exact rationals; :attr:`exact` reports whether all of them are.
+    be exact rationals; :attr:`exact`, decided once at construction, reports
+    whether all of them are.  Exact weights are validated as integers over
+    their common denominator.
     """
 
     n: int
     lam: tuple
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         qcore._check_n(self.n)
@@ -88,14 +103,16 @@ class DickeMixture:
         if len(lam) != self.n + 1:
             raise EdlkitError("DIM_MISMATCH",
                               "need %d weights for n=%d, got %d" % (self.n + 1, self.n, len(lam)))
-        exact = _is_exact(lam)
-        total = sum(lam)
+        exact = all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in lam)
         if exact:
-            if any(v < 0 for v in lam):
+            nums, den = _over_common_denominator(lam, [1] * len(lam))
+            if min(nums) < 0:
                 raise EdlkitError("BAD_WEIGHT", "negative Dicke weight")
-            if total != 1:
+            if sum(nums) != den:
+                total = Fraction(sum(nums), den)
                 raise EdlkitError("BAD_WEIGHT", "weights must sum to 1 exactly, got %s" % (total,))
         else:
+            total = sum(lam)
             lam = tuple(float(v) for v in lam)
             if not all(math.isfinite(v) for v in lam):
                 raise EdlkitError("BAD_WEIGHT", "Dicke weights must be finite")
@@ -104,18 +121,14 @@ class DickeMixture:
             if abs(total - 1.0) > 1e-10:
                 raise EdlkitError("BAD_WEIGHT", "weights sum to %.12f, expected 1" % total)
         object.__setattr__(self, "lam", lam)
-
-    @property
-    def exact(self):
-        return _is_exact(self.lam)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def floats(self):
         return np.array([float(v) for v in self.lam])
 
     def support(self):
-        exact = self.exact
-        return tuple(i for i, v in enumerate(self.lam) if _nonzero(v, exact))
+        return tuple(i for i, v in enumerate(self.lam) if _nonzero(v, self.exact))
 
     def reversed(self):
         """Weights after the global bit flip, lam_i -> lam_{n-i}."""
@@ -234,9 +247,15 @@ def symmetric_marginal(coeffs, k):
 
 
 def _moments(mix):
-    """Hankel moments ``p_s = lam_s / C(n, s)``: Fractions for exact weights, else floats."""
-    num = Fraction if mix.exact else float
-    return [num(v) / math.comb(mix.n, s) for s, v in enumerate(mix.lam)]
+    """Hankel moments ``p_s = lam_s / C(n, s)`` over one common denominator: ``(P, D)``
+    with ``p_s = P_s / D``.  For exact weights ``D > 0`` and every ``P_s = D lam_s / C(n, s)``
+    are Python integers, ``D`` the least common multiple of the products of ``C(n, s)``
+    and the denominator of ``lam_s``; float weights give the float moments over ``D = 1``.
+    The Pascal walk :func:`_trace_out_one` keeps ``D`` on either."""
+    combs = [math.comb(mix.n, s) for s in range(mix.n + 1)]
+    if mix.exact:
+        return _over_common_denominator(mix.lam, combs)
+    return [float(v) / c for v, c in zip(mix.lam, combs)], 1
 
 
 def _trace_out_one(p):
@@ -247,18 +266,21 @@ def _trace_out_one(p):
 def diagonal_marginal(mix, k):
     """k-qubit reduction of a diagonal symmetric state; exact for exact input.
 
-    Walks ``n - k`` Pascal steps down from the moments of ``mix`` and
-    multiplies the weights back, ``lam'_s = C(k, s) p'_s``.
+    Walks ``n - k`` Pascal steps down from the moments of ``mix`` (integers
+    over their common denominator ``D`` for exact weights) and multiplies the
+    weights back, ``lam'_s = C(k, s) p'_s``: Fractions ``C(k, s) P'_s / D``
+    for exact weights.
     """
     n = mix.n
     if not qcore._is_integer(k) or not 1 <= k <= n:
         raise EdlkitError("DIM_MISMATCH", "marginal size %r outside 1..%d" % (k, n))
     if k == n:
         return mix
-    p = _moments(mix)
+    p, den = _moments(mix)
     for _ in range(n - k):
         p = _trace_out_one(p)
-    return DickeMixture(k, tuple(x * math.comb(k, s) for s, x in enumerate(p)))
+    lam = [x * math.comb(k, s) for s, x in enumerate(p)]
+    return DickeMixture(k, tuple(Fraction(x, den) for x in lam) if mix.exact else tuple(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +301,6 @@ class HankelPair:
     m0: tuple
     m1: tuple
 
-    @property
-    def exact(self):
-        return _is_exact([x for row in self.m0 for x in row] + [x for row in self.m1 for x in row])
-
     def m0_array(self):
         return np.array([[float(x) for x in row] for row in self.m0])
 
@@ -290,38 +308,38 @@ class HankelPair:
         return np.array([[float(x) for x in row] for row in self.m1])
 
     def min_eigenvalues(self):
-        return (float(np.linalg.eigvalsh(self.m0_array())[0]),
-                float(np.linalg.eigvalsh(self.m1_array())[0]))
+        return _min_eigs(self.m0, self.m1)
 
 
 def _hankel(p):
-    """The Hankel pair of the diagonal state on ``len(p) - 1`` qubits with moments ``p``."""
-    n = len(p) - 1
-    d0 = n // 2 + 1
-    d1 = (n + 1) // 2
-    m0 = tuple(tuple(p[r:r + d0]) for r in range(d0))
-    m1 = tuple(tuple(p[r + 1:r + 1 + d1]) for r in range(d1))
-    return HankelPair(n, m0, m1)
+    """Rows of the Hankel matrices ``m0[r][c] = p[r+c]`` and ``m1[r][c] = p[r+c+1]`` of the
+    diagonal state on ``len(p) - 1`` qubits with moments ``p``."""
+    d0, d1 = (len(p) + 1) // 2, len(p) // 2
+    return [p[r:r + d0] for r in range(d0)], [p[r + 1:r + 1 + d1] for r in range(d1)]
+
+
+def _min_eigs(*mats):
+    """Smallest eigenvalue of each symmetric matrix in ``mats``, its entries read as floats."""
+    return tuple(float(np.linalg.eigvalsh(np.array(m, dtype=float))[0]) for m in mats)
 
 
 def hankel_pair(mix):
-    return _hankel(_moments(mix))
+    p, den = _moments(mix)
+    m0, m1 = _hankel([Fraction(x, den) for x in p] if mix.exact else p)
+    return HankelPair(mix.n, tuple(map(tuple, m0)), tuple(map(tuple, m1)))
 
 
-def _exact_psd(rows):
-    """Exact PSD test for a symmetric rational matrix by pivoted symmetric elimination.
+def _psd_integer(a):
+    """Exact PSD test for a symmetric integer matrix by pivoted symmetric elimination.
 
-    The rows are brought to their common denominator and eliminated on
-    Python integers.  Pivot on the largest remaining diagonal entry: a
-    negative one refutes PSD, a zero one leaves PSD iff the whole remaining
-    block is zero, and a positive one passes the test on to its Schur
-    complement.  The complement is taken fraction-free, scaled by the
-    pivot, and divided by the previous pivot (Bareiss); both factors are
-    positive, so PSD-ness, the pivot order and the signs are those of the
-    rational elimination.  Entries must be ``int`` or ``Fraction``.
+    Pivot on the largest remaining diagonal entry: a negative one refutes
+    PSD, a zero one leaves PSD iff the whole remaining block is zero, and a
+    positive one passes the test on to its Schur complement.  The complement
+    is taken fraction-free, scaled by the pivot, and divided by the previous
+    pivot (Bareiss); both factors are positive, so PSD-ness, the pivot order
+    and the signs are those of the rational elimination, and every entry
+    stays a Python integer.
     """
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     prev = 1
     while a:
         p = max(range(len(a)), key=lambda i: a[i][i])
@@ -335,12 +353,21 @@ def _exact_psd(rows):
     return True
 
 
-def _hankel_verdict(pair, exact, tol):
-    """``(is_ppt, min_eigs)``: exact pairs by elimination alone (``min_eigs`` None),
-    float pairs by their smallest eigenvalues against ``-tol``."""
+def _exact_psd(rows):
+    """Exact PSD test for a symmetric matrix of ``int`` or ``Fraction`` entries: the
+    rows over their common denominator ``D > 0`` are PSD iff the rows are, and
+    :func:`_psd_integer` decides them."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return _psd_integer([[x.numerator * (den // x.denominator) for x in row] for row in rows])
+
+
+def _hankel_verdict(p, exact, tol):
+    """``(is_ppt, min_eigs)`` of the diagonal state with moments ``p``: integer moments over
+    a positive common denominator by elimination alone (``min_eigs`` None), float ones
+    by their smallest Hankel eigenvalues against ``-tol``."""
     if exact:
-        return _exact_psd(pair.m0) and _exact_psd(pair.m1), None
-    e0, e1 = pair.min_eigenvalues()
+        return all(_psd_integer(m) for m in _hankel(p)), None
+    e0, e1 = _min_eigs(*_hankel(p))
     return e0 >= -tol and e1 >= -tol, (e0, e1)
 
 
@@ -355,14 +382,15 @@ class PptVerdict:
 def is_ppt_diagonal(mix, tol=PSD_TOL):
     """PPT (= full separability) test for a diagonal symmetric state.
 
-    Exact inputs are decided exactly by symmetric elimination; float inputs
-    compare the smallest Hankel eigenvalues against ``-tol``.
+    Exact inputs are decided exactly by symmetric elimination on their
+    integer moments; float inputs compare the smallest Hankel eigenvalues
+    against ``-tol``.
     """
     qcore._check_tol(tol)
-    pair = hankel_pair(mix)
-    verdict, eigs = _hankel_verdict(pair, pair.exact, tol)
-    e0, e1 = eigs or pair.min_eigenvalues()
-    return PptVerdict(verdict, e0, e1, pair.exact)
+    p, den = _moments(mix)
+    verdict, eigs = _hankel_verdict(p, mix.exact, tol)
+    e0, e1 = eigs or _min_eigs(*_hankel([x / den for x in p]))
+    return PptVerdict(verdict, e0, e1, mix.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -391,30 +419,26 @@ def edl_diagonal(mix, tol=PSD_TOL):
     For diagonal symmetric states PPT equals full separability at every
     marginal size, so the first non-PPT marginal gives the exact answer.
     The marginal moments come from one Pascal walk down from ``mix``; exact
-    levels are decided by elimination alone, and the smallest Hankel
-    eigenvalues are computed only for the level that is reported.
+    levels are decided by elimination alone on their integer moments over one
+    common denominator, and the smallest Hankel eigenvalues are computed only
+    for the level that is reported.
     """
     qcore._check_tol(tol)
     n = mix.n
     if n < 2:
         raise EdlkitError("DIM_MISMATCH", "need n >= 2")
     exact = mix.exact
-    levels = [_moments(mix)]
+    p, den = _moments(mix)
+    levels = [p]
     while len(levels[-1]) > 3:
         levels.append(_trace_out_one(levels[-1]))
     for p in reversed(levels):
-        pair = _hankel(p)
-        is_ppt, eigs = _hankel_verdict(pair, exact, tol)
+        is_ppt, eigs = _hankel_verdict(p, exact, tol)
         if not is_ppt:
-            e0, e1 = eigs or pair.min_eigenvalues()
-            cert = {
-                "level": pair.n,
-                "route": "hankel",
-                "min_eig_m0": e0,
-                "min_eig_m1": e1,
-                "exact": exact,
-            }
-            return EdlResult(pair.n, "EXACT", cert)
+            e0, e1 = eigs or _min_eigs(*_hankel([x / den for x in p]))
+            k = len(p) - 1
+            return EdlResult(k, "EXACT", {"level": k, "route": "hankel", "min_eig_m0": e0,
+                                          "min_eig_m1": e1, "exact": exact})
     return EdlResult(None, "NOT_ENTANGLED", {"levels_checked": list(range(2, n + 1))})
 
 
@@ -714,11 +738,10 @@ def sdl_diagonal(mix, tol=1e-9):
             cert["ghz_block_amp"] = math.sqrt(float(mix.lam[0]) * float(mix.lam[n])) / 2.0
         return SdlResult(n, n, "EXACT", cert)
 
-    support_fwd = mix.support()
-    support_rev = mix.reversed().support()
-    flipped = max(support_rev) < max(support_fwd)
+    support = mix.support()
+    flipped = n - support[0] < support[-1]  # the bit flip lowers the largest support index
     work = mix.reversed() if flipped else mix
-    support = support_rev if flipped else support_fwd
+    support = tuple(n - i for i in reversed(support)) if flipped else support
     k = max(support)
     if k == 0:
         # pure |0...0>: a product state, single-qubit marginals already determine it
@@ -851,8 +874,8 @@ def gap_pure_family(n, alpha):
     lam[1] = a2
     lam[n] = 1.0 - a2
     sigma = DickeMixture(n, tuple(lam))
-    pair = hankel_pair(diagonal_marginal(sigma, 2))
-    is_ppt, (m0_min_eig, _e1) = _hankel_verdict(pair, False, PSD_TOL)
+    p = _moments(diagonal_marginal(sigma, 2))[0]
+    is_ppt, (m0_min_eig, _e1) = _hankel_verdict(p, False, PSD_TOL)
     if is_ppt:
         raise EdlkitError("BAD_AMPLITUDE",
                           "two-qubit marginal is PPT (Hankel eigenvalue %.3e)" % m0_min_eig)
@@ -862,7 +885,7 @@ def gap_pure_family(n, alpha):
     if not verdict:
         raise EdlkitError("BAD_AMPLITUDE",
                           "diagonal sibling failed marginal match (dev %.2e)" % verdict.max_dev)
-    return GapPureResult(psi, 2, n - 1, n - 3, pair.m0_array(), m0_min_eig, sigma, verdict.max_dev)
+    return GapPureResult(psi, 2, n - 1, n - 3, np.array(_hankel(p)[0]), m0_min_eig, sigma, verdict.max_dev)
 
 
 @dataclass(frozen=True)

@@ -588,16 +588,24 @@ def _check_sdp_size(n):
         raise EdlkitError("TOO_LARGE", "SDP layer capped at %d qubits, got n=%d" % (MAX_SDP_QUBITS, n))
 
 
+def _check_bipartitions(n):
+    """DIM_MISMATCH below two qubits, where a state has no bipartition; else the size cap."""
+    if n < 2:
+        raise EdlkitError("DIM_MISMATCH", "need n >= 2")
+    _check_sdp_size(n)
+
+
 def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Minimum witness value over unit-trace fully decomposable witnesses
     built from the marginals in ``subsets``.
 
     Returns ``(alpha, witness)``.  The iterate is the stack ``(W, P_1..P_m,
     Q_1..Q_m)``; its consensus structure (one shared W against per-bipartition
-    decompositions) gives the affine projection in closed form.
+    decompositions) gives the affine projection in closed form.  DIM_MISMATCH
+    below two qubits, where there is no bipartition.
     """
     mat, n = qcore._as_matrix(rho)
-    _check_sdp_size(n)
+    _check_bipartitions(n)
     coll = _collection_of(n, subsets)
     d = 1 << n
     masks, pt, decompose = _decomposition(n)
@@ -682,9 +690,7 @@ def edl_upper_bound(rho, tol=DEFAULT_TOL):
     DIM_MISMATCH below two qubits, where there is no level to test.
     """
     mat, n = qcore._as_matrix(rho)
-    if n < 2:
-        raise EdlkitError("DIM_MISMATCH", "need n >= 2")
-    _check_sdp_size(n)
+    _check_bipartitions(n)
     for k in range(2, n + 1):
         alpha, witness = fully_decomposable_alpha(mat, all_k_subsets(n, k), tol=tol)
         if negative_by_margin(alpha, tol):
@@ -699,10 +705,11 @@ def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     every bipartition i at once: the witness program's decomposition step
     (:func:`_decomposition`) with W fixed, on the stack ``(P_1..P_m, Q_1..Q_m)``.
     Returns a new witness with fresh certificates; INFEASIBLE when the loop
-    stalls (no decomposition), MAX_ITER at the iteration cap.
+    stalls (no decomposition), MAX_ITER at the iteration cap; DIM_MISMATCH
+    below two qubits.
     """
     n = witness.n
-    _check_sdp_size(n)
+    _check_bipartitions(n)
     w = witness.assemble()
     w = (w + w.conj().T) / 2.0
     d = 1 << n

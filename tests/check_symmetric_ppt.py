@@ -1,4 +1,5 @@
-"""Check the Dicke-space routes of ``edl_symmetric`` against dense and loop references.
+"""Check the Dicke-space routes of ``edl_symmetric`` against dense and loop references,
+and ``edl_diagonal`` against Sylvester's criterion on every small exact input.
 
 For seeded symmetric states with n in 2..max_n, at every level k of each
 state:
@@ -14,25 +15,38 @@ state:
 
 The states come from four families: random rank 1..n+1 under white noise,
 diagonal weights with zeros, spin-coherent mixtures and GHZ/Dicke mixtures.
-Not collected by pytest (about 10 s at n <= 10); run it as
+
+The second pass takes every exact diagonal mixture with weights ``c_i / q``,
+``q <= DOMAIN_Q``, at n = 2..DOMAIN_N, each weight vector once, and compares
+the value and certificate of ``edl_diagonal`` (integer moments over one
+common denominator, fraction-free elimination) with
+``oracle.edl_diagonal_sylvester`` (binomial-sum marginals, every principal
+minor of their Hankel matrices).
+
+Not collected by pytest; run it as
 
     PYTHONPATH=src python tests/check_symmetric_ppt.py [max_n] [per_family]
 
-It prints the number of levels checked and exits 1 listing any that disagree.
+It prints the number of levels and of mixtures checked and exits 1 listing
+any that disagree.
 """
 
+import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from edlkit import oracle, qcore
-from edlkit.symmetric import (PSD_TOL, SymmetricCoeffs, _half_cut_min_eig, _reduce_coeff_matrix,
-                              symmetric_marginal, to_dense)
+from edlkit.symmetric import (PSD_TOL, DickeMixture, SymmetricCoeffs, _half_cut_min_eig,
+                              _reduce_coeff_matrix, edl_diagonal, symmetric_marginal, to_dense)
 
 SEED = 15
 MIN_EIG_TOL = 1e-12
 WALK_TOL = 1e-13
+DOMAIN_N = 6
+DOMAIN_Q = 6
 
 
 def _coherent(n, theta, phi):
@@ -97,6 +111,36 @@ def ppt_mismatches(max_n, per_family):
     return checked, npt, bad
 
 
+def exact_weight_vectors(n, max_q):
+    """Every weight vector ``(c_0/q, ..., c_n/q)`` with nonnegative integers ``c_i``
+    summing to some ``q <= max_q``, each distinct vector once."""
+    seen = set()
+    for q in range(1, max_q + 1):
+        for bars in itertools.combinations(range(q + n), n):  # stars and bars
+            ends = (-1,) + bars + (q + n,)
+            lam = tuple(Fraction(b - a - 1, q) for a, b in zip(ends, ends[1:]))
+            if lam not in seen:
+                seen.add(lam)
+                yield lam
+
+
+def diagonal_mismatches(max_n, max_q):
+    """``(checked, npt, disagreements)`` of ``edl_diagonal`` against
+    ``oracle.edl_diagonal_sylvester`` over :func:`exact_weight_vectors` at
+    n = 2..max_n, ``npt`` counting the entangled mixtures."""
+    checked, npt, bad = 0, 0, []
+    for n in range(2, max_n + 1):
+        for lam in exact_weight_vectors(n, max_q):
+            res = edl_diagonal(DickeMixture(n, lam))
+            ref = oracle.edl_diagonal_sylvester(lam, n)
+            checked += 1
+            npt += ref[0] is not None
+            if (res.value, res.certificate) != ref:
+                bad.append("n=%d lam=%s edl %s %s, Sylvester %s %s"
+                           % (n, [str(x) for x in lam], res.value, res.certificate, *ref))
+    return checked, npt, bad
+
+
 def main(argv):
     max_n = int(argv[0]) if argv else qcore.MAX_QUBITS
     per_family = int(argv[1]) if len(argv) > 1 else 5
@@ -105,7 +149,13 @@ def main(argv):
           % (checked, npt, max_n, len(bad)))
     for line in bad:
         print("  " + line)
-    return 1 if bad else 0
+    exact_checked, exact_npt, exact_bad = diagonal_mismatches(DOMAIN_N, DOMAIN_Q)
+    print("checked %d exact diagonal mixtures with weights c/q, q <= %d, n <= %d (%d entangled)"
+          " against Sylvester's criterion: %d disagree"
+          % (exact_checked, DOMAIN_Q, DOMAIN_N, exact_npt, len(exact_bad)))
+    for line in exact_bad:
+        print("  " + line)
+    return 1 if bad or exact_bad else 0
 
 
 if __name__ == "__main__":

@@ -470,6 +470,16 @@ def test_edl_sdp_refuses_one_qubit(tmp_path, capsys):
     assert err.value.code == "DIM_MISMATCH"
 
 
+def test_witness_refuses_one_qubit(tmp_path, capsys):
+    rho = np.eye(2) / 2
+    path = write(tmp_path, "one.json",
+                 {"format": cli.STATE_FORMAT, "n": 1, "kind": "dense",
+                  "rho_real": rho.tolist(), "rho_imag": (0 * rho).tolist()})
+    code, doc = run(capsys, "witness", "--state", path, "--k", "1")
+    assert code == 2
+    assert doc["error"]["code"] == "DIM_MISMATCH"
+
+
 def test_jsonable_maps_non_finite_floats_to_null():
     nan, inf = float("nan"), float("inf")
     assert cli._jsonable({"a": nan, "b": [inf, -inf, 1.5], "c": np.float64(nan)}) == \

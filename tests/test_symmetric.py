@@ -9,6 +9,7 @@ import pytest
 
 from edlkit import oracle, qcore, symmetric
 from edlkit.errors import EdlkitError
+from edlkit.oracle import sylvester_psd
 from edlkit.symmetric import (
     DickeMixture,
     SymmetricCoeffs,
@@ -176,7 +177,6 @@ def test_symmetric_marginal_is_subset_independent():
     co = random_coeffs(rng, 5)
     dense = to_dense(co).matrix
     ref = oracle.brute_marginal(dense, 5, [1, 2, 3])
-    import itertools
     for combo in itertools.combinations(range(1, 6), 3):
         other = oracle.brute_marginal(dense, 5, list(combo))
         assert np.max(np.abs(other - ref)) < 1e-12
@@ -286,14 +286,6 @@ def test_hankel_ppt_matches_dense_ppt():
     assert checked > 40
 
 
-def sylvester_psd(a):
-    """PSD by Sylvester's criterion: every principal minor is nonnegative."""
-    d = len(a)
-    return all(oracle.exact_det([[a[r][c] for c in sel] for r in sel]) >= 0
-               for size in range(1, d + 1)
-               for sel in itertools.combinations(range(d), size))
-
-
 def exact_psd_cases(rng):
     """Seeded rational symmetric matrices with d = 1..6 around the PSD boundary."""
     def ints(size):
@@ -353,6 +345,40 @@ def test_exact_psd_matches_sylvester_criterion():
         assert verdict == sylvester_psd(a), a
         verdicts.append(verdict)
     assert sum(verdicts) > 100 and len(verdicts) - sum(verdicts) > 100
+
+
+def sylvester_edl_cases(rng):
+    """Seeded exact mixtures with n = 2..10: random weights with zeros, weights over the
+    prime denominator 211, and mixtures of two binomial (product-state) weight vectors,
+    whose Hankel matrices are PSD of rank at most two, as they are and with a little
+    weight moved either way between their two top entries.  The binomial weights at
+    n >= 9 have denominators above 2^64."""
+    for n in range(2, 11):
+        for _ in range(3):
+            yield random_exact_mixture(rng, n, zero_prob=0.3)
+        raw = rng.multinomial(211, [1 / (n + 1)] * (n + 1))
+        yield DickeMixture(n, tuple(Fraction(int(x), 211) for x in raw))
+        ts = [Fraction(int(x), 211) for x in rng.integers(1, 211, size=2)]
+        lam = [sum(Fraction(1, 2) * math.comb(n, i) * t ** i * (1 - t) ** (n - i) for t in ts)
+               for i in range(n + 1)]
+        yield DickeMixture(n, tuple(lam))
+        delta = min(lam[-2:]) / 7
+        for sign in (1, -1):
+            yield DickeMixture(n, tuple(lam[:-2]) + (lam[-2] + sign * delta, lam[-1] - sign * delta))
+
+
+def test_edl_diagonal_matches_sylvester_reference():
+    # the integer moments and elimination of edl_diagonal against Sylvester's
+    # criterion on the binomial-sum marginals, value and certificate alike
+    mixes = list(sylvester_edl_cases(np.random.default_rng(32)))
+    assert max(x.denominator for mix in mixes for x in mix.lam) > 2 ** 64
+    levels = []
+    for mix in mixes:
+        res = edl_diagonal(mix)
+        ref = oracle.edl_diagonal_sylvester(mix.lam, mix.n)
+        assert (res.value, res.certificate) == ref, (mix.n, mix.lam)
+        levels.append(ref[0])
+    assert levels.count(None) >= 10 and len(set(levels)) >= 6, levels
 
 
 def test_two_body_value_tracks_hankel_determinant_sign():

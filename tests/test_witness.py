@@ -623,6 +623,17 @@ def test_edl_upper_bound_scan():
     assert k is None and witness is None and alpha > -1e-5
 
 
+def test_witness_programs_refuse_one_qubit():
+    # a 1-qubit state has no bipartition, so neither program has a variable
+    rho = np.eye(2) / 2
+    coll = all_k_subsets(1, 1)
+    bare = Witness(1, coll, float("nan"), [(qcore.Subset.from_indices(1, (1,)), rho)], [])
+    for call in (lambda: fully_decomposable_alpha(rho, coll), lambda: refit_certificates(bare)):
+        with pytest.raises(EdlkitError) as err:
+            call()
+        assert err.value.code == "DIM_MISMATCH"
+
+
 def test_noise_threshold_requires_negative_value():
     with pytest.raises(EdlkitError) as err:
         noise_threshold(0.02, 3)
