@@ -12,7 +12,10 @@ Orbit work runs on one integer per graph: row ``v-1`` of the adjacency
 bitmasks (bit ``u-1`` set iff ``u ~ v``) sits in bits ``[(v-1) n, v n)``.
 That integer is the canonical form the orbit search queues and hashes, and
 local complementation at ``v`` is one XOR with a mask that depends only on
-the neighbourhood of ``v``.  A ``SimpleGraph`` is built only for the result.
+``n`` and the neighbourhood of ``v``.  Those masks are memoised in one table
+per vertex count, shared by every orbit scan of the process and filled only
+as neighbourhoods are met, so it never holds more than the ``2^n``
+neighbourhoods that exist.  A ``SimpleGraph`` is built only for the result.
 """
 
 from __future__ import annotations
@@ -135,6 +138,12 @@ def _unpack(packed, n):
     return tuple(packed >> v * n & full for v in range(n))
 
 
+# Local-complementation masks per vertex count n: neighbourhood -> _spread(nbs, n).
+# Each entry is a function of its keys alone, so sharing the memo across scans
+# and threads changes no result; two threads that miss together store one value.
+_SPREAD = {}
+
+
 def _spread(nbs, n):
     """The XOR mask of local complementation at a vertex with neighbourhood
     ``nbs``: row ``a`` of each neighbour gets ``nbs`` without ``a``, which
@@ -200,12 +209,13 @@ def lc_orbit_min_max_degree(graph, budget=100000):
     Breadth-first search over graphs packed into one integer each (row ``v``
     of the adjacency bitmasks in bits ``[v n, v n + n)``), which is both the
     queued state and the ``seen`` key.  Local complementation at ``v`` is
-    one XOR with a mask that depends only on the neighbourhood of ``v``; the
-    masks met so far are memoised for the call.  ``budget`` caps the number
-    of distinct graphs visited.  The result is exact (``exhausted=True``)
-    when the orbit fits in the budget or the theoretical minimum 2 is
-    reached (a connected graph on three or more vertices cannot have
-    maximum degree below 2).
+    one XOR with a mask that depends only on ``n`` and the neighbourhood of
+    ``v``.  The masks live in one memo per vertex count, shared across calls
+    and grown only by the neighbourhoods met (at most ``2^n`` of them).
+    ``budget`` caps the number of distinct graphs visited.  The result is
+    exact (``exhausted=True``) when the orbit fits in the budget or the
+    theoretical minimum 2 is reached (a connected graph on three or more
+    vertices cannot have maximum degree below 2).
     """
     if not _is_integer(budget) or budget < 1:
         raise EdlkitError("BAD_BUDGET", "orbit budget must be a positive integer, got %r" % (budget,))
@@ -218,7 +228,7 @@ def lc_orbit_min_max_degree(graph, budget=100000):
     start = _pack(adj)
     best = _max_degree(adj)
     best_packed = start
-    spread = {}
+    spread = _SPREAD.setdefault(n, {})
     seen = {start}
     frontier = deque([start])
     floor = 2 if n >= 3 else 1
@@ -226,10 +236,11 @@ def lc_orbit_min_max_degree(graph, budget=100000):
         cur = frontier.popleft()
         for shift in shifts:
             nbs = cur >> shift & full
-            mask = spread.get(nbs)
-            if mask is None:
+            try:
+                nxt = cur ^ spread[nbs]
+            except KeyError:
                 mask = spread[nbs] = _spread(nbs, n)
-            nxt = cur ^ mask
+                nxt = cur ^ mask
             if nxt in seen:
                 continue
             seen.add(nxt)

@@ -4,20 +4,22 @@ For every labelled connected graph with n <= 5 vertices (1 + 1 + 4 + 38 +
 728 graphs), ``graphstate.lc_orbit_min_max_degree`` must return the same
 ``OrbitResult`` as the edge-set search ``oracle.lc_orbit_edge_sets`` at
 budgets 1, 2, 3 and 100000, and ``graphstate.local_complement`` must agree
-with ``oracle.local_complement_edges`` at every vertex.  Not collected by
-pytest (a few seconds); run it as
+with ``oracle.local_complement_edges`` at every vertex.  After that pass,
+every mask the scans left in the shared per-vertex-count memo
+(``graphstate._SPREAD``) must toggle exactly the pairs inside its
+neighbourhood.  Not collected by pytest (a few seconds); run it as
 
     PYTHONPATH=src python tests/check_orbit_domain.py [max_n]
 
-It prints the number of graphs checked per n and exits 1 listing any
-disagreement, or if a graph count differs from the known number of
-labelled connected graphs.
+It prints the number of graphs and memoised masks checked per n and exits 1
+listing any disagreement, or if a graph count differs from the known number
+of labelled connected graphs.
 """
 
 import itertools
 import sys
 
-from edlkit import oracle
+from edlkit import graphstate, oracle
 from edlkit.graphstate import SimpleGraph, lc_orbit_min_max_degree, local_complement
 
 BUDGETS = (1, 2, 3, 100000)
@@ -53,12 +55,33 @@ def orbit_mismatches(max_n):
     return counts, bad
 
 
+def pair_toggle_mask(nbs, n):
+    """Independent local-complementation mask: bit ``a n + b`` for every ordered
+    pair ``a != b`` of neighbours in ``nbs``, the packed edge (a, b) it toggles."""
+    members = [a for a in range(n) if nbs >> a & 1]
+    return sum(1 << (a * n + b) for a in members for b in members if a != b)
+
+
+def memo_mismatches(max_n):
+    """``(masks checked per n, disagreements)`` over the shared mask memo for n = 1..max_n."""
+    counts, bad = {}, []
+    for n in range(1, max_n + 1):
+        memo = graphstate._SPREAD.get(n, {})
+        counts[n] = len(memo)
+        bad.extend("memoised mask of neighbourhood %s at n=%d" % (bin(nbs), n)
+                   for nbs, mask in memo.items() if mask != pair_toggle_mask(nbs, n))
+    return counts, bad
+
+
 def main(argv):
     max_n = int(argv[0]) if argv else 5
     counts, bad = orbit_mismatches(max_n)
-    print("checked %d connected graphs (%s), budgets %s: %d disagree"
+    masks, bad_masks = memo_mismatches(max_n)
+    bad += bad_masks
+    print("checked %d connected graphs (%s), budgets %s, and %d memoised masks (%s): %d disagree"
           % (sum(counts.values()), ", ".join("n=%d: %d" % kv for kv in counts.items()),
-             list(BUDGETS), len(bad)))
+             list(BUDGETS), sum(masks.values()), ", ".join("n=%d: %d" % kv for kv in masks.items()),
+             len(bad)))
     for line in bad:
         print("  " + line)
     return 1 if bad else 0

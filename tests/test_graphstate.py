@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from edlkit import oracle, qcore
+from edlkit import graphstate, oracle, qcore
 from edlkit.errors import EdlkitError
 from edlkit.graphstate import (
     SimpleGraph,
@@ -15,6 +15,7 @@ from edlkit.graphstate import (
     local_complement,
     uniformity_level,
 )
+from check_orbit_domain import pair_toggle_mask
 
 
 def stabilizer_matrix(graph, v):
@@ -191,6 +192,26 @@ def test_orbit_matches_edge_set_search():
             assert orbit == oracle.lc_orbit_edge_sets(g, budget=budget), (g.edges, budget)
             truncated += not orbit.exhausted
     assert truncated  # some budgets cut the search short
+
+
+def test_orbit_mask_memo_is_per_vertex_count():
+    # scans alternate between vertex counts, so a memo that forgot n would hand
+    # one scan the mask built at another n for the same neighbourhood
+    rng = np.random.default_rng(4911)
+    graphs = {n: [random_connected_graph(rng, n, extra) for extra in (0, 2)] for n in (4, 9, 11)}
+    truncated = 0
+    for n in (9, 4, 11, 4, 9):
+        for g in graphs[n]:
+            for budget in (2, 30, 100000 if n == 4 else 400):
+                orbit = lc_orbit_min_max_degree(g, budget=budget)
+                assert orbit == oracle.lc_orbit_edge_sets(g, budget=budget), (g.edges, budget)
+                truncated += not orbit.exhausted
+    assert truncated  # some budgets cut the scan short
+    for n in (4, 9, 11):
+        memo = graphstate._SPREAD[n]
+        assert memo
+        for nbs, mask in memo.items():
+            assert mask == pair_toggle_mask(nbs, n), (n, nbs)
 
 
 def test_orbit_requires_connected_graph():
