@@ -12,10 +12,12 @@ Orbit work runs on one integer per graph: row ``v-1`` of the adjacency
 bitmasks (bit ``u-1`` set iff ``u ~ v``) sits in bits ``[(v-1) n, v n)``.
 That integer is the canonical form the orbit search queues and hashes, and
 local complementation at ``v`` is one XOR with a mask that depends only on
-``n`` and the neighbourhood of ``v``.  Those masks are memoised in one table
-per vertex count, shared by every orbit scan of the process and filled only
-as neighbourhoods are met, so it never holds more than the ``2^n``
-neighbourhoods that exist.  A ``SimpleGraph`` is built only for the result.
+``n`` and the neighbourhood of ``v``.  For ``n <= qcore.MAX_QUBITS`` those
+masks are memoised in one table per vertex count, shared by every orbit scan
+of the process and filled only as neighbourhoods are met, so it never holds
+more than the ``2^n`` neighbourhoods that exist (2,046 masks over all such
+``n``).  Larger graphs memoise their masks per scan.  A ``SimpleGraph`` is
+built only for the result.
 """
 
 from __future__ import annotations
@@ -138,9 +140,11 @@ def _unpack(packed, n):
     return tuple(packed >> v * n & full for v in range(n))
 
 
-# Local-complementation masks per vertex count n: neighbourhood -> _spread(nbs, n).
-# Each entry is a function of its keys alone, so sharing the memo across scans
-# and threads changes no result; two threads that miss together store one value.
+# Local-complementation masks per vertex count n <= qcore.MAX_QUBITS:
+# neighbourhood -> _spread(nbs, n).  Each entry is a function of its keys alone,
+# so sharing the memo across scans and threads changes no result; two threads
+# that miss together store one value.  Above the cap a table of up to 2^n masks
+# could outgrow what ``budget`` bounds, so those scans keep their own memo.
 _SPREAD = {}
 
 
@@ -210,12 +214,13 @@ def lc_orbit_min_max_degree(graph, budget=100000):
     of the adjacency bitmasks in bits ``[v n, v n + n)``), which is both the
     queued state and the ``seen`` key.  Local complementation at ``v`` is
     one XOR with a mask that depends only on ``n`` and the neighbourhood of
-    ``v``.  The masks live in one memo per vertex count, shared across calls
-    and grown only by the neighbourhoods met (at most ``2^n`` of them).
-    ``budget`` caps the number of distinct graphs visited.  The result is
-    exact (``exhausted=True``) when the orbit fits in the budget or the
-    theoretical minimum 2 is reached (a connected graph on three or more
-    vertices cannot have maximum degree below 2).
+    ``v``.  Up to ``qcore.MAX_QUBITS`` vertices the masks live in one memo
+    per vertex count, shared across calls and grown only by the
+    neighbourhoods met (at most ``2^n`` of them); larger graphs memoise them
+    for the call.  ``budget`` caps the number of distinct graphs visited.
+    The result is exact (``exhausted=True``) when the orbit fits in the
+    budget or the theoretical minimum 2 is reached (a connected graph on
+    three or more vertices cannot have maximum degree below 2).
     """
     if not _is_integer(budget) or budget < 1:
         raise EdlkitError("BAD_BUDGET", "orbit budget must be a positive integer, got %r" % (budget,))
@@ -228,7 +233,7 @@ def lc_orbit_min_max_degree(graph, budget=100000):
     start = _pack(adj)
     best = _max_degree(adj)
     best_packed = start
-    spread = _SPREAD.setdefault(n, {})
+    spread = _SPREAD.setdefault(n, {}) if n <= qcore.MAX_QUBITS else {}
     seen = {start}
     frontier = deque([start])
     floor = 2 if n >= 3 else 1

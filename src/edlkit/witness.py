@@ -31,8 +31,7 @@ so all of them live on ``ker H``.  A one-dimensional face, or a marginal map
 injective on the face's Hermitian operators (one SVD rank), certifies
 determination with no solve; otherwise the program runs on the ``r x r``
 face, pinned by the marginal map at ``V`` = the face.  The whole space is the
-trivial face, met exactly when no marginal has a null space (``H = 0``, taken
-with no eigensolve): there the same program runs at ``V = I`` (route
+trivial face: there the same program runs at ``V = I`` (route
 ``full_program``).  One :class:`DeterminationResult` records the route, the
 face and the solve.  The symmetric probe takes the same step in the Dicke
 basis, so its UNIQUE verdict is a rank certificate.
@@ -766,8 +765,7 @@ def _face_hamiltonian(psi, coll):
     for mask in coll.edges:
         schmidt = qcore._split(psi.amplitudes, n, mask)
         null = _kernel_face(schmidt @ schmidt.conj().T)[0]
-        if null.shape[1]:  # a full-rank marginal adds an exact zero
-            h += qcore._embed(n, mask, null @ null.conj().T)
+        h += qcore._embed(n, mask, null @ null.conj().T)
     return h
 
 
@@ -796,15 +794,14 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     coll = _collection_of(n, subsets)
     d = 1 << n
     h = _face_hamiltonian(psi, coll)
+    face, gap = _kernel_face(h)
+    r = face.shape[1]
     amp = psi.amplitudes
-    if not h.any():
-        # no marginal has a null space (any other H has an eigenvalue of at least 1):
-        # the face is the whole space, with no gap to certify by; at V = I the
+    if r == d:
+        # the whole space is the trivial face, with no gap to certify by; at V = I the
         # marginal map has the row space of the witness program's locality
-        face, span, r = np.eye(d), _locality_span(n, coll), d
+        face, span = np.eye(d), _locality_span(n, coll)
     else:
-        face, gap = _kernel_face(h)
-        r = face.shape[1]
         certified = DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
                                         psi.to_density().matrix, 0, 0.0, 0.0, None, "face_rank1",
                                         r, gap)

@@ -207,11 +207,13 @@ def test_orbit_mask_memo_is_per_vertex_count():
                 assert orbit == oracle.lc_orbit_edge_sets(g, budget=budget), (g.edges, budget)
                 truncated += not orbit.exhausted
     assert truncated  # some budgets cut the scan short
-    for n in (4, 9, 11):
+    for n in (4, 9):
         memo = graphstate._SPREAD[n]
         assert memo
         for nbs, mask in memo.items():
             assert mask == pair_toggle_mask(nbs, n), (n, nbs)
+    # above the dense cap the masks stay with the scan, so the shared memo stays bounded
+    assert not any(n > qcore.MAX_QUBITS for n in graphstate._SPREAD)
 
 
 def test_orbit_requires_connected_graph():
