@@ -3,7 +3,9 @@
 Every subcommand reads versioned JSON artifacts (states, graphs,
 collections, witnesses), runs one library operation, and prints a single
 JSON object ``{command, inputs, result, certificates, flags, timing_ms}``
-to stdout.  Exit codes: 0 success, 2 input error, 3 solver failure.
+to stdout.  Exit codes: 0 success, 2 input error, 3 solver failure.  The
+subcommand handlers return library values (rationals, arrays, subsets);
+``main`` converts them to JSON types once, just before printing.
 
 Numbers may be written as "p/q" strings; they parse to exact rationals and
 survive a serialize/parse round trip bit for bit.  Floats round-trip within
@@ -276,7 +278,8 @@ def _route_record(res):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (result, certificates, flags, inputs)
+# subcommand handlers: each returns (result, certificates, flags, inputs) as
+# library values, which main converts to JSON types once
 # ---------------------------------------------------------------------------
 
 def _cmd_edl(args):
@@ -299,7 +302,7 @@ def _cmd_edl(args):
             mat, n = _dense_matrix(state)
             res = symmetric.edl_symmetric(_coeffs_from_dense(mat, n), tol=tol)
         result = {"edl": res.value, "method": "analytic"}
-        return result, _jsonable(res.certificate), [res.flag], inputs
+        return result, res.certificate, [res.flag], inputs
     if method != "sdp":
         raise EdlkitError("BAD_KIND", "unknown method %r" % (method,))
     tol = wit.DEFAULT_TOL if args.tol is None else args.tol
@@ -322,7 +325,7 @@ def _cmd_sdl(args):
         res = symmetric.sdl_diagonal(state)
         result = {"sdl": res.lo if res.exact else None, "lo": res.lo, "hi": res.hi,
                   "exact": res.exact, "flag": res.flag}
-        return result, _jsonable(res.certificate), [res.flag], inputs
+        return result, res.certificate, [res.flag], inputs
     if isinstance(state, qcore.PureVector):
         k, levels = wit.determination_levels(state)
         result = {"sdl": k, "exact": False, "flag": "SDP_NUMERIC",
@@ -396,9 +399,7 @@ def _cmd_determine(args):
     inputs = {"state": args.state, "n": state.n, "k": args.k}
     res = wit.pure_determination_alpha(state, hypergraph.all_k_subsets(state.n, args.k))
     determined = wit.determined_by_margin(res.alpha)
-    re_part, im_part = _matrix_pair(res.rho)
-    certs = {"compatible_state": {"format": STATE_FORMAT, "n": state.n, "kind": "dense",
-                                  "rho_real": re_part, "rho_imag": im_part},
+    certs = {"compatible_state": state_to_json(qcore.DenseState(state.n, res.rho, validate=False)),
              **_route_record(res),
              "solver": {"iterations": res.iterations, "primal_residual": res.primal_residual,
                         "dual_residual": res.dual_residual, "penalty": res.penalty}}
@@ -444,9 +445,9 @@ def _cmd_gap_demo(args):
         inputs["alpha2"] = alpha2
         res = symmetric.gap_pure_family(args.n, math.sqrt(alpha2))
         result = {"family": "pure", "n": args.n, "edl": res.edl, "sdl": res.sdl, "gap": res.gap}
-        certs = {"hankel_m0": _jsonable(res.hankel_m0),
+        certs = {"hankel_m0": res.hankel_m0,
                  "m0_min_eig": res.m0_min_eig,
-                 "sigma_lambda": _jsonable(list(res.sigma.lam)),
+                 "sigma_lambda": res.sigma.lam,
                  "sigma_compat_dev": res.sigma_compat_dev,
                  "state": state_to_json(res.psi)}
         return result, certs, [], inputs

@@ -698,6 +698,12 @@ class SdlResult:
     the supporting argument combines the general-solution lemma at level k
     with the vanishing-weight upper bound at level k+1), or ``"INTERVAL"``
     when the linear programs leave a gap.
+
+    ``certificate["flipped"]`` records only that the analysis ran on the
+    bit-flipped weights, whose support top is ``certificate["k"]``.  The
+    ``lp_bracket`` route's ``alternative_member`` is in the input's frame: a
+    nonnegative weight vector other than the input with the same marginal at
+    ``alternative_level``.
     """
 
     lo: int
@@ -726,7 +732,8 @@ def sdl_diagonal(mix, tol=1e-9):
     upper bound from the smallest m >= k without one).  A level whose zero
     pattern admits no feasible direction is settled by one cached cone test
     per ``(n, m, zero set)`` with no coordinate LP, and the solution family is
-    built only at the level that has an alternative.
+    built only at the level that has an alternative.  Its member is reported
+    in the input's frame, reversed back when the bit flip was taken.
     """
     qcore._check_tol(tol)
     n = mix.n
@@ -781,7 +788,8 @@ def sdl_diagonal(mix, tol=1e-9):
     cert = {"route": "lp_bracket", "k": k, "flipped": flipped,
             "alternative_level": m_max}
     if witness is not None:
-        cert["alternative_member"] = tuple(float(x) for x in witness)
+        # reported in the input's frame: undo the bit flip of ``work``
+        cert["alternative_member"] = tuple(float(x) for x in (witness[::-1] if flipped else witness))
     flag = "EXACT" if lo == hi else "INTERVAL"
     return SdlResult(lo, hi, flag, cert)
 

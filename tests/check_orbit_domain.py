@@ -3,11 +3,13 @@
 For every labelled connected graph with n <= 5 vertices (1 + 1 + 4 + 38 +
 728 graphs), ``graphstate.lc_orbit_min_max_degree`` must return the same
 ``OrbitResult`` as the edge-set search ``oracle.lc_orbit_edge_sets`` at
-budgets 1, 2, 3 and 100000, and ``graphstate.local_complement`` must agree
-with ``oracle.local_complement_edges`` at every vertex.  After that pass,
-every mask the scans left in the shared per-vertex-count memo
-(``graphstate._SPREAD``) must toggle exactly the pairs inside its
-neighbourhood.  Not collected by pytest (a few seconds); run it as
+budgets 1, 2, 3 and 100000, ``graphstate.local_complement`` must agree
+with ``oracle.local_complement_edges`` at every vertex, and
+``graphstate.graph_state`` must be a +1 eigenvector of every dense stabilizer
+``X_v prod_{j ~ v} Z_j``.  After that pass, every mask the scans left in the
+shared per-vertex-count memo (``graphstate._SPREAD``) must toggle exactly the
+pairs inside its neighbourhood.  Not collected by pytest (a few seconds);
+run it as
 
     PYTHONPATH=src python tests/check_orbit_domain.py [max_n]
 
@@ -19,8 +21,10 @@ of labelled connected graphs.
 import itertools
 import sys
 
-from edlkit import graphstate, oracle
-from edlkit.graphstate import SimpleGraph, lc_orbit_min_max_degree, local_complement
+import numpy as np
+
+from edlkit import graphstate, oracle, qcore
+from edlkit.graphstate import SimpleGraph, graph_state, lc_orbit_min_max_degree, local_complement
 
 BUDGETS = (1, 2, 3, 100000)
 # Labelled connected graphs on n vertices (OEIS A001187).
@@ -36,6 +40,21 @@ def connected_graphs(n):
             yield g
 
 
+def stabilizer_matrix(graph, v):
+    """Dense X_v prod_{j~v} Z_j from the edge-list neighbours, independent of
+    the closed-form amplitudes of ``graph_state``."""
+    n = graph.n
+    ops = []
+    for j in range(1, n + 1):
+        if j == v:
+            ops.append(np.array([[0, 1], [1, 0]], dtype=complex))
+        elif j in graph.neighbors(v):
+            ops.append(np.array([[1, 0], [0, -1]], dtype=complex))
+        else:
+            ops.append(np.eye(2, dtype=complex))
+    return qcore.kron(*ops)
+
+
 def orbit_mismatches(max_n):
     """``(graphs checked per n, disagreements)`` for n = 1..max_n."""
     counts, bad = {}, []
@@ -46,9 +65,12 @@ def orbit_mismatches(max_n):
             for budget in BUDGETS:
                 if lc_orbit_min_max_degree(g, budget=budget) != oracle.lc_orbit_edge_sets(g, budget=budget):
                     bad.append("orbit of %s at budget %d" % (g.edges, budget))
+            psi = graph_state(g).amplitudes
             for v in range(1, n + 1):
                 if local_complement(g, v) != oracle.local_complement_edges(g, v):
                     bad.append("local complement of %s at vertex %d" % (g.edges, v))
+                if np.max(np.abs(stabilizer_matrix(g, v) @ psi - psi)) > 1e-12:
+                    bad.append("graph state of %s at stabilizer %d" % (g.edges, v))
         if n in CONNECTED_COUNTS and counts[n] != CONNECTED_COUNTS[n]:
             bad.append("%d connected graphs on %d vertices, expected %d"
                        % (counts[n], n, CONNECTED_COUNTS[n]))
@@ -78,7 +100,8 @@ def main(argv):
     counts, bad = orbit_mismatches(max_n)
     masks, bad_masks = memo_mismatches(max_n)
     bad += bad_masks
-    print("checked %d connected graphs (%s), budgets %s, and %d memoised masks (%s): %d disagree"
+    print("checked %d connected graphs (%s) with their graph states, budgets %s, "
+          "and %d memoised masks (%s): %d disagree"
           % (sum(counts.values()), ", ".join("n=%d: %d" % kv for kv in counts.items()),
              list(BUDGETS), sum(masks.values()), ", ".join("n=%d: %d" % kv for kv in masks.items()),
              len(bad)))

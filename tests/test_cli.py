@@ -52,6 +52,22 @@ def test_sdl_rational_mixture(tmp_path, capsys):
     assert doc["result"]["exact"] is True
 
 
+def test_sdl_alternative_member_in_input_frame(tmp_path, capsys):
+    lam = ["0", "0", "1/3", "1/6", "0", "0", "1/2", "0"]
+    path = write(tmp_path, "state.json", diagonal_state(7, lam))
+    code, doc = run(capsys, "sdl", "--state", path)
+    assert code == 0
+    cert = doc["certificates"]
+    assert cert["route"] == "lp_bracket" and cert["flipped"] is True
+    m, member = cert["alternative_level"], cert["alternative_member"]
+    exact = [Fraction(x) for x in lam]
+    assert min(member) >= -1e-12 and abs(sum(member) - 1) < 1e-12
+    assert max(abs(a - float(b)) for a, b in zip(member, exact)) >= 1e-3
+    got = oracle.diagonal_marginal_binomial(member, 7, m)
+    want = oracle.diagonal_marginal_binomial(exact, 7, m)
+    assert max(abs(a - float(b)) for a, b in zip(got, want)) < 1e-12
+
+
 def test_marginal_rational_bit_exact(tmp_path, capsys):
     path = write(tmp_path, "state.json", diagonal_state(4, ["1/2", "0", "1/2", "0", "0"]))
     code, doc = run(capsys, "marginal", "--state", path, "--keep", "2,4")

@@ -15,21 +15,7 @@ from edlkit.graphstate import (
     local_complement,
     uniformity_level,
 )
-from check_orbit_domain import pair_toggle_mask
-
-
-def stabilizer_matrix(graph, v):
-    """Dense X_v prod_{j~v} Z_j, an independent check of the fast builder."""
-    n = graph.n
-    ops = []
-    for j in range(1, n + 1):
-        if j == v:
-            ops.append(np.array([[0, 1], [1, 0]], dtype=complex))
-        elif j in graph.neighbors(v):
-            ops.append(np.array([[1, 0], [0, -1]], dtype=complex))
-        else:
-            ops.append(np.eye(2, dtype=complex))
-    return qcore.kron(*ops)
+from check_orbit_domain import pair_toggle_mask, stabilizer_matrix
 
 
 def random_connected_graph(rng, n, extra):
@@ -124,9 +110,10 @@ def test_path_cycle_builders():
 
 
 def test_graph_state_stabilized():
+    # up to n = 10, the largest graph-orbit size: graph_state does not check itself
     rng = np.random.default_rng(17)
     graphs = [SimpleGraph.path(3), SimpleGraph.cycle(5), DIAMOND]
-    for n in range(1, 9):
+    for n in range(1, 11):
         graphs.append(random_connected_graph(rng, n, n // 2))
         graphs.append(SimpleGraph(n, ()))
         graphs.append(SimpleGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2)))

@@ -696,6 +696,22 @@ def test_sdl_bit_flip_orientation():
     assert res.exact
 
 
+def test_sdl_alternative_member_in_input_frame():
+    # support {2, 3, 6} of seven qubits flips to {1, 4, 5}; the LP bracket finds an
+    # alternative at level 3 and must report it for the input's weights, not the flipped ones
+    mix = DickeMixture(7, (0, 0, Fraction(1, 3), Fraction(1, 6), 0, 0, Fraction(1, 2), 0))
+    for state, flipped in ((mix, True), (mix.reversed(), False)):
+        cert = sdl_diagonal(state).certificate
+        assert cert["route"] == "lp_bracket" and cert["flipped"] is flipped
+        m, member = cert["alternative_level"], cert["alternative_member"]
+        assert m == 3
+        assert min(member) >= -1e-12 and abs(sum(member) - 1) < 1e-12
+        assert max(abs(a - float(b)) for a, b in zip(member, state.lam)) >= 1e-3
+        got = oracle.diagonal_marginal_binomial(member, 7, m)
+        want = oracle.diagonal_marginal_binomial(state.lam, 7, m)
+        assert max(abs(a - float(b)) for a, b in zip(got, want)) < 1e-12, flipped
+
+
 def test_sdl_trivial_product_state():
     res = sdl_diagonal(DickeMixture(4, (Fraction(1), 0, 0, 0, 0)))
     assert res.value == 1
