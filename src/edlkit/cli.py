@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -30,6 +31,8 @@ from .errors import SOLVER_CODES, EdlkitError
 STATE_FORMAT = "edlkit-state-v1"
 WITNESS_FORMAT = "edlkit-witness-v1"
 GRAPH_FORMAT = "edlkit-graph-v1"
+# an ASCII integer or "p/q"; any other string is left to the Fraction parser
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +41,11 @@ GRAPH_FORMAT = "edlkit-graph-v1"
 
 def _parse_num(x):
     if isinstance(x, str):
+        plain = _PLAIN_RATIONAL.fullmatch(x)
         try:
+            if plain:
+                num, den = plain.groups()
+                return Fraction(int(num), int(den) if den else 1)
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise EdlkitError("BAD_FORMAT", "cannot parse %r as a rational" % (x,))
@@ -80,6 +87,11 @@ def _index_array(doc, key, what):
 def _jsonable(x):
     """Recursive conversion to plain JSON types; rationals become strings and
     non-finite floats ``null``."""
+    kind = type(x)
+    if kind is str or kind is int or x is None:
+        return x
+    if kind is float:
+        return x if math.isfinite(x) else None
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (bool, np.bool_)):
@@ -100,7 +112,7 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if x is None or isinstance(x, str):
+    if isinstance(x, str):
         return x
     raise EdlkitError("BAD_FORMAT", "cannot serialize %r" % (type(x),))
 

@@ -28,9 +28,10 @@ term by term, as a reference for the Pascal walk of
 ``symmetric._reduce_coeff_matrix`` and the probe's reduction table
 ``witness._reduction_table``.
 :func:`alternative_nonneg_point_lp` runs the full coordinate-LP search for an
-alternative diagonal solution, as a reference for the zero-pattern cone test
-in ``symmetric._alternative_nonneg_point``; it shares the kernel basis of
-``symmetric.solution_family`` and ``simplex_max`` with it.
+alternative diagonal solution, as a reference for whether the cached cone
+direction of ``symmetric._alternative_nonneg_point`` exists (the point it
+returns is a step along that direction, not this search's vertex); it shares
+the kernel basis of ``symmetric.solution_family`` and ``simplex_max`` with it.
 :func:`lc_orbit_edge_sets` runs the
 local-complementation orbit search on ``SimpleGraph`` edge sets, as a
 reference for the adjacency-bitmask search of ``graphstate``.
@@ -167,7 +168,10 @@ def alternative_nonneg_point_lp(mix, k, tol=1e-9):
     Maximizes and minimizes every free coordinate of ``solution_family(mix, k)``
     by ``simplex_max`` and returns the first point whose value exceeds ``tol``,
     or None.  It runs every coordinate LP at every level, with no zero-pattern
-    shortcut.
+    shortcut.  On float weights its verdict is that of
+    ``symmetric.has_alternative_nonneg``, and on exact weights too unless a
+    nonzero weight is so small that no coordinate moves by more than ``tol``;
+    its vertex is feasible only to the simplex's tolerance.
     """
     N = solution_family(mix, k).basis_array()
     p = N.shape[1]

@@ -577,73 +577,129 @@ def solution_family(mix, k):
     return SolutionFamily(mix.n, k, tuple(mix.lam), _kernel_rows(mix.n, k))
 
 
-def _exact_rank(rows):
-    """Rank of a list of equal-length Fraction rows, by Gaussian elimination."""
+def _exact_null_vector(rows, width):
+    """A nonzero Fraction vector ``x`` of length ``width`` with ``row . x = 0`` for
+    every row, or None when the rows have rank ``width``.
+
+    Gauss-Jordan elimination stops at the first column without a pivot: that free
+    coordinate is 1, each earlier pivot coordinate the negated entry of its reduced
+    row in the free column, every later coordinate 0.
+    """
     rows = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
+    pivot_cols = []
+    for col in range(width):
+        rank = len(pivot_cols)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
-            continue
+            x = [Fraction(0)] * width
+            x[col] = Fraction(1)
+            for r, c in enumerate(pivot_cols):
+                x[c] = -rows[r][col]
+            return x
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] / rows[rank][col]
-            if f:
+        head = rows[rank][col]
+        rows[rank] = [a / head for a in rows[rank]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != rank and f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivot_cols.append(col)
+    return None
 
 
 @functools.lru_cache(maxsize=4096)
-def _level_has_directions(n, k, zero_mask):
-    """Whether the cone ``{s : N_Z s >= 0}`` of the level-k kernel rows at the
-    zero weights ``Z`` (bit i of ``zero_mask`` set iff weight i vanishes) is more
-    than ``{0}``.
+def _level_direction(n, k, zero_mask):
+    """A read-only nonzero point of the cone ``{s : N_Z s >= 0}`` of the level-k
+    kernel rows at the zero weights ``Z`` (bit i of ``zero_mask`` set iff weight i
+    vanishes), or None when the cone is ``{0}``.
 
-    Rows of exact rank below n-k leave a kernel line in the cone.  Otherwise the
-    cone is pointed and one normalised LP decides it: maximise ``1.A s`` subject
-    to ``A s >= 0`` and ``1.A s <= 1`` (``A = N_Z``), whose optimum is exactly 0
-    or 1.
+    Rows of exact rank below n-k leave a kernel line in the cone, and the point is
+    an exact kernel vector of ``N_Z`` (a coordinate vector when Z is empty).
+    Otherwise the cone is pointed and one normalised LP decides it: maximise
+    ``1.A s`` subject to ``A s >= 0`` and ``1.A s <= 1`` (``A = N_Z``), whose
+    optimum is exactly 0 or 1; at 1 its optimal point is the direction.
     """
     rows = _kernel_rows(n, k)
     zeros = [i for i in range(n + 1) if zero_mask >> i & 1]
-    if _exact_rank([rows[i] for i in zeros]) < n - k:
-        return True
-    a = _kernel_array(n, k)[zeros]
-    total = a.sum(axis=0)
-    value, _point = simplex_max(total, np.vstack([-a, total]), np.append(np.zeros(len(zeros)), 1.0))
-    return value > 0.5
+    null = _exact_null_vector([rows[i] for i in zeros], n - k)
+    if null is not None:
+        direction = np.array([float(x) for x in null])
+    else:
+        a = _kernel_array(n, k)[zeros]
+        total = a.sum(axis=0)
+        value, direction = simplex_max(total, np.vstack([-a, total]),
+                                       np.append(np.zeros(len(zeros)), 1.0))
+        if value <= 0.5:
+            return None
+    direction.flags.writeable = False
+    return direction
 
 
-def _alternative_nonneg_point(mix, k, tol=1e-9):
-    """A nonzero parameter vector keeping the solution family nonnegative, or None.
-
-    Each free coordinate is maximized and minimized by the simplex over the
-    polytope ``{s : lam + N s >= 0}``; the polytope is bounded (weights sum
-    to one) and always contains s = 0.  It lies in the cone ``{s : N_Z s >= 0}``
-    of the rows at the weights the LPs see as zero (float weights at or below 0,
-    since ``simplex_max`` clamps tolerated round-off to 0), and a nonzero point
-    of that cone scaled down is a nonzero point of the polytope.  So whether any
-    coordinate LP can be positive depends only on ``(n, k, Z)``: the cached
-    :func:`_level_has_directions` answers it, and when the cone is ``{0}`` no
-    coordinate LP runs.
-    """
-    n = mix.n
+def _weight_pattern(mix):
+    """``(lam, zero_mask)``: the float weights of ``mix`` and the bit mask of the
+    weights that count as zero, exact zeros for exact weights and float weights at
+    or below 0 otherwise (what ``simplex_max``, which clamps tolerated negative
+    round-off to 0, sees)."""
     lam = mix.floats
-    zero_mask = sum(1 << i for i in range(n + 1) if lam[i] <= 0.0)
-    if not _level_has_directions(n, k, zero_mask):
-        return None
-    G = -_kernel_array(n, k)    # lam + N s >= 0  <=>  -N s <= lam
-    h = lam
-    p = n - k
+    if mix.exact:
+        return lam, sum(1 << i for i, v in enumerate(mix.lam) if not v)
+    return lam, sum(1 << i for i, v in enumerate(lam.tolist()) if v <= 0.0)
+
+
+def _coordinate_moves(lam, k, tol):
+    """Whether some free coordinate of ``{s : lam + N s >= 0}`` at level k exceeds
+    ``tol`` in modulus: each is maximized and minimized by the simplex."""
+    G = -_kernel_array(len(lam) - 1, k)    # lam + N s >= 0  <=>  -N s <= lam
+    p = G.shape[1]
     for j in range(p):
         for sign in (1.0, -1.0):
             c = np.zeros(p)
             c[j] = sign
-            value, point = simplex_max(c, G, h, tol=tol)
-            if value > tol:
-                return point
+            if simplex_max(c, G, lam, tol=tol)[0] > tol:
+                return True
+    return False
+
+
+def _alternative_nonneg_point(mix, k, tol=1e-9, pattern=None):
+    """A nonzero parameter vector ``s`` with ``lam + N s >= 0``, or None.
+
+    The polytope ``{s : lam + N s >= 0}`` is bounded (weights sum to one),
+    contains s = 0 and lies in the cone ``{s : N_Z s >= 0}`` of the rows at the
+    zero weights Z; a nonzero point of that cone scaled down is a nonzero point
+    of the polytope.  So the cached :func:`_level_direction` of ``(n, k, Z)``
+    decides whether one exists, and the point returned is half the maximal step
+    along that direction (one matvec and a ratio test over the rows outside Z),
+    which keeps every weight outside Z at least half its value.
+
+    Exact weights take that point however small: the cone test is exact.  Float
+    weights keep the ``tol`` threshold of the coordinate search: a point whose
+    largest coordinate exceeds ``2 tol`` proves a coordinate LP value above
+    ``tol``, and a smaller one is returned only when the coordinate LPs of
+    :func:`_coordinate_moves` find such a value, so every float verdict is the
+    coordinate search's.  ``pattern`` is :func:`_weight_pattern` of ``mix``,
+    computed when not given.
+    """
+    n = mix.n
+    lam, zero_mask = _weight_pattern(mix) if pattern is None else pattern
+    direction = _level_direction(n, k, zero_mask)
+    if direction is None:
+        return None
+    step = _kernel_array(n, k) @ direction
+    lam_list = lam.tolist()
+    t = min(lam_list[i] / -v for i, v in enumerate(step.tolist())
+            if v < 0.0 and not zero_mask >> i & 1)
+    point = 0.5 * t * direction
+    if mix.exact or np.max(np.abs(point)) > 2 * tol or _coordinate_moves(lam, k, tol):
+        return point
     return None
+
+
+def _alternative_member(lam, k, point):
+    """The float weights ``lam + N s`` at ``s = point`` of the level-k family; the
+    zero-weight rows of ``N s`` are >= 0 up to round-off, which is clamped to 0."""
+    member = lam + _kernel_array(len(lam) - 1, k) @ point
+    np.maximum(member, 0.0, out=member, where=lam <= 0.0)
+    return member
 
 
 def has_alternative_nonneg(mix, k, tol=1e-9):
@@ -651,9 +707,11 @@ def has_alternative_nonneg(mix, k, tol=1e-9):
 
     By the general-solution lemma this holds iff the determination length
     exceeds k (for k >= 2, where marginal collections pin the symmetric
-    form).  Levels whose zero pattern leaves no feasible direction are
-    answered from the cached cone test of :func:`_level_has_directions`
-    without a coordinate LP.  BAD_TOL unless ``tol`` is finite and at least 0.
+    form).  The cached cone test of :func:`_level_direction` on the zero
+    pattern answers it exactly for exact weights, whatever ``tol``.  For float
+    weights an alternative counts only when some free coordinate can move by
+    more than ``tol`` (see :func:`_alternative_nonneg_point`).  BAD_TOL unless
+    ``tol`` is finite and at least 0.
     """
     _check_level(mix.n, k)
     qcore._check_tol(tol)
@@ -697,7 +755,7 @@ class SdlResult:
     ``"DERIVED_RULE"`` (closed form in the no-vanishing-weight case, where
     the supporting argument combines the general-solution lemma at level k
     with the vanishing-weight upper bound at level k+1), or ``"INTERVAL"``
-    when the linear programs leave a gap.
+    when the level tests leave a gap.
 
     ``certificate["flipped"]`` records only that the analysis ran on the
     bit-flipped weights, whose support top is ``certificate["k"]``.  The
@@ -729,11 +787,13 @@ def sdl_diagonal(mix, tol=1e-9):
     smaller maximal support index k; closed form when at most one weight
     vanishes on {0..k}; otherwise a bracket from the level-m linear
     programs (lower bound from the largest m with an alternative solution,
-    upper bound from the smallest m >= k without one).  A level whose zero
-    pattern admits no feasible direction is settled by one cached cone test
-    per ``(n, m, zero set)`` with no coordinate LP, and the solution family is
-    built only at the level that has an alternative.  Its member is reported
-    in the input's frame, reversed back when the bit flip was taken.
+    upper bound from the smallest m >= k without one).  Each level is settled
+    by one cached cone direction per ``(n, m, zero set)`` (see
+    :func:`_alternative_nonneg_point`; float weights fall back to coordinate
+    LPs only when the step along it is at most ``2 tol``).  The float weights
+    are read once per call.  The alternative ``lam + N s`` is formed in floats,
+    with round-off on the zero-weight rows clamped to 0, and reported in the
+    input's frame, reversed back when the bit flip was taken.
     """
     qcore._check_tol(tol)
     n = mix.n
@@ -772,24 +832,25 @@ def sdl_diagonal(mix, tol=1e-9):
         return SdlResult(2, 2, "EXACT",
                          {"route": "single_dicke", "k": k, "flipped": flipped})
 
-    # two or more vanishing weights below the support top: bracket by LPs.
+    # two or more vanishing weights below the support top: bracket by the level tests.
     # Alternatives are monotone (an alternative at level m restricts to one
     # at m-1), so scan downward for the first hit.
+    lam, _ = pattern = _weight_pattern(work)
     m_max = None
-    witness = None
+    member = None
     for m in range(n - 1, 1, -1):
-        point = _alternative_nonneg_point(work, m, tol=tol)
+        point = _alternative_nonneg_point(work, m, tol=tol, pattern=pattern)
         if point is not None:
             m_max = m
-            witness = solution_family(work, m).member([float(x) for x in point])
+            member = _alternative_member(lam, m, point)
             break
     lo = 2 if m_max is None else m_max + 1
     hi = max(k, lo)
     cert = {"route": "lp_bracket", "k": k, "flipped": flipped,
             "alternative_level": m_max}
-    if witness is not None:
+    if member is not None:
         # reported in the input's frame: undo the bit flip of ``work``
-        cert["alternative_member"] = tuple(float(x) for x in (witness[::-1] if flipped else witness))
+        cert["alternative_member"] = tuple((member[::-1] if flipped else member).tolist())
     flag = "EXACT" if lo == hi else "INTERVAL"
     return SdlResult(lo, hi, flag, cert)
 

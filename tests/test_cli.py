@@ -503,3 +503,25 @@ def test_jsonable_maps_non_finite_floats_to_null():
     assert cli._jsonable(np.array([1.0, nan])) == [1.0, None]
     assert cli._jsonable(np.array([complex(1, inf)])) == {"real": [1.0], "imag": [None]}
     assert cli._jsonable(complex(nan, 2)) == {"real": None, "imag": 2.0}
+
+
+def test_parse_num_agrees_with_fraction_parser():
+    # ASCII integers and "p/q" take a fast path; every other string goes to Fraction(x)
+    for text in ("3/-4", " 1/2 ", "1/0", "+3/4", "1e3", "0.5", "-0/5", "41/211", "-7", "007/010",
+                 "1_000", "١/2", "--1", "1/", "/2", ""):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(EdlkitError) as err:
+                cli._parse_num(text)
+            assert err.value.code == "BAD_FORMAT", text
+            continue
+        got = cli._parse_num(text)
+        assert type(got) is Fraction and got == want, text
+
+
+def test_jsonable_keeps_plain_types_and_converts_numpy_scalars():
+    out = cli._jsonable([True, np.bool_(False), 7, np.int64(3), 0.5, np.float64(0.25), "s", None,
+                         Fraction(-3, 4)])
+    assert out == [True, False, 7, 3, 0.5, 0.25, "s", None, "-3/4"]
+    assert [type(x) for x in out] == [bool, bool, int, int, float, float, str, type(None), str]

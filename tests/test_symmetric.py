@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edlkit import oracle, qcore, symmetric
+from edlkit._simplex import simplex_max
 from edlkit.errors import EdlkitError
 from edlkit.oracle import sylvester_psd
 from edlkit.symmetric import (
@@ -29,13 +30,16 @@ from edlkit.symmetric import (
     solution_family,
     symmetric_marginal,
     to_dense,
+    _alternative_member,
     _alternative_nonneg_point,
     _exact_psd,
     _kernel_array,
     _kernel_rows,
+    _level_direction,
     _reduce_coeff_matrix,
+    _weight_pattern,
 )
-from check_pattern_domain import pattern_mismatches
+from check_pattern_domain import is_valid_alternative, pattern_mismatches
 from check_symmetric_ppt import ppt_mismatches
 
 
@@ -648,21 +652,59 @@ def test_level_pattern_matches_coordinate_search():
     assert checked == 1002 and not bad, bad
 
 
-def test_alternative_point_matches_coordinate_search():
+def test_alternative_point_matches_coordinate_search(monkeypatch):
+    # a point exists exactly where the coordinate search finds one, also where a tiny
+    # step along the cone direction leaves the float verdict to the coordinate LPs, and
+    # every point gives a valid alternative
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simplex_max(*args, **kwargs)
+
+    monkeypatch.setattr(symmetric, "simplex_max", counted)
     rng = np.random.default_rng(30)
     mixes = [DickeMixture(6, (Fraction(1, 7),) * 7),
              DickeMixture(4, (0.5, 1e-13, 0.5 - 1e-13, 0.0, 0.0)),
-             DickeMixture(4, (0.5, -1e-13, 0.5 + 1e-13, 0.0, 0.0))]
+             DickeMixture(4, (0.5, -1e-13, 0.5 + 1e-13, 0.0, 0.0)),
+             DickeMixture(6, (0.0, 0.0, 4.1e9 / 7900000001, 3.8e9 / 7900000001, 1 / 7900000001,
+                              0.0, 0.0))]
     for _ in range(40):
         n = int(rng.integers(3, 11))
         mix = random_exact_mixture(rng, n, zero_prob=float(rng.choice([0.0, 0.4, 0.7])))
         mixes += [mix, DickeMixture(n, tuple(float(x) for x in mix.lam))]
+    fallbacks = points = 0
     for mix in mixes:
         for m in range(1, mix.n):
+            _level_direction(mix.n, m, _weight_pattern(mix)[1])  # fill the cache first
+            calls.clear()
             got = _alternative_nonneg_point(mix, m)
             want = oracle.alternative_nonneg_point_lp(mix, m)
             assert (got is None) == (want is None), (mix.lam, m)
-            assert want is None or np.array_equal(got, want), (mix.lam, m)
+            assert not (calls and mix.exact), (mix.lam, m)
+            fallbacks += bool(calls)
+            if got is not None:
+                points += 1
+                member = _alternative_member(mix.floats, m, got)
+                assert is_valid_alternative(mix, m, member), (mix.lam, m)
+    assert fallbacks == 3 and points > 100, (fallbacks, points)
+
+
+def test_tiny_exact_weight_keeps_the_exact_cone_verdict():
+    # the tiny weight bounds every step, so no coordinate moves by 1e-9; exact weights still
+    # get the alternative at level 3, the float twin keeps the 1e-9 threshold and [2, 4]
+    lam = (0, 0, Fraction(4100000000, 7900000001), Fraction(3800000000, 7900000001),
+           Fraction(1, 7900000001), 0, 0)
+    mix = DickeMixture(6, lam)
+    res = sdl_diagonal(mix)
+    assert (res.lo, res.hi, res.flag) == (4, 4, "EXACT")
+    assert res.certificate["alternative_level"] == 3
+    assert is_valid_alternative(mix, 3, res.certificate["alternative_member"])
+    assert [has_alternative_nonneg(mix, m) for m in range(1, 6)] == [True, True, True, False, False]
+    twin = DickeMixture(6, tuple(float(x) for x in lam))
+    res = sdl_diagonal(twin)
+    assert (res.lo, res.hi, res.flag) == (2, 4, "INTERVAL")
+    assert [has_alternative_nonneg(twin, m) for m in range(1, 6)] == [True, False, False, False, False]
 
 
 def test_full_level_conditions():
