@@ -786,11 +786,13 @@ def sdl_diagonal(mix, tol=1e-9):
     Resolution order: full-level conditions; bit-flip normalization to the
     smaller maximal support index k; closed form when at most one weight
     vanishes on {0..k}; otherwise a bracket from the level-m linear
-    programs (lower bound from the largest m with an alternative solution,
-    upper bound from the smallest m >= k without one).  Each level is settled
+    programs: the lower bound is one above the largest m with an alternative
+    solution, and the upper bound k, or one above the largest m whose zero
+    pattern's cone has a direction when that is larger.  Each level is settled
     by one cached cone direction per ``(n, m, zero set)`` (see
     :func:`_alternative_nonneg_point`; float weights fall back to coordinate
-    LPs only when the step along it is at most ``2 tol``).  The float weights
+    LPs only when the step along it is at most ``2 tol``, so a tiny float
+    weight can lower the lower bound, never the upper one).  The float weights
     are read once per call.  The alternative ``lam + N s`` is formed in floats,
     with round-off on the zero-weight rows clamped to 0, and reported in the
     input's frame, reversed back when the bit flip was taken.
@@ -834,18 +836,22 @@ def sdl_diagonal(mix, tol=1e-9):
 
     # two or more vanishing weights below the support top: bracket by the level tests.
     # Alternatives are monotone (an alternative at level m restricts to one
-    # at m-1), so scan downward for the first hit.
-    lam, _ = pattern = _weight_pattern(work)
+    # at m-1), so scan downward for the first hit.  The cone test is exact on the
+    # weights as given, so no level above m_cone has an alternative however small
+    # its step; the scan for a point starts there.
+    lam, zero_mask = pattern = _weight_pattern(work)
+    m_cone = next((m for m in range(n - 1, 1, -1)
+                   if _level_direction(n, m, zero_mask) is not None), 1)
     m_max = None
     member = None
-    for m in range(n - 1, 1, -1):
+    for m in range(m_cone, 1, -1):
         point = _alternative_nonneg_point(work, m, tol=tol, pattern=pattern)
         if point is not None:
             m_max = m
             member = _alternative_member(lam, m, point)
             break
     lo = 2 if m_max is None else m_max + 1
-    hi = max(k, lo)
+    hi = max(k, m_cone + 1)
     cert = {"route": "lp_bracket", "k": k, "flipped": flipped,
             "alternative_level": m_max}
     if member is not None:

@@ -27,14 +27,17 @@ Determination (:func:`pure_determination_alpha`, for any marginal collection;
 face step (facial reduction; the local-Hamiltonian uniqueness argument of Chen
 et al. 2013).  The support projectors ``Pi_S`` of the marginals give
 ``H = sum_S (I - Pi_S) (x) I >= 0``, which every compatible state annihilates,
-so all of them live on ``ker H``.  A one-dimensional face, or a marginal map
-injective on the face's Hermitian operators (one SVD rank), certifies
-determination with no solve; otherwise the program runs on the ``r x r``
-face, pinned by the marginal map at ``V`` = the face.  The whole space is the
-trivial face: there the same program runs at ``V = I`` (route
-``full_program``).  One :class:`DeterminationResult` records the route, the
-face and the solve.  The symmetric probe takes the same step in the Dicke
-basis, so its UNIQUE verdict is a rank certificate.
+so all of them live on ``ker H``.  One routine (:func:`_face_verdict`) decides
+a proper face for both maps, the dense marginal map of a pure state and the
+Dicke-basis reduction of the symmetric probe: a one-dimensional face, or a map
+injective on the face's ``r x r`` operators (one SVD rank), certifies
+determination with no solve; an input positive definite on the face has an
+exact second compatible state (a pure target, of rank one, never has); otherwise
+the program runs on the ``r x r`` face, pinned by the map's rows at ``V`` = the
+face.  The whole space is the trivial face: there the same program runs at
+``V = I`` (route ``full_program``).  One :class:`DeterminationResult` records
+the route, the face and the solve.  The probe's UNIQUE verdict is a rank
+certificate.
 
 Both are solved by the same first-order operator-splitting loop: alternate
 a projection onto the affine constraints against a projection onto the
@@ -769,22 +772,57 @@ def _face_hamiltonian(psi, coll):
     return h
 
 
+def _face_verdict(v, x0, rows_of):
+    """Decide the face with orthonormal columns ``v`` for an input that reads ``x0`` on
+    it (``r x r``).  ``rows_of(v)`` gives the rows of the trace-preserving marginal map
+    on row-major vec X of the face's ``r x r`` operators.  Returns
+    ``(verdict, sigma, span)``:
+
+    - ``("UNIQUE", None, None)`` when the map is injective (rank ``r^2`` at
+      ``FACE_CUT``), with no SVD on a line (``r == 1``);
+    - ``("NONUNIQUE", sigma, None)`` when ``x0`` is positive definite:
+      ``sigma = v (x0 + t D) v^dag`` is an exact compatible state, ``D`` a Hermitian
+      kernel direction and ``t = lambda_min(x0) / |D|``;
+    - ``(None, None, span)`` otherwise, ``span`` the orthonormal rows of the map
+      (singular values above ``1e-12`` of the largest) that pin the program on the
+      face (:func:`_solve_pinned`).
+
+    The SVD is complete when there are fewer rows than columns, so that the right
+    singular vectors past the rank span the kernel."""
+    r = v.shape[1]
+    if r == 1:
+        return "UNIQUE", None, None
+    rows = rows_of(v)
+    _u, s, wh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    rank = int(np.sum(s > FACE_CUT * s[0]))
+    if rank == r * r:
+        return "UNIQUE", None, None
+    lam = float(np.linalg.eigvalsh(x0)[0])
+    if lam > FACE_CUT:
+        g = wh[rank].conj().reshape(r, r)
+        herm, anti = g + g.conj().T, 1j * (g - g.conj().T)
+        direction = herm if np.linalg.norm(herm) >= np.linalg.norm(anti) else anti
+        step = lam / np.linalg.norm(direction, 2)
+        return "NONUNIQUE", v @ (x0 + step * direction) @ v.conj().T, None
+    return None, None, wh[:int(np.sum(s > 1e-12 * s[0]))]
+
+
 def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Minimum fidelity with ``psi`` over states sharing its marginals on ``subsets``.
 
     Value 1 means those marginals determine the state.  The question is
     decided on the face ``ker H`` of :func:`_face_hamiltonian`, which holds
-    every state sharing psi's marginals.  If the face is ``span{psi}`` (route
-    ``face_rank1``) or the marginal map is injective on the ``r x r`` Hermitian
-    operators of the face (``face_injective``), the marginals determine psi
-    with no solve and ``alpha = 1 - <psi|H|psi>/g``: the spectral gap ``g`` of
-    H bounds the weight a compatible state can put off the face by
-    ``<psi|H|psi>/g``.  Otherwise the minimum fidelity is solved on the face
-    (``face_program``), the same program on the whole space when that is the
-    face (``full_program``, ``face_dim = 2^n`` and no gap); the minimizer is
-    returned as ``rho``, a different compatible state when the value drops
-    below 1.  BAD_TOL unless ``tol`` is finite and at least 0, also when no
-    solve runs.
+    every state sharing psi's marginals.  :func:`_face_verdict` decides a proper
+    face: if it is ``span{psi}`` (route ``face_rank1``) or the marginal map is
+    injective on its ``r x r`` operators (``face_injective``), the marginals
+    determine psi with no solve and ``alpha = 1 - <psi|H|psi>/g``: the spectral
+    gap ``g`` of H bounds the weight a compatible state can put off the face by
+    ``<psi|H|psi>/g``.  Otherwise the minimum fidelity is solved on the face,
+    pinned by the routine's rows (``face_program``), and by the locality rows on
+    the whole space when that is the face (``full_program``, ``face_dim = 2^n``
+    and no gap); the minimizer is returned as ``rho``, a different compatible
+    state when the value drops below 1.  BAD_TOL unless ``tol`` is finite and at
+    least 0, also when no solve runs.
     """
     qcore._check_tol(tol)
     if not isinstance(psi, qcore.PureVector):
@@ -801,18 +839,16 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # the whole space is the trivial face, with no gap to certify by; at V = I the
         # marginal map has the row space of the witness program's locality
         face, span = np.eye(d), _locality_span(n, coll)
-    else:
-        certified = DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
-                                        psi.to_density().matrix, 0, 0.0, 0.0, None, "face_rank1",
-                                        r, gap)
-        if r == 1:
-            return certified
-        _u, s, wh = np.linalg.svd(_marginal_rows(face, coll), full_matrices=False)
-        if np.sum(s > FACE_CUT * s[0]) == r * r:
-            return replace(certified, route="face_injective")
-        span = wh[:np.sum(s > 1e-12 * s[0])]
     x0 = face.conj().T @ amp
     target = np.outer(x0, x0.conj())[None]
+    if r < d:
+        # a rank-one target is not positive definite on a face of dimension 2 or more,
+        # so the face is UNIQUE or left to the program
+        verdict, _sigma, span = _face_verdict(face, target[0], lambda v: _marginal_rows(v, coll))
+        if verdict == "UNIQUE":
+            return DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
+                                       psi.to_density().matrix, 0, 0.0, 0.0, None,
+                                       "face_rank1" if r == 1 else "face_injective", r, gap)
     res = _solve_pinned(target, span, target.ravel(), "determination program", tol, max_iter)
     if r == d:
         return res  # route full_program, face_dim 2^n, gap None
@@ -880,17 +916,19 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
 
     Every compatible coefficient matrix lives on the face ``ker H``,
     ``H = R_k^*(I - Pi_k)`` with ``R_k`` the level-k reduction and ``Pi_k`` the
-    support projector of the input's reduction.  On that face of dimension r:
+    support projector of the input's reduction.  :func:`_face_verdict` decides
+    that face of dimension r for the map (trace, ``R_k``), the same routine as
+    pure-state determination:
 
-    - (trace, ``R_k``) injective on ``r x r`` Hermitian operators: UNIQUE, a
-      certificate by one rank;
+    - the map injective on ``r x r`` operators: UNIQUE, a certificate by one
+      rank;
     - otherwise, input ``X0`` positive definite on the face: NONUNIQUE with
       the exact witness ``X0 + t D``, ``D`` a Hermitian kernel direction and
       ``t = lambda_min(X0) / |D|``;
     - otherwise one small program maximises ``Tr((I - Pi_X0) X)`` over the
       compatible X: a value above ``100 tol`` is NONUNIQUE with the maximiser
-      as witness, else every compatible X lives on ``range(X0)`` and the two
-      tests above decide there.
+      as witness, else every compatible X lives on ``range(X0)`` and the routine
+      decides that face, on which ``X0`` is positive definite.
 
     BAD_TOL unless ``tol`` is finite and at least 0, also when no solve runs.
     """
@@ -907,45 +945,22 @@ def symmetric_sdl_probe(coeffs, k, tol=DEFAULT_TOL):
     slack = null @ null.conj().T
     face = _kernel_face((table @ slack.conj().ravel()).reshape(n + 1, n + 1).T)[0]
 
-    def face_svd(v):
-        """Singular values and right singular factor of (trace, ``R_k``) on face ``v``,
-        complete when there are fewer rows than columns, so that the rows past the
-        rank span the kernel."""
-        r = v.shape[1]
-        rows = np.vstack([np.eye(r).ravel(), table.T @ np.kron(v, v.conj())])
-        _u, s, wh = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
-        return s, wh
-
-    def certify(v, x0, s, wh):
-        """UNIQUE if the map is injective on face ``v`` (its SVD ``s, wh``), an exact
-        NONUNIQUE witness if ``x0 = v^dag a v`` is positive definite there, else None."""
-        r = v.shape[1]
-        null = wh[int(np.sum(s > FACE_CUT * s[0])):]
-        if not null.shape[0]:
-            return ProbeResult("UNIQUE", 0.0, None, r)
-        lam = float(np.linalg.eigvalsh(x0)[0])
-        if lam <= FACE_CUT:
-            return None
-        g = null[0].conj().reshape(r, r)
-        herm, anti = g + g.conj().T, 1j * (g - g.conj().T)
-        direction = herm if np.linalg.norm(herm) >= np.linalg.norm(anti) else anti
-        step = lam / np.linalg.norm(direction, 2)
-        wit = v @ (x0 + step * direction) @ v.conj().T
-        return ProbeResult("NONUNIQUE", float(np.linalg.norm(wit - a)), wit, r)
+    def rows_of(v):
+        # the trace and R_k on row-major vec X of the r x r operators X -> v X v^dag
+        return np.vstack([np.eye(v.shape[1]).ravel(), table.T @ np.kron(v, v.conj())])
 
     x0 = face.conj().T @ a @ face
-    s, wh = face_svd(face)
-    verdict = certify(face, x0, s, wh)
-    if verdict is not None:
-        return verdict
-    lam, vecs = np.linalg.eigh(x0)
-    inside = lam > FACE_CUT
-    outside = vecs[:, ~inside] @ vecs[:, ~inside].conj().T
-    res = _solve_pinned(-outside[None], wh[:int(np.sum(s > 1e-12 * s[0]))], x0.ravel(),
-                        "probe solve", tol, MAX_ITER)
-    if -res.alpha > 100.0 * tol:
-        wit = face @ res.rho @ face.conj().T
-        return ProbeResult("NONUNIQUE", float(np.linalg.norm(wit - a)), wit, face.shape[1])
-    # every compatible X lives on range(X0), where X0 is diagonal and positive definite
-    inner = face @ vecs[:, inside]
-    return certify(inner, np.diag(lam[inside]).astype(complex), *face_svd(inner))
+    verdict, sigma, span = _face_verdict(face, x0, rows_of)
+    if verdict is None:
+        lam, vecs = np.linalg.eigh(x0)
+        inside = lam > FACE_CUT
+        outside = vecs[:, ~inside] @ vecs[:, ~inside].conj().T
+        res = _solve_pinned(-outside[None], span, x0.ravel(), "probe solve", tol, MAX_ITER)
+        if -res.alpha > 100.0 * tol:
+            verdict, sigma = "NONUNIQUE", face @ res.rho @ face.conj().T
+        else:
+            # every compatible X lives on range(X0), where X0 is diagonal and positive definite
+            face = face @ vecs[:, inside]
+            verdict, sigma, _span = _face_verdict(face, np.diag(lam[inside]).astype(complex), rows_of)
+    deviation = 0.0 if sigma is None else float(np.linalg.norm(sigma - a))
+    return ProbeResult(verdict, deviation, sigma, face.shape[1])

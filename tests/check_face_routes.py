@@ -12,9 +12,10 @@ On every face those runs visit, the marginal map restricted to the face
 (``witness._marginal_rows``) must have the rank of the allowed Pauli rows
 restricted to it (``oracle.pauli_span``): the two maps share their kernel.
 ``witness.symmetric_sdl_probe`` must agree with the sampled generic probe
-(random linear functionals minimised and maximised through ``solve_sdp``) on
-every Dicke state with n <= 6 at every level k, and each NONUNIQUE witness
-must be a unit-trace PSD coefficient matrix with the input's level-k
+(random linear functionals minimised and maximised through ``solve_sdp``) at
+every level k on every Dicke state with n <= 6 and, for n = 2..6, on GHZ_n,
+the GHZ diagonal mixture and three seeded rank-2 states, and each NONUNIQUE
+witness must be a unit-trace PSD coefficient matrix with the input's level-k
 reduction.  A sampled solve counts only when it converges (a single-point
 compatible set has no interior and stalls the loop), so every verdict is also
 checked against the face rank that ``oracle.probe_face_rank`` rebuilds from
@@ -25,8 +26,11 @@ is full.  Not collected by pytest (~30 s); run it as
 
 It prints the number of cases checked, how many determination results each
 route decided with their total ADMM iterations (a change to the splitting loop
-that keeps its iterates keeps these totals) and how many faces it compared, and
-exits 1 listing any cases that disagree.
+that keeps its iterates keeps these totals), how many pure levels and probe
+verdicts each outcome of the shared face routine ``witness._face_verdict``
+decided (injective, exact witness, program, or the probe's second pass on
+``range(X0)``) and how many faces it compared, and exits 1 listing any cases
+that disagree.
 """
 
 import collections
@@ -42,6 +46,20 @@ from edlkit.hypergraph import all_k_subsets, min_marginal_count
 from edlkit.symmetric import SymmetricCoeffs, _reduce_coeff_matrix, dicke_vector
 
 SLACK = 100 * witness.DEFAULT_TOL
+OUTCOME = {"UNIQUE": "injective", "NONUNIQUE": "exact witness", None: "program"}
+face_calls = []  # the verdict of every face routine call since it was last cleared
+
+
+def recording_face_verdict(v, x0, rows_of, face_verdict=witness._face_verdict):
+    """``witness._face_verdict``, recording its verdict in ``face_calls``; main installs it."""
+    out = face_verdict(v, x0, rows_of)
+    face_calls.append(out[0])
+    return out
+
+
+def probe_outcome():
+    """Which outcome of the face routine decided the probe call just made."""
+    return "second pass" if len(face_calls) == 2 else OUTCOME[face_calls[0]]
 
 
 def connected_graphs(n):
@@ -71,6 +89,26 @@ def pure_cases():
             yield "graph %s" % (graph.edges,), graph_state(graph)
 
 
+def probe_cases():
+    """Every Dicke state with n <= 6, and for n = 2..6 GHZ_n, the GHZ diagonal mixture
+    and three seeded rank-2 states, as coefficient matrices."""
+    for n in range(1, 7):
+        for i in range(n + 1):
+            a = np.zeros((n + 1, n + 1), dtype=complex)
+            a[i, i] = 1.0
+            yield "D_%d^%d" % (n, i), SymmetricCoeffs(n, a)
+    for n in range(2, 7):
+        a = np.zeros((n + 1, n + 1), dtype=complex)
+        a[np.ix_([0, n], [0, n])] = 0.5
+        yield "GHZ_%d" % n, SymmetricCoeffs(n, a)
+        yield "GHZ_%d diagonal mixture" % n, SymmetricCoeffs(n, np.diag(np.diag(a)))
+        rng = np.random.default_rng(20240811 + n)
+        for j in range(3):
+            g = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
+            a = g @ g.conj().T
+            yield "rank-2 state %d at n=%d" % (j, n), SymmetricCoeffs(n, a / np.trace(a).real)
+
+
 def sampled_deviation(coeffs, k, trials=2, max_iter=1000, seed=20240811):
     """Largest deviation of random functionals over the compatible set, by solve_sdp,
     and the number of solves that converged.  Only converged solves count: on a
@@ -95,10 +133,13 @@ def sampled_deviation(coeffs, k, trials=2, max_iter=1000, seed=20240811):
     return worst, converged
 
 
-def probe_mismatch(coeffs, k):
+def probe_mismatch(coeffs, k, outcomes):
     """None if the probe agrees with the sampled probe and the independent face
-    rank, and its NONUNIQUE witness is a compatible state other than the input."""
+    rank, and its NONUNIQUE witness is a compatible state other than the input.
+    Tallies in ``outcomes`` the outcome of the face routine that decided it."""
+    face_calls.clear()
     res = witness.symmetric_sdl_probe(coeffs, k)
+    outcomes[probe_outcome()] += 1
     dev, converged = sampled_deviation(coeffs, k)
     r, rank = oracle.probe_face_rank(coeffs, k)
     unique = res.verdict == "UNIQUE"
@@ -138,11 +179,13 @@ def face_rank_mismatch(psi, coll):
     return None
 
 
-def chain_mismatch(psi, coll, routes, iterations):
+def chain_mismatch(psi, coll, routes, iterations, outcomes):
     """None if ``pure_determination_alpha`` on ``coll`` agrees with the full program.
-    Tallies the route in ``routes`` and its ADMM iterations in ``iterations``, and a
-    stalled full program under "stalled"."""
+    Tallies the route in ``routes``, its ADMM iterations in ``iterations``, a stalled
+    full program under "stalled" and the face routine's outcome in ``outcomes``."""
+    face_calls.clear()
     res = witness.pure_determination_alpha(psi, coll)
+    outcomes.update(OUTCOME[verdict] for verdict in face_calls)
     routes[res.route] += 1
     iterations[res.route] += res.iterations
     determined = res.alpha >= 1 - SLACK
@@ -159,12 +202,17 @@ def chain_mismatch(psi, coll, routes, iterations):
 
 
 def main():
+    witness._face_verdict = recording_face_verdict
     checked, faces, bad = 0, 0, []
     routes = collections.Counter()
     iterations = collections.Counter()
+    pure_outcomes = collections.Counter()
+    probe_outcomes = collections.Counter()
     for name, psi in pure_cases():
         checked += 1
+        face_calls.clear()
         value, levels = witness.determination_levels(psi)
+        pure_outcomes.update(OUTCOME[verdict] for verdict in face_calls)
         alphas = {k: level.alpha for k, level in levels.items()}
         for level in levels.values():
             routes[level.route] += 1
@@ -176,7 +224,7 @@ def main():
         chains = [min_marginal_count(psi.n, k)[1] for k in range(2, psi.n)] if psi.n <= 4 else []
         for coll in chains:
             checked += 1
-            why = chain_mismatch(psi, coll, routes, iterations)
+            why = chain_mismatch(psi, coll, routes, iterations, pure_outcomes)
             if why:
                 bad.append("chain %s on %s: %s" % (name, coll.to_lists(), why))
         for coll in [all_k_subsets(psi.n, k) for k in levels] + chains:
@@ -184,20 +232,21 @@ def main():
             why = face_rank_mismatch(psi, coll)
             if why:
                 bad.append("face rank %s on %s: %s" % (name, coll.to_lists(), why))
-    for n in range(1, 7):
-        for i in range(n + 1):
-            a = np.zeros((n + 1, n + 1), dtype=complex)
-            a[i, i] = 1.0
-            for k in range(1, n + 1):
-                checked += 1
-                why = probe_mismatch(SymmetricCoeffs(n, a), k)
-                if why:
-                    bad.append("probe D_%d^%d at k=%d: %s" % (n, i, k, why))
+    for name, coeffs in probe_cases():
+        for k in range(1, coeffs.n + 1):
+            checked += 1
+            why = probe_mismatch(coeffs, k, probe_outcomes)
+            if why:
+                bad.append("probe %s at k=%d: %s" % (name, k, why))
     print("checked %d cases: %d disagree" % (checked, len(bad)))
     stalled = routes.pop("stalled", 0)
     print("determination routes (results, ADMM iterations): %s; the full program stalled on"
           " %d chain(s)" % (", ".join("%s %d (%d)" % (route, count, iterations[route])
                                       for route, count in sorted(routes.items())), stalled))
+    for what, outcomes in (("pure levels", pure_outcomes), ("probe verdicts", probe_outcomes)):
+        print("%s decided by the face routine: %s" % (what, ", ".join(
+            "%s %d" % (outcome, outcomes[outcome])
+            for outcome in ("injective", "exact witness", "program", "second pass"))))
     print("compared the marginal and Pauli ranks on %d faces" % faces)
     for line in bad:
         print("  " + line)

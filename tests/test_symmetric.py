@@ -707,6 +707,43 @@ def test_tiny_exact_weight_keeps_the_exact_cone_verdict():
     assert [has_alternative_nonneg(twin, m) for m in range(1, 6)] == [True, False, False, False, False]
 
 
+def test_float_twin_bracket_holds_the_exact_value():
+    # the tiny float weights hide the alternative at the exact value minus one from the
+    # 1e-9 threshold, which lowers the lower bound; the cone test keeps the upper bound
+    one, ten = Fraction(1, 1000000001), Fraction(1, 10000000001)
+    for lam, exact, twin in [((0, 999999999 * one, 0, one, 0, one, 0, 0), (6, 6), (4, 6)),
+                             ((0, 0, 10000000000 * ten, 0, ten, 0), (4, 4), (2, 4))]:
+        n = len(lam) - 1
+        res = sdl_diagonal(DickeMixture(n, lam))
+        assert (res.lo, res.hi, res.flag) == exact + ("EXACT",)
+        res = sdl_diagonal(DickeMixture(n, tuple(float(x) for x in lam)))
+        assert (res.lo, res.hi, res.flag) == twin + ("INTERVAL",)
+
+
+def test_float_twin_brackets_keep_the_exact_upper_bound():
+    # exact mixtures with one to three weights 1/(10^e + 1), e = 7..11, above
+    # NONZERO_TOL as floats so the twin has the same support; the float threshold may
+    # lower the twin's lower bound, never move its upper bound
+    rng = np.random.default_rng(63)
+    lowered = 0
+    for _ in range(200):
+        n = int(rng.integers(4, 9))
+        support = rng.choice(n + 1, size=int(rng.integers(2, 5)), replace=False).tolist()
+        tiny = support[:int(rng.integers(1, len(support)))]
+        lam = [Fraction(0)] * (n + 1)
+        for i in tiny:
+            lam[i] = Fraction(1, 10 ** int(rng.integers(7, 12)) + 1)
+        raw = {i: int(rng.integers(1, 40)) for i in support if i not in tiny}
+        rest = 1 - sum(lam)
+        for i, x in raw.items():
+            lam[i] = rest * x / sum(raw.values())
+        exact = sdl_diagonal(DickeMixture(n, tuple(lam)))
+        twin = sdl_diagonal(DickeMixture(n, tuple(float(x) for x in lam)))
+        assert twin.hi == exact.hi and twin.lo <= exact.lo, lam
+        lowered += twin.lo < exact.lo
+    assert lowered >= 20
+
+
 def test_full_level_conditions():
     assert sdl_full_level(DickeMixture(3, (0.5, 0, 0, 0.5))).condition == "extremal_pair"
     assert sdl_full_level(DickeMixture(4, (0, 0.4, 0, 0.6, 0))).condition == "all_odd"

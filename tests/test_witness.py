@@ -904,20 +904,45 @@ def test_sdp_size_cap():
 # symmetric determination probe
 # ---------------------------------------------------------------------------
 
-def test_probe_flags_ghz_mixture_at_pairs():
+def test_probe_flags_ghz_mixture_at_pairs(monkeypatch):
     a = np.zeros((4, 4), dtype=complex)
     a[0, 0] = a[3, 3] = 0.5
     coeffs = SymmetricCoeffs(3, a)
+    # the mixture is positive definite on its face span{D0, D3}: the exact witness
+    # decides, with no program
+    monkeypatch.setattr(witness, "_solve_pinned", None)
     res = symmetric_sdl_probe(coeffs, 2)
-    assert res.verdict == "NONUNIQUE" and not res
+    assert res.verdict == "NONUNIQUE" and not res and res.face_dim == 2
     assert res.max_deviation > 1e-3
     assert res.witness_coeffs is not None
     # the witness shares the level-2 reduction but is a different operator
-    from edlkit.symmetric import _reduce_coeff_matrix
     dev = np.max(np.abs(_reduce_coeff_matrix(3, 2, res.witness_coeffs)
                         - _reduce_coeff_matrix(3, 2, coeffs.a)))
-    assert dev < 1e-4
+    assert dev < 1e-12
     assert np.max(np.abs(res.witness_coeffs - coeffs.a)) > 1e-3
+    # a step to the boundary of the PSD cone: the witness is singular on the face
+    assert abs(np.linalg.eigvalsh(res.witness_coeffs[np.ix_([0, 3], [0, 3])])[0]) < 1e-12
+
+
+def test_face_verdict_cuts():
+    # the injectivity rank is cut at FACE_CUT, the span that pins the program at 1e-12
+    def rows_of(s):
+        return lambda v: np.diag(s).astype(complex)
+
+    pd, singular = np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)
+    assert witness._face_verdict(np.eye(2), pd, rows_of([1, 1, 1, 1e-8]))[0] == "UNIQUE"
+    verdict, sigma, span = witness._face_verdict(np.eye(2), pd, rows_of([1, 1, 1, 1e-10]))
+    assert verdict == "NONUNIQUE" and span is None
+    # sigma = x0 + t D: the kernel row vec X = e_4 gives D = +-2 |1><1|, and t = 1/4
+    assert np.allclose(abs(sigma - pd), np.diag([0.0, 0.5]))
+    for s, kept in (([1, 1, 1, 1e-10], 4), ([1, 1, 1, 1e-13], 3)):
+        verdict, sigma, span = witness._face_verdict(np.eye(2), singular, rows_of(s))
+        assert verdict is None and sigma is None and span.shape == (kept, 4)
+
+    def no_rows(v):
+        raise AssertionError("a line needs no rows")
+
+    assert witness._face_verdict(np.ones((4, 1)) / 2, np.ones((1, 1)), no_rows) == ("UNIQUE", None, None)
 
 
 def test_probe_accepts_full_level_and_single_dicke():
@@ -929,6 +954,12 @@ def test_probe_accepts_full_level_and_single_dicke():
     e1[1, 1] = 1.0
     res = symmetric_sdl_probe(SymmetricCoeffs(3, e1), 2)
     assert res.verdict == "UNIQUE"
+    # D_4^2 at pairs: the map is not injective on its face of dimension 5, the program
+    # finds no weight outside range(X0) = span{D2}, and that line decides
+    e2 = np.zeros((5, 5), dtype=complex)
+    e2[2, 2] = 1.0
+    res = symmetric_sdl_probe(SymmetricCoeffs(4, e2), 2)
+    assert res.verdict == "UNIQUE" and res.face_dim == 1
 
 
 def test_probe_reports_solver_status(monkeypatch):
@@ -953,6 +984,29 @@ def test_probe_reports_solver_status(monkeypatch):
     with pytest.raises(EdlkitError) as err:
         symmetric_sdl_probe(ghz, 2)
     assert err.value.code == "SOLVER_FAIL" and "INFEASIBLE" in err.value.message
+
+
+def test_probe_agrees_with_pure_determination():
+    # for k >= 2 every state sharing a symmetric state's k-marginals is symmetric, so the
+    # probe and the dense determination of the same pure state decide alike
+    rng = np.random.default_rng(20240811)
+    verdicts = set()
+    for n in (3, 4):
+        ghz = np.zeros(n + 1, dtype=complex)
+        ghz[[0, n]] = 2 ** -0.5
+        coeff_list = list(np.eye(n + 1, dtype=complex)) + [ghz]
+        for _ in range(2):
+            c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            coeff_list.append(c / np.linalg.norm(c))
+        for c in coeff_list:
+            psi = qcore.PureVector(n, sum(x * dicke_vector(n, i).amplitudes for i, x in enumerate(c)))
+            for k in range(2, n + 1):
+                probe = symmetric_sdl_probe(SymmetricCoeffs(n, np.outer(c, c.conj())), k)
+                res = pure_determination_alpha(psi, all_k_subsets(n, k))
+                assert (probe.verdict == "UNIQUE") == witness.determined_by_margin(res.alpha), (n, c, k)
+                verdicts.add((probe.verdict, res.route))
+    assert {("UNIQUE", "face_rank1"), ("UNIQUE", "face_injective"),
+            ("NONUNIQUE", "face_program")} <= verdicts
 
 
 def test_probe_validation():
