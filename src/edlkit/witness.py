@@ -34,7 +34,8 @@ injective on the face's ``r x r`` operators (one SVD rank), certifies
 determination with no solve; an input positive definite on the face has an
 exact second compatible state (a pure target, of rank one, never has); otherwise
 the program runs on the ``r x r`` face, pinned by the map's rows at ``V`` = the
-face.  The whole space is the trivial face: there the same program runs at
+face.  The whole space is the trivial face, reached exactly when every marginal
+has full rank: then no ``2^n x 2^n`` H is built, and the same program runs at
 ``V = I`` (route ``full_program``).  One :class:`DeterminationResult` records
 the route, the face and the solve.  The probe's UNIQUE verdict is a rank
 certificate.
@@ -55,10 +56,13 @@ that move exceeds a factor 5.  No single fixed penalty suits every input.
 The determination, refit and generic programs also run safeguarded type-II
 Anderson acceleration (Zhang, O'Donoghue & Boyd 2020) of the loop's fixed
 point in the cone input ``v = z + u`` (:class:`_Anderson`): up to
-``ANDERSON_MEMORY`` difference pairs, one extrapolation every
-``ANDERSON_EVERY`` iterations off the penalty iterations, kept only if its
-residual does not grow, and the memory cleared at every penalty change.  The
-witness program runs the plain loop, whose iterates ``admm_reference`` keeps.
+``ANDERSON_MEMORY`` difference pairs, one extrapolation on every other
+iteration (``ANDERSON_EVERY``) off the penalty iterations, kept only if its
+residual at the next iteration does not grow, and the memory cleared at every
+penalty change.  Every other iteration is the most often this can extrapolate:
+the safeguard and the stop test read the plain step after an extrapolated
+point.  The witness program runs the plain loop, whose iterates
+``admm_reference`` keeps.
 Every program iterates on a stack of complex matrices and takes one of two
 closed-form affine steps.  The decomposition step (:func:`_decomposition`)
 projects every pair ``(P_i, Q_i)`` onto ``P_i + Q_i^(T_i) = W`` through one
@@ -93,7 +97,7 @@ RELAX = 1.5
 ADAPT_EVERY = 25
 SIGMA_START, SIGMA_MIN, SIGMA_MAX = 1.0, 1e-6, 1e6
 SIGMA_STEP = 5.0
-ANDERSON_MEMORY, ANDERSON_EVERY = 10, 10
+ANDERSON_MEMORY, ANDERSON_EVERY = 10, 2
 FACE_CUT = 1e-9
 
 
@@ -263,11 +267,13 @@ def _admm(c, project_affine, project_cone, tol, max_iter, memory=0):
 
     ``memory > 0`` accelerates the fixed point of the cone input ``v = z + u``,
     ``T(v) = v + RELAX (P_A(2 P_C(v) - v - c / sigma) - P_C(v))`` with residual
-    ``RELAX (z - x)``, by :class:`_Anderson` with that many pairs.  It extrapolates every
-    ``ANDERSON_EVERY`` iterations except on a penalty iteration, and its safeguard runs
-    at the next iteration, before the penalty rule; a penalty change clears it.  The
-    stop test, the stall window and the penalty rule read only plain steps, whose
-    ``x`` and ``z`` come from one point.  ``memory = 0`` runs the plain loop."""
+    ``RELAX (z - x)``, by :class:`_Anderson` with that many pairs.  It extrapolates on
+    the iterations divisible by ``ANDERSON_EVERY`` (2, every other one) except a penalty
+    iteration, and its safeguard runs at the next iteration, before the penalty rule; a
+    penalty change clears it.  The stop test, the stall window and the penalty rule read
+    only plain steps, whose ``x`` and ``z`` come from one point: the step after a kept
+    extrapolation is one, the older point's step after a rejected one is not.
+    ``memory = 0`` runs the plain loop."""
     qcore._check_tol(tol)
     x = np.zeros_like(c)
     z = np.zeros_like(c)
@@ -762,14 +768,17 @@ def _kernel_face(h):
 def _face_hamiltonian(psi, coll):
     """``H = sum_S (I - Pi_S) (x) I`` over the subsets of ``coll``, ``Pi_S`` the support
     projector of psi's marginal on S (eigenvalues above ``FACE_CUT``).  ``H >= 0`` is local, so every state with
-    psi's marginals has ``Tr(H rho) = <psi|H|psi> = 0`` and lives on ``ker H``."""
+    psi's marginals has ``Tr(H rho) = <psi|H|psi> = 0`` and lives on ``ker H``.  Only a
+    rank-deficient marginal adds a term; None when every marginal has full rank, so
+    that ``H = 0`` and the face is the whole space."""
     n = psi.n
-    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    terms = []
     for mask in coll.edges:
         schmidt = qcore._split(psi.amplitudes, n, mask)
         null = _kernel_face(schmidt @ schmidt.conj().T)[0]
-        h += qcore._embed(n, mask, null @ null.conj().T)
-    return h
+        if null.shape[1]:
+            terms.append(qcore._embed(n, mask, null @ null.conj().T))
+    return sum(terms) if terms else None
 
 
 def _face_verdict(v, x0, rows_of):
@@ -819,10 +828,10 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     gap ``g`` of H bounds the weight a compatible state can put off the face by
     ``<psi|H|psi>/g``.  Otherwise the minimum fidelity is solved on the face,
     pinned by the routine's rows (``face_program``), and by the locality rows on
-    the whole space when that is the face (``full_program``, ``face_dim = 2^n``
-    and no gap); the minimizer is returned as ``rho``, a different compatible
-    state when the value drops below 1.  BAD_TOL unless ``tol`` is finite and at
-    least 0, also when no solve runs.
+    the whole space when every marginal has full rank, so that the whole space is
+    the face (``full_program``, ``face_dim = 2^n`` and no gap); the minimizer is
+    returned as ``rho``, a different compatible state when the value drops below 1.
+    BAD_TOL unless ``tol`` is finite and at least 0, also when no solve runs.
     """
     qcore._check_tol(tol)
     if not isinstance(psi, qcore.PureVector):
@@ -830,28 +839,26 @@ def pure_determination_alpha(psi, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     n = psi.n
     _check_sdp_size(n)
     coll = _collection_of(n, subsets)
-    d = 1 << n
     h = _face_hamiltonian(psi, coll)
-    face, gap = _kernel_face(h)
-    r = face.shape[1]
     amp = psi.amplitudes
-    if r == d:
+    if h is None:
         # the whole space is the trivial face, with no gap to certify by; at V = I the
         # marginal map has the row space of the witness program's locality
-        face, span = np.eye(d), _locality_span(n, coll)
+        target = np.outer(amp, amp.conj())[None]
+        return _solve_pinned(target, _locality_span(n, coll), target.ravel(),
+                             "determination program", tol, max_iter)  # route full_program
+    face, gap = _kernel_face(h)
+    r = face.shape[1]
     x0 = face.conj().T @ amp
     target = np.outer(x0, x0.conj())[None]
-    if r < d:
-        # a rank-one target is not positive definite on a face of dimension 2 or more,
-        # so the face is UNIQUE or left to the program
-        verdict, _sigma, span = _face_verdict(face, target[0], lambda v: _marginal_rows(v, coll))
-        if verdict == "UNIQUE":
-            return DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
-                                       psi.to_density().matrix, 0, 0.0, 0.0, None,
-                                       "face_rank1" if r == 1 else "face_injective", r, gap)
+    # a rank-one target is not positive definite on a face of dimension 2 or more, so
+    # the face is UNIQUE or left to the program
+    verdict, _sigma, span = _face_verdict(face, target[0], lambda v: _marginal_rows(v, coll))
+    if verdict == "UNIQUE":
+        return DeterminationResult(1.0 - float(np.vdot(amp, h @ amp).real) / gap, "OPTIMAL",
+                                   psi.to_density().matrix, 0, 0.0, 0.0, None,
+                                   "face_rank1" if r == 1 else "face_injective", r, gap)
     res = _solve_pinned(target, span, target.ravel(), "determination program", tol, max_iter)
-    if r == d:
-        return res  # route full_program, face_dim 2^n, gap None
     return replace(res, rho=face @ res.rho @ face.conj().T, route="face_program", gap=gap)
 
 

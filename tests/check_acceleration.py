@@ -15,8 +15,9 @@ No run may raise.  Not collected by pytest (~30 s); run it as
 
     PYTHONPATH=src python tests/check_acceleration.py
 
-It prints the ADMM iterations and wall time of each side and exits 1 listing
-any cases that disagree.
+It prints the ADMM iterations and wall time of each side, and how many of the
+accelerated side's extrapolations the safeguard kept and rejected, and exits 1
+listing any cases that disagree.
 """
 
 import sys
@@ -68,10 +69,12 @@ def refit_cases(count=10, seed=20240819):
 
 
 class Side:
-    """One setting of the acceleration memory: its ADMM iterations and wall time."""
+    """One setting of the acceleration memory: its ADMM iterations, wall time and the
+    extrapolations its safeguard kept and rejected."""
 
     def __init__(self, memory):
         self.memory, self.iterations, self.seconds = memory, 0, 0.0
+        self.kept = self.rejected = 0
 
     def run(self, fn, *args):
         witness.ANDERSON_MEMORY = self.memory
@@ -92,7 +95,22 @@ def main():
         next(s for s in sides if s.memory == witness.ANDERSON_MEMORY).iterations += out[5]
         return out
 
+    next_input = witness._Anderson.next_input
+
+    def safeguarded(accel, v, g, extrapolate):
+        pending = accel.ref2 is not None  # an extrapolated point meets its safeguard here
+        out = next_input(accel, v, g, extrapolate)
+        if pending:
+            # a rejection returns the older point's plain step, flagged not plain, and
+            # leaves no extrapolation pending
+            if out[1] or accel.ref2 is not None:
+                sides[0].kept += 1
+            else:
+                sides[0].rejected += 1
+        return out
+
     witness._admm = counted
+    witness._Anderson.next_input = safeguarded
     checked, bad = 0, []
     for psi in list(random_states()) + _face_states():
         checked += 1
@@ -122,9 +140,12 @@ def main():
                 bad.append("refit %d, memory %d: %s, value %r"
                            % (i, side.memory, verdict.failures, verdict.value))
     witness._admm = admm
+    witness._Anderson.next_input = next_input
     print("checked %d cases: %d disagree" % (checked, len(bad)))
     for side in sides:
         print("memory %2d: %6d ADMM iterations, %.2f s" % (side.memory, side.iterations, side.seconds))
+    print("memory %2d: %d extrapolations kept, %d rejected by the safeguard"
+          % (sides[0].memory, sides[0].kept, sides[0].rejected))
     for line in bad:
         print("  " + line)
     return 1 if bad else 0

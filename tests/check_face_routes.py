@@ -168,8 +168,10 @@ def rank(rows):
 def face_rank_mismatch(psi, coll):
     """None if the marginal map and the allowed Pauli rows have equal rank on the face
     of ``psi`` and ``coll``."""
-    face = witness._kernel_face(witness._face_hamiltonian(psi, coll))[0]
-    d, r = 1 << psi.n, face.shape[1]
+    d = 1 << psi.n
+    h = witness._face_hamiltonian(psi, coll)
+    face = np.eye(d) if h is None else witness._kernel_face(h)[0]
+    r = face.shape[1]
     # span @ vec(V X V^dag) on vec X: the rows of span, conjugated by the face
     span = oracle.pauli_span(psi.n, coll).reshape(-1, d, d)
     pauli_rows = (face.T @ span @ face.conj()).reshape(-1, r * r)

@@ -277,6 +277,29 @@ def test_accelerated_solves_stop_on_plain_iterations(monkeypatch):
         assert len(plain) == res.iterations and plain[-1], (n, tol)
 
 
+def test_accelerated_solves_extrapolate_every_other_iteration(monkeypatch):
+    # the second pool random three-qubit state at k = 1 (153 iterations): every
+    # extrapolation is followed by a plain step, and none falls on a penalty iteration
+    extrapolated = []
+    next_input = witness._Anderson.next_input
+
+    def spy(self, v, g, extrapolate):
+        out = next_input(self, v, g, extrapolate)
+        extrapolated.append(self.ref2 is not None)  # set exactly when the input is extrapolated
+        return out
+
+    monkeypatch.setattr(witness._Anderson, "next_input", spy)
+    rng = np.random.default_rng(20240811)
+    for _ in range(2):
+        amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    res = pure_determination_alpha(qcore.PureVector(3, amp / np.linalg.norm(amp)), all_k_subsets(3, 1))
+    assert res.route == "full_program" and len(extrapolated) == res.iterations > 2 * witness.ADAPT_EVERY
+    its = [it for it, flag in enumerate(extrapolated, 1) if flag]
+    assert its[0] == 2
+    assert all(b - a >= 2 for a, b in zip(its, its[1:]))
+    assert not [it for it in its if it % witness.ADAPT_EVERY == 0]
+
+
 def test_penalty_change_clears_acceleration_memory(monkeypatch):
     determination, _witness_program = _loop_programs(monkeypatch)
     clears = []
@@ -774,6 +797,48 @@ def test_general_collections_match_full_program():
             continue
         assert (res.alpha >= 1 - slack) == (ref.alpha >= 1 - slack), where
         assert abs(res.alpha - ref.alpha) <= slack, where
+
+
+def test_full_rank_marginals_skip_face_hamiltonian(monkeypatch):
+    # one-body marginals of a random state are mixed: the face is the whole space, read
+    # with no 2^n x 2^n H; W_3 at pairs still builds H and is decided by its face
+    shapes = []
+    kernel_face = witness._kernel_face
+
+    def counted(h):
+        shapes.append(h.shape)
+        return kernel_face(h)
+
+    monkeypatch.setattr(witness, "_kernel_face", counted)
+    rng = np.random.default_rng(20240811)
+    for n in (3, 3, 4, 4):
+        amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        shapes.clear()
+        psi = qcore.PureVector(n, amp / np.linalg.norm(amp))
+        res = pure_determination_alpha(psi, all_k_subsets(n, 1))
+        assert (res.route, res.face_dim, res.gap) == ("full_program", 1 << n, None)
+        assert shapes and (1 << n, 1 << n) not in shapes, n
+    shapes.clear()
+    res = pure_determination_alpha(dicke_vector(3, 1), all_k_subsets(3, 2))
+    assert res.route == "face_injective" and (8, 8) in shapes
+
+
+def test_random_five_qubit_determination():
+    # the second 5-qubit draw after 20 at n = 3 and 20 at n = 4; with an extrapolation
+    # every 10th iteration the k = 2 program stopped at MAX_ITER
+    rng = np.random.default_rng(777)
+    for n, count in ((3, 20), (4, 20), (5, 2)):
+        for _ in range(count):
+            amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi = qcore.PureVector(5, amp / np.linalg.norm(amp))
+    value, levels = witness.determination_levels(psi)
+    target = psi.to_density().matrix
+    for k in range(1, value):
+        rho = levels[k].rho
+        for labels in all_k_subsets(5, k):
+            assert np.allclose(qcore.partial_trace(rho, labels), qcore.partial_trace(target, labels),
+                               rtol=0, atol=1e-6), (k, labels)
+        assert abs(np.vdot(psi.amplitudes, rho @ psi.amplitudes).real - levels[k].alpha) <= 1e-6, k
 
 
 def test_determination_solver_honours_iteration_cap():
