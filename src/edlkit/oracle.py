@@ -43,17 +43,21 @@ program has blocks of one size, as ``solve_sdp`` requires: it reads the rows
 once as Hermitian functionals on the stack of blocks and iterates on that
 stack.  They take Pauli
 strings and partial transposes from the Kronecker-product and index routines
-of ``qcore``; the fast paths describe locality by partial traces instead and
-build no Pauli string.  What the references share with the fast paths is
-``witness._collection_of``, ``witness._bipartition_masks`` and, through
+of ``qcore``; the fast paths describe locality by partial traces and a product
+basis of matrix units instead, and build no Pauli string.  What the references
+share with the fast paths is ``witness._collection_of``,
+``witness._bipartition_masks`` and, through
 ``solve_sdp`` and ``witness._solve_pinned``, the ``_admm`` splitting loop.
 That loop has its own reference: :func:`admm_reference` is its unfused form
 (one temporary per term, the relaxed point kept apart from the dual), sharing
 only the loop constants, so a test runs both on the same projections and
 compares the iterates; :func:`psd_projection` projects one symmetrised matrix
 at a time, as the reference for the batched ``witness._clip_psd``.
-:func:`full_determination` is the ``2^n x 2^n`` determination program pinned
-on the allowed Pauli strings (:func:`pauli_span`), and
+:func:`pauli_span` gives orthonormal rows for the allowed Pauli strings of a
+collection, as the reference for the closed-form product basis of
+``witness._locality_span`` (their projectors must agree) and for the rank of the
+marginal rows on a face.  :func:`full_determination` is the ``2^n x 2^n``
+determination program pinned on those rows, and
 :func:`sdl_pure_full_program` scans the determination length with it at every
 level, as a reference for the face step of ``witness.pure_determination_alpha``.
 :func:`probe_face_rank` rebuilds the face of ``witness.symmetric_sdl_probe``

@@ -11,11 +11,14 @@ marginals of a pure target; value 1 means the marginals pin the state.
 Both questions read the marginal map ``X -> (Tr_(not S) V X V^dag)_S`` over the
 subsets S of a collection (:func:`_marginal_rows`, one partial trace per subset
 on the columns of V).  At ``V = I`` its row space is the span of the local
-operators ``sum_S H^S (x) I``, so the witness program projects onto it with one
-orthonormal row basis per call; the blocks ``H^S`` of a solved W are split off
-by successive partial traces (:func:`_split_blocks`).  There are no Pauli
-projectors in this module; ``oracle`` keeps Pauli strings as the independent
-reference.  Which axis belongs to which particle is decided in ``qcore`` alone
+operators ``sum_S H^S (x) I``, whose orthonormal basis is built in closed form
+(:func:`_locality_span`: products of ``I/sqrt 2`` off a support and of ``E01``,
+``E10``, ``(E00 - E11)/sqrt 2`` on it, with no decomposition); the witness
+program projects onto it and the whole-space determination program pins it.  The
+blocks ``H^S`` of a solved W are split off by successive partial traces
+(:func:`_split_blocks`).  There are no Pauli strings in this module;
+``oracle.pauli_span`` keeps them as the independent reference for the span.
+Which axis belongs to which particle is decided in ``qcore`` alone
 (``qcore._axes``): the map reads each subset through the marginal split
 ``qcore._split``, a block ``H^S`` becomes ``H^S (x) I`` through
 ``qcore._embed`` (behind :func:`expand_operator`), and the flat
@@ -436,14 +439,34 @@ def _marginal_rows(v, coll):
     return np.vstack(blocks)
 
 
+# the one-particle factors I/sqrt 2, E01, E10 and (E00 - E11)/sqrt 2 of the locality
+# basis, as a C-contiguous (2, 2, 4) table: entry, then factor
+_LOCAL_UNITS = np.ascontiguousarray(np.array(
+    [np.eye(2) / math.sqrt(2.0), [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
+     np.diag([1.0, -1.0]) / math.sqrt(2.0)]).transpose(1, 2, 0))
+
+
 def _locality_span(n, coll):
     """Orthonormal rows spanning the operators ``sum_S H^S (x) I`` of ``coll``: the row
-    space of the marginal map at ``V = I``, from one ``eigh`` of its real Gram matrix.
-    The rows are real, stored complex so that the loop applies them without a cast."""
-    rows = _marginal_rows(np.eye(1 << n), coll)
-    w, q = np.linalg.eigh(rows @ rows.T)
-    keep = w > FACE_CUT * w[-1]
-    return ((q[:, keep].T @ rows) / np.sqrt(w[keep])[:, None]).astype(complex)
+    space of the marginal map at ``V = I``, in closed form.  Each row is a product over
+    the particles (particle 1 the most significant factor, as in ``qcore._axes``) of
+    ``I/sqrt 2`` off a support T and one of ``E01``, ``E10``, ``(E00 - E11)/sqrt 2`` on
+    T, for every T inside some subset of ``coll`` (the empty one included): the factors
+    are orthonormal, so the ``sum_T 3^|T|`` products are too, and those on T span the
+    operators with support exactly T.  The rows are real, stored complex so that the
+    loop applies them without a cast."""
+    # every choice of factor per particle (column j is particle j + 1, on bit j of a
+    # mask), kept when the particles off the identity fit inside some subset
+    choice = np.indices((4,) * n).reshape(n, -1).T
+    support = (choice > 0) @ (1 << np.arange(n))
+    choice = choice[(support[:, None] & ~np.array(coll.edges) == 0).any(axis=1)]
+    # the rows run along the last, contiguous axis (take keeps it so, where fancy
+    # indexing would not), so that every product runs one long inner loop
+    rows = _LOCAL_UNITS.take(choice[:, 0], axis=2)
+    for j in range(1, n):
+        factor = _LOCAL_UNITS.take(choice[:, j], axis=2)
+        rows = (rows[:, None, :, None] * factor[:, None]).reshape(2 << j, 2 << j, -1)
+    return rows.reshape(-1, len(choice)).T.astype(complex, order="C")
 
 
 def _bipartition_masks(n):

@@ -15,9 +15,11 @@ No run may raise.  Not collected by pytest (~30 s); run it as
 
     PYTHONPATH=src python tests/check_acceleration.py
 
-It prints the ADMM iterations and wall time of each side, and how many of the
-accelerated side's extrapolations the safeguard kept and rejected, and exits 1
-listing any cases that disagree.
+It prints the ADMM iterations and wall time of each side, how many of the
+accelerated side's extrapolations the safeguard kept and rejected, and how many
+of its penalty iterations (multiples of ``witness.ADAPT_EVERY``) skipped the
+penalty rule because the step before them was a rejected extrapolation, and
+exits 1 listing any cases that disagree.
 """
 
 import sys
@@ -69,12 +71,14 @@ def refit_cases(count=10, seed=20240819):
 
 
 class Side:
-    """One setting of the acceleration memory: its ADMM iterations, wall time and the
-    extrapolations its safeguard kept and rejected."""
+    """One setting of the acceleration memory: its ADMM iterations, wall time, the
+    extrapolations its safeguard kept and rejected, and its penalty iterations with
+    those that skipped the penalty rule after a rejection."""
 
     def __init__(self, memory):
         self.memory, self.iterations, self.seconds = memory, 0, 0.0
         self.kept = self.rejected = 0
+        self.penalty_steps = self.penalty_skipped = 0
 
     def run(self, fn, *args):
         witness.ANDERSON_MEMORY = self.memory
@@ -98,15 +102,20 @@ def main():
     next_input = witness._Anderson.next_input
 
     def safeguarded(accel, v, g, extrapolate):
+        # one call per iteration of the solve that made accel, so this is its number
+        accel.step = getattr(accel, "step", 0) + 1
+        penalty = accel.step % witness.ADAPT_EVERY == 0
+        sides[0].penalty_steps += penalty
         pending = accel.ref2 is not None  # an extrapolated point meets its safeguard here
         out = next_input(accel, v, g, extrapolate)
         if pending:
             # a rejection returns the older point's plain step, flagged not plain, and
-            # leaves no extrapolation pending
+            # leaves no extrapolation pending; the loop's penalty rule reads plain steps only
             if out[1] or accel.ref2 is not None:
                 sides[0].kept += 1
             else:
                 sides[0].rejected += 1
+                sides[0].penalty_skipped += penalty
         return out
 
     witness._admm = counted
@@ -146,6 +155,8 @@ def main():
         print("memory %2d: %6d ADMM iterations, %.2f s" % (side.memory, side.iterations, side.seconds))
     print("memory %2d: %d extrapolations kept, %d rejected by the safeguard"
           % (sides[0].memory, sides[0].kept, sides[0].rejected))
+    print("memory %2d: %d of %d penalty iterations skipped the penalty rule after a rejected "
+          "extrapolation" % (sides[0].memory, sides[0].penalty_skipped, sides[0].penalty_steps))
     for line in bad:
         print("  " + line)
     return 1 if bad else 0

@@ -409,6 +409,53 @@ def test_marginal_rows_match_partial_traces(rng):
                 offset += ref.size
 
 
+def _antichains(n):
+    """Every nonempty antichain of nonempty subsets of [n], as mask tuples."""
+    def grow(chosen, start):
+        if chosen:
+            yield chosen
+        for mask in range(start, 1 << n):
+            if all(mask & c not in (mask, c) for c in chosen):
+                yield from grow(chosen + (mask,), mask + 1)
+    return grow((), 1)
+
+
+def test_locality_span_matches_pauli_reference():
+    inputs = [SubsetCollection(n, masks) for n in range(1, 5) for masks in _antichains(n)]
+    inputs += [all_k_subsets(5, k) for k in range(1, 6)]
+    inputs += [SubsetCollection.from_lists(5, [[1, 2], [2, 3], [3, 4], [4, 5]]),
+               SubsetCollection.from_lists(4, [[1, 2], [1], [1, 2], [1, 2, 3]]),
+               SubsetCollection.from_lists(5, [[2, 5], [5], [1, 2, 5], [3, 4], [4]])]
+    for coll in inputs:
+        n = coll.n
+        span = witness._locality_span(n, coll)
+        supports = {t for mask in coll.edges for t in range(1 << n) if t & ~mask == 0}
+        assert span.shape == (sum(3 ** t.bit_count() for t in supports), 4 ** n), coll
+        assert not np.any(span.imag), coll
+        assert np.max(np.abs(span @ span.conj().T - np.eye(len(span)))) < 1e-12, coll
+        ref = oracle.pauli_span(n, coll)
+        assert np.max(np.abs(span.conj().T @ span - ref.conj().T @ ref)) < 1e-12, coll
+
+
+def test_locality_span_builds_no_decomposition_at_five_qubits(rng, monkeypatch):
+    # all 4-subsets at n = 5: the span has 781 rows, where a Gram matrix has 1280
+    coll = all_k_subsets(5, 4)
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(*args, real=getattr(np.linalg, name), **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    span = witness._locality_span(5, coll)
+    assert span.shape == (781, 1024) and not calls
+    monkeypatch.undo()
+    amp = rng.normal(size=32) + 1j * rng.normal(size=32)
+    rho = np.outer(amp, amp.conj()) / np.vdot(amp, amp).real
+    with pytest.raises(EdlkitError) as err:
+        fully_decomposable_alpha(rho, coll, max_iter=1)
+    assert err.value.code == "MAX_ITER"
+
+
 def test_expand_operator_preserves_trace_scaling(rng):
     h = random_hermitian(rng, 4)
     big = expand_operator(4, (2, 4), h)
