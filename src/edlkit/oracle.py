@@ -460,8 +460,11 @@ def pauli_span(n, coll):
 def build_fdw_problem(rho, subsets):
     """The witness program as an explicit :class:`SdpProblem` (small n only).
 
-    The generic dense path that cross-checks the structured consensus path
-    of :func:`edlkit.witness.fully_decomposable_alpha`.
+    The generic dense path that cross-checks
+    :func:`edlkit.witness.fully_decomposable_alpha`: here W is a free block with
+    its unit trace, its locality (orthogonal to every disallowed Pauli string) and
+    ``W = P_i + Q_i^(T_i)`` as explicit rows and the cost ``rho`` on W alone, where
+    that program has no W block and iterates on the ``(P_i, Q_i)`` stack.
     """
     mat, n = qcore._as_matrix(rho)
     if n > 3:

@@ -68,10 +68,12 @@ point.  The witness program runs the plain loop, whose iterates
 ``admm_reference`` keeps.
 Every program iterates on a stack of complex matrices and takes one of two
 closed-form affine steps.  The decomposition step (:func:`_decomposition`)
-projects every pair ``(P_i, Q_i)`` onto ``P_i + Q_i^(T_i) = W`` through one
-partial-transpose gather built once per call: the witness program takes it
-after averaging W into the span of the local operators, the certificate refit
-with W fixed.  The pinned-row step (:func:`_pinned_step`) is
+projects every pair ``(P_i, Q_i)`` of the stack ``(P_1..P_m, Q_1..Q_m)`` onto
+``P_i + Q_i^(T_i) = W`` through one partial-transpose gather built once per call.
+The certificate refit takes it with W fixed.  The witness program takes it on the
+same stack, with no W block: its W is the mean of the sums ``P_i + Q_i^(T_i)``
+projected onto the span of the local operators, with its trace fixed to 1.  The
+pinned-row step (:func:`_pinned_step`) is
 ``X - span^dag (span vec X - pinned)`` for orthonormal rows ``span``: a basis
 of the local operators (whole-space determination), of a face's constraint
 rows, or of the Hermitian functionals that the generic :func:`solve_sdp` reads
@@ -481,16 +483,18 @@ def _pt_permutation(n, mask):
     return np.arange(d * d).reshape((2,) * (2 * n)).transpose(qcore._pt_axes(n, mask)).ravel()
 
 
-def _decomposition(n):
-    """``(masks, pt, decompose)`` for the m bipartitions of n qubits (particle 1 inside).
+def _decomposition(n, consensus):
+    """``(masks, pt, step)`` for the m bipartitions of n qubits (particle 1 inside).
 
     ``pt(blocks)`` partially transposes block i of an ``(m, d, d)`` stack on
-    ``masks[i]``, one gather built once from :func:`_pt_permutation`.
-    ``decompose(w, p, q, ks, p_out, q_out)`` writes into ``p_out`` and ``q_out`` the
-    projection of the stacks ``p = (P_1..P_m)``, ``q = (Q_1..Q_m)`` onto
-    ``P_i + Q_i^(T_i) = w`` for every i, given ``ks = p + pt(q)``: partial transpose
-    is an orthogonal involution, so with ``r = (w - P_i - Q_i^(T_i)) / 2`` it is
-    ``P_i + r`` and ``Q_i + r^(T_i)``."""
+    ``masks[i]``, one gather built once from :func:`_pt_permutation`.  ``step(v)`` is
+    the projection of the stack ``v = (P_1..P_m, Q_1..Q_m)`` onto
+    ``P_i + Q_i^(T_i) = W`` for every i, with ``W = consensus(ks)`` read from the sums
+    ``ks = p + pt(q)``: partial transpose is an orthogonal involution, so with
+    ``r = (W - P_i - Q_i^(T_i)) / 2`` it is ``P_i + r`` and ``Q_i + r^(T_i)``.  A
+    fixed W is the certificate refit's step; the projection of ``mean_i ks_i`` onto an
+    affine set of W makes it the projection onto {every sum one W of that set}, since
+    ``sum_i |W - ks_i|^2`` is ``m |W - mean_i ks_i|^2`` plus a constant."""
     d = 1 << n
     masks = _bipartition_masks(n)
     m = len(masks)
@@ -499,13 +503,17 @@ def _decomposition(n):
     def pt(blocks):
         return blocks.ravel()[index].reshape(m, d, d)
 
-    def decompose(w, p, q, ks, p_out, q_out):
-        np.subtract(w, ks, out=p_out)  # r, then P + r in place
-        p_out *= 0.5
-        np.add(q, pt(p_out), out=q_out)
-        p_out += p
+    def step(v):
+        p, q = v[:m], v[m:]
+        ks = p + pt(q)
+        out = np.empty_like(v)
+        np.subtract(consensus(ks), ks, out=out[:m])  # r, then P + r in place
+        out[:m] *= 0.5
+        np.add(q, pt(out[:m]), out=out[m:])
+        out[:m] += p
+        return out
 
-    return masks, pt, decompose
+    return masks, pt, step
 
 
 def expand_operator(n, labels, h):
@@ -631,43 +639,38 @@ def fully_decomposable_alpha(rho, subsets, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Minimum witness value over unit-trace fully decomposable witnesses
     built from the marginals in ``subsets``.
 
-    Returns ``(alpha, witness)``.  The iterate is the stack ``(W, P_1..P_m,
-    Q_1..Q_m)``; its consensus structure (one shared W against per-bipartition
-    decompositions) gives the affine projection in closed form.  DIM_MISMATCH
-    below two qubits, where there is no bipartition.
+    Returns ``(alpha, witness)``.  The iterate is the stack ``(P_1..P_m,
+    Q_1..Q_m)`` of the certificate refit, with no W block: the affine step is the
+    decomposition step (:func:`_decomposition`) onto one W, the mean of the sums
+    ``P_i + Q_i^(T_i)`` projected onto the span of the local operators with its
+    trace fixed to 1.  The cost is ``rho / m`` on every ``P_i`` and
+    ``rho^(T_i) / m`` on every ``Q_i``, which is ``Tr(rho W)`` on the affine set, as
+    partial transpose is an orthogonal involution.  W is read from the affine
+    iterate and the certificates from the cone iterate.  DIM_MISMATCH below two
+    qubits, where there is no bipartition.
     """
     mat, n = qcore._as_matrix(rho)
     _check_bipartitions(n)
     coll = _collection_of(n, subsets)
     d = 1 << n
-    masks, pt, decompose = _decomposition(n)
-    m = len(masks)
     span = _locality_span(n, coll)
     span_h = np.ascontiguousarray(span.conj().T)
-    # the consensus average (W + sum_i (P_i + Q_i^(T_i)) / 2) / (1 + m/2), folded into the rows
-    span_avg = span / (1.0 + m / 2.0)
 
-    def project_affine(v):
-        p, q = v[1:1 + m], v[1 + m:]
-        ks = p + pt(q)
-        out = np.empty_like(v)
-        w = out[0]
-        w[...] = (span_h @ (span_avg @ (v[0] + 0.5 * ks.sum(axis=0)).ravel())).reshape(d, d)
+    def local_unit_trace(ks):
+        w = (span_h @ (span @ ks.sum(axis=0).ravel())).reshape(d, d) / len(ks)
         diag = w.reshape(-1)[::d + 1]
         diag += (1.0 - diag.sum().real) / d
-        decompose(w, p, q, ks, out[1:1 + m], out[1 + m:])
-        return out
+        return w
 
-    def project_cone(v):
-        return np.concatenate([v[:1], _clip_psd(v[1:])])
-
-    c = np.zeros((1 + 2 * m, d, d), dtype=complex)
-    c[0] = (mat + mat.conj().T) / 2.0
-    x, z = _optimal(_admm(c, project_affine, project_cone, tol, max_iter), "witness program")[:2]
-    alpha = float(np.trace(x[0] @ mat).real)
-    certificates = [(qcore.Subset(n, mask), p, q)
-                    for mask, p, q in zip(masks, z[1:1 + m], z[1 + m:])]
-    return alpha, Witness(n, coll, alpha, _split_blocks(n, coll, x[0]), certificates)
+    masks, pt, step = _decomposition(n, local_unit_trace)
+    m = len(masks)
+    cost = np.broadcast_to((mat + mat.conj().T) / (2.0 * m), (m, d, d)).astype(complex)
+    c = np.concatenate([cost, pt(cost)])
+    x, z = _optimal(_admm(c, step, _clip_psd, tol, max_iter), "witness program")[:2]
+    w = x[0] + pt(x[m:])[0]
+    alpha = float(np.trace(w @ mat).real)
+    certificates = [(qcore.Subset(n, mask), p, q) for mask, p, q in zip(masks, z[:m], z[m:])]
+    return alpha, Witness(n, coll, alpha, _split_blocks(n, coll, w), certificates)
 
 
 def _split_blocks(n, coll, w):
@@ -745,16 +748,9 @@ def refit_certificates(witness, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     w = witness.assemble()
     w = (w + w.conj().T) / 2.0
     d = 1 << n
-    masks, pt, decompose = _decomposition(n)
+    masks, _pt, step = _decomposition(n, lambda ks: w)
     m = len(masks)
-
-    def project_affine(v):
-        p, q = v[:m], v[m:]
-        out = np.empty_like(v)
-        decompose(w, p, q, p + pt(q), out[:m], out[m:])
-        return out
-
-    z = _optimal(_admm(np.zeros((2 * m, d, d), dtype=complex), project_affine, _clip_psd,
+    z = _optimal(_admm(np.zeros((2 * m, d, d), dtype=complex), step, _clip_psd,
                        tol, max_iter, memory=ANDERSON_MEMORY), "decomposition program", "INFEASIBLE")[1]
     certificates = [(qcore.Subset(n, mask), p, q) for mask, p, q in zip(masks, z[:m], z[m:])]
     return Witness(witness.n, witness.collection, witness.alpha, witness.blocks, certificates)

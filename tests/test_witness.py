@@ -508,14 +508,70 @@ def test_witness_accepts_subset_objects():
     assert err.value.code == "DIM_MISMATCH"
 
 
+def test_witness_program_iterates_on_the_certificate_stack(monkeypatch):
+    # no W block: the stack is (P_1..P_m, Q_1..Q_m), every P_i + Q_i^(T_i) of the affine
+    # iterate is one local, unit-trace W, and the cost reads Tr(rho W) there
+    programs = []
+    real = witness._admm
+
+    def capture(c, project_affine, project_cone, tol, max_iter, memory=0):
+        out = real(c, project_affine, project_cone, tol, max_iter, memory)
+        programs.append((c, project_cone, out[0]))
+        return out
+
+    monkeypatch.setattr(witness, "_admm", capture)
+    w3 = dicke_vector(3, 1).to_density().matrix
+    masks = witness._bipartition_masks(3)
+    m = len(masks)
+    for subsets in (all_k_subsets(3, 2), PAIR_CHAIN):
+        alpha, _wit = fully_decomposable_alpha(w3, subsets)
+        c, project_cone, x = programs.pop()
+        assert c.shape == x.shape == (2 * m, 8, 8)
+        assert project_cone is witness._clip_psd
+        assert abs(np.vdot(c, x).real - alpha) <= 1e-12
+        sums = [p + qcore.partial_transpose(q, qcore.Subset(3, mask))
+                for mask, p, q in zip(masks, x[:m], x[m:])]
+        assert max(np.max(np.abs(s - sums[0])) for s in sums) <= 1e-12
+        span = oracle.pauli_span(3, witness._collection_of(3, subsets))
+        w = sums[0].ravel()
+        assert np.max(np.abs(w - span.conj().T @ (span @ w))) <= 1e-12
+        assert abs(np.trace(sums[0]) - 1.0) <= 1e-12
+
+
+FDW_COLLECTIONS = {"chain": PAIR_CHAIN, "pairs": all_k_subsets(3, 2), "full": [(1, 2, 3)],
+                   "{12}": [(1, 2)], "{12},{3}": [(1, 2), (3,)]}
+
+
+def _rotated_noisy(bases, seed=20261021):
+    """``(label, rho)``: each named 3-qubit base state rotated by a seeded random local
+    unitary, then mixed with white noise at p = 0.05 and 0.2."""
+    rng = np.random.default_rng(seed)
+    for name, base in bases.items():
+        u = np.ones((1, 1))
+        for _ in range(3):
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            u = np.kron(u, q * (np.diag(r) / np.abs(np.diag(r))))
+        for p in (0.05, 0.2):
+            yield "%s p=%g" % (name, p), (1 - p) * u @ base @ u.conj().T + p * np.eye(8) / 8
+
+
+def _dense_path_gap(rho, subsets):
+    """``|alpha - objective|`` of the witness program against the generic dense path
+    (infinite unless the dense solve is OPTIMAL), and the witness's verdict on rho."""
+    alpha, wit = fully_decomposable_alpha(rho, subsets)
+    sol = solve_sdp(oracle.build_fdw_problem(rho, subsets))
+    gap = abs(alpha - sol.objective) if sol.status == "OPTIMAL" else np.inf
+    return gap, verify_witness(wit, rho)
+
+
 def test_dense_path_matches_consensus_path():
-    rho = dicke_mix_dense(3, (0, 0.5, 0.5, 0))
-    for subsets in (PAIR_CHAIN, all_k_subsets(3, 2), [(1, 2, 3)]):
-        problem = oracle.build_fdw_problem(rho, subsets)
-        sol = solve_sdp(problem)
-        assert sol.status == "OPTIMAL"
-        alpha, _ = fully_decomposable_alpha(rho, subsets)
-        assert sol.objective == pytest.approx(alpha, abs=1e-6)
+    w3 = dicke_vector(3, 1).to_density().matrix
+    ghz = qcore.ghz_vector(3).to_density().matrix
+    for label, rho in _rotated_noisy({"W_3": w3, "GHZ_3 mixture": 0.75 * ghz + 0.25 * w3}):
+        for name, subsets in FDW_COLLECTIONS.items():
+            gap, verdict = _dense_path_gap(rho, subsets)
+            assert gap <= 1e-6, (label, name, gap)
+            assert verdict.ok, (label, name, verdict.failures)
     with pytest.raises(EdlkitError) as err:
         oracle.build_fdw_problem(np.eye(16) / 16, [(1, 2)])
     assert err.value.code == "TOO_LARGE"
