@@ -187,10 +187,9 @@ def test_clip_psd_matches_oracle_projection(rng):
         assert np.max(np.abs(witness._clip_psd(out) - out)) <= 1e-12
 
 
-def _loop_programs(monkeypatch):
-    """``(c, project_affine, project_cone, tol)`` of two programs, caught at their call
-    into ``_admm``: the random three-qubit pairs determination program (its penalty
-    leaves 1 at iteration 25) and the W_3 all-pairs witness program."""
+def _admm_calls(monkeypatch, run):
+    """What ``run()`` returns, and the ``(c, project_affine, project_cone, tol)`` of
+    every program it hands to ``_admm``, in call order."""
     programs = []
     real = witness._admm
 
@@ -199,13 +198,22 @@ def _loop_programs(monkeypatch):
         return real(c, project_affine, project_cone, tol, max_iter, memory)
 
     monkeypatch.setattr(witness, "_admm", capture)
-    rng = np.random.default_rng(20240811)
-    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-    oracle.full_determination(qcore.PureVector(3, amp / np.linalg.norm(amp)), all_k_subsets(3, 2))
-    w3 = dicke_vector(3, 1).to_density().matrix
-    fully_decomposable_alpha(w3, all_k_subsets(3, 2))
+    out = run()
     monkeypatch.undo()
-    return programs
+    return out, programs
+
+
+def _loop_programs(monkeypatch):
+    """Two programs caught at their call into ``_admm``: the random three-qubit pairs
+    determination program (its penalty leaves 1 at iteration 25) and the W_3 all-pairs
+    witness program."""
+    def run():
+        rng = np.random.default_rng(20240811)
+        amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+        oracle.full_determination(qcore.PureVector(3, amp / np.linalg.norm(amp)), all_k_subsets(3, 2))
+        fully_decomposable_alpha(dicke_vector(3, 1).to_density().matrix, all_k_subsets(3, 2))
+
+    return _admm_calls(monkeypatch, run)[1]
 
 
 def test_admm_matches_reference_loop(monkeypatch):
@@ -511,21 +519,14 @@ def test_witness_accepts_subset_objects():
 def test_witness_program_iterates_on_the_certificate_stack(monkeypatch):
     # no W block: the stack is (P_1..P_m, Q_1..Q_m), every P_i + Q_i^(T_i) of the affine
     # iterate is one local, unit-trace W, and the cost reads Tr(rho W) there
-    programs = []
-    real = witness._admm
-
-    def capture(c, project_affine, project_cone, tol, max_iter, memory=0):
-        out = real(c, project_affine, project_cone, tol, max_iter, memory)
-        programs.append((c, project_cone, out[0]))
-        return out
-
-    monkeypatch.setattr(witness, "_admm", capture)
     w3 = dicke_vector(3, 1).to_density().matrix
     masks = witness._bipartition_masks(3)
     m = len(masks)
     for subsets in (all_k_subsets(3, 2), PAIR_CHAIN):
-        alpha, _wit = fully_decomposable_alpha(w3, subsets)
-        c, project_cone, x = programs.pop()
+        (alpha, _wit), [program] = _admm_calls(monkeypatch,
+                                               lambda: fully_decomposable_alpha(w3, subsets))
+        c, _project_affine, project_cone, _tol = program
+        x = witness._admm(*program, MAX_ITER)[0]
         assert c.shape == x.shape == (2 * m, 8, 8)
         assert project_cone is witness._clip_psd
         assert abs(np.vdot(c, x).real - alpha) <= 1e-12
@@ -565,13 +566,19 @@ def _dense_path_gap(rho, subsets):
 
 
 def test_dense_path_matches_consensus_path():
+    # the rank-2, noise-free, unrotated 1/2 W_3 + 1/2 W_3bar on the chain, pairs and
+    # full set, then rotated noisy states on every collection
+    mix = dicke_mix_dense(3, (0, 0.5, 0.5, 0))
+    cases = [("1/2 W_3 + 1/2 W_3bar", mix, name) for name in ("chain", "pairs", "full")]
     w3 = dicke_vector(3, 1).to_density().matrix
     ghz = qcore.ghz_vector(3).to_density().matrix
-    for label, rho in _rotated_noisy({"W_3": w3, "GHZ_3 mixture": 0.75 * ghz + 0.25 * w3}):
-        for name, subsets in FDW_COLLECTIONS.items():
-            gap, verdict = _dense_path_gap(rho, subsets)
-            assert gap <= 1e-6, (label, name, gap)
-            assert verdict.ok, (label, name, verdict.failures)
+    cases += [(label, rho, name) for label, rho in
+              _rotated_noisy({"W_3": w3, "GHZ_3 mixture": 0.75 * ghz + 0.25 * w3})
+              for name in FDW_COLLECTIONS]
+    for label, rho, name in cases:
+        gap, verdict = _dense_path_gap(rho, FDW_COLLECTIONS[name])
+        assert gap <= 1e-6, (label, name, gap)
+        assert verdict.ok, (label, name, verdict.failures)
     with pytest.raises(EdlkitError) as err:
         oracle.build_fdw_problem(np.eye(16) / 16, [(1, 2)])
     assert err.value.code == "TOO_LARGE"
