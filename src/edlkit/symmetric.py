@@ -10,9 +10,12 @@ space Sym^(k//2) (x) Sym^(k - k//2).
 
 Weights may be ``float`` or exact ``fractions.Fraction``/``int`` values.
 The support-pattern case analysis used by the determination-length routines
-is discontinuous in which weights vanish, so exact inputs are decided
-exactly (their arithmetic never leaves the rationals) and float inputs use
-a fixed nonzero threshold.
+is discontinuous in which weights vanish, so one rule decides which do, once
+per mixture (:attr:`DickeMixture.zero_mask`): an exact weight vanishes when
+it is 0, a float weight when its modulus is at most ``NONZERO_TOL``.  The
+support, the closed forms, the zero pattern of the cone test and the gap
+families all read that mask.  ``NONZERO_TOL`` is the module's one zero
+threshold, for weights, coherences and validation alike.
 
 Diagonal and coherent states share one coordinate system, the moments
 ``m_st = a_st / sqrt(C(n, s) C(n, t))`` of the coefficient matrix ``a``; a
@@ -64,15 +67,9 @@ def _over_common_denominator(values, scales):
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
-def _nonzero(x, exact):
-    if exact:
-        return x != 0
-    return abs(x) > NONZERO_TOL
-
-
-def _is_diagonal(a, tol=NONZERO_TOL):
-    """Whether no off-diagonal entry of the matrix ``a`` exceeds ``tol`` in modulus."""
-    return float(np.max(np.abs(a - np.diag(np.diag(a))))) <= tol
+def _is_diagonal(a):
+    """Whether no off-diagonal entry of the matrix ``a`` exceeds ``NONZERO_TOL`` in modulus."""
+    return float(np.max(np.abs(a - np.diag(np.diag(a))))) <= NONZERO_TOL
 
 
 @functools.lru_cache(maxsize=qcore.MAX_QUBITS + 1)
@@ -91,11 +88,18 @@ class DickeMixture:
     be exact rationals; :attr:`exact`, decided once at construction, reports
     whether all of them are.  Exact weights are validated as integers over
     their common denominator.
+
+    :attr:`zero_mask`, decided with :attr:`exact`, has bit i set iff weight i
+    vanishes: it is exactly 0 for exact weights, at most ``NONZERO_TOL`` in
+    modulus for float ones (round-off such as the ~1e-17 that
+    :meth:`SymmetricCoeffs.diagonal_mixture` leaves).  Every zero-pattern
+    decision on the mixture reads this mask.
     """
 
     n: int
     lam: tuple
     exact: bool = field(init=False, repr=False, compare=False)
+    zero_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         qcore._check_n(self.n)
@@ -122,13 +126,15 @@ class DickeMixture:
                 raise EdlkitError("BAD_WEIGHT", "weights sum to %.12f, expected 1" % total)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "zero_mask", sum(1 << i for i, v in enumerate(lam)
+                                                  if (not v if exact else abs(v) <= NONZERO_TOL)))
 
     @property
     def floats(self):
         return np.array([float(v) for v in self.lam])
 
     def support(self):
-        return tuple(i for i, v in enumerate(self.lam) if _nonzero(v, self.exact))
+        return tuple(i for i in range(self.n + 1) if not self.zero_mask >> i & 1)
 
     def reversed(self):
         """Weights after the global bit flip, lam_i -> lam_{n-i}."""
@@ -184,8 +190,8 @@ class SymmetricCoeffs:
         diag = np.clip(np.diag(self.a).real, 0.0, None)
         return DickeMixture(self.n, tuple(diag / diag.sum()))
 
-    def is_diagonal(self, tol=NONZERO_TOL):
-        return _is_diagonal(self.a, tol)
+    def is_diagonal(self):
+        return _is_diagonal(self.a)
 
 
 @functools.lru_cache(maxsize=qcore.MAX_QUBITS)
@@ -219,15 +225,22 @@ def to_dense(state):
     return qcore.DenseState(state.n, b @ a @ b.T, validate=False)
 
 
-def _reduce_coeff_matrix(n, k, a):
-    """Raw linear reduction map on n-qubit coefficient matrices, no state validation:
-    ``n - k`` Pascal steps ``m'_st = m_st + m_(s+1)(t+1)`` on the moments
-    ``m_st = a_st / sqrt(C(n,s) C(n,t))``.  It acts on the last two axes of ``a``, so it
-    also reduces a stack of matrices."""
-    m = np.asarray(a) / np.outer(_root_comb(n), _root_comb(n))
+def _moment_walk(n, k, a):
+    """The moments ``m_st = a_st / sqrt(C(n,s) C(n,t))`` of the n-qubit coefficient
+    matrix ``a`` and those of its reductions to n-1, ..., k qubits, in that order, by
+    ``n - k`` Pascal steps ``m'_st = m_st + m_(s+1)(t+1)``.  It acts on the last two axes
+    of ``a``, so it also walks a stack of matrices."""
+    levels = [np.asarray(a) / np.outer(_root_comb(n), _root_comb(n))]
     for _ in range(n - k):
-        m = m[..., :-1, :-1] + m[..., 1:, 1:]
-    return m * np.outer(_root_comb(k), _root_comb(k))
+        m = levels[-1]
+        levels.append(m[..., :-1, :-1] + m[..., 1:, 1:])
+    return levels
+
+
+def _reduce_coeff_matrix(n, k, a):
+    """Raw linear reduction map on n-qubit coefficient matrices, no state validation: the
+    last moments of :func:`_moment_walk` scaled back, ``a'_st = m'_st sqrt(C(k,s) C(k,t))``."""
+    return _moment_walk(n, k, a)[-1] * np.outer(_root_comb(k), _root_comb(k))
 
 
 def symmetric_marginal(coeffs, k):
@@ -477,8 +490,9 @@ def edl_symmetric(coeffs, tol=PSD_TOL):
 
     Every level k is tested by the partial transpose on ``k // 2`` qubits, inside
     the Dicke product space Sym^j (x) Sym^(k-j) (at most 36 x 36 at k = 10), read
-    off the marginal's coefficient matrix from the Pascal walk; no level builds or
-    validates a :class:`SymmetricCoeffs`.
+    off the marginal's coefficient matrix; one Pascal walk of n - 2 steps gives every
+    level, as in :func:`edl_diagonal`, and no level builds or validates a
+    :class:`SymmetricCoeffs`.
     Marginals on two or three qubits and all diagonal marginals are decided
     exactly (PPT = separability there, and for diagonal states the half cut
     is the decisive one).  A PPT verdict on a non-diagonal marginal of four or
@@ -490,8 +504,9 @@ def edl_symmetric(coeffs, tol=PSD_TOL):
     if n < 2:
         raise EdlkitError("DIM_MISMATCH", "need n >= 2")
     saw_uncertified_ppt = False
-    for k in range(2, n + 1):
-        a = _reduce_coeff_matrix(n, k, coeffs.a)
+    for m in reversed(_moment_walk(n, 2, coeffs.a)):
+        k = len(m) - 1
+        a = m * np.outer(_root_comb(k), _root_comb(k))
         min_eig = _half_cut_min_eig(a)
         if min_eig < -tol:
             flag = "PPT_BOUND" if saw_uncertified_ppt else "EXACT"
@@ -635,17 +650,6 @@ def _level_direction(n, k, zero_mask):
     return direction
 
 
-def _weight_pattern(mix):
-    """``(lam, zero_mask)``: the float weights of ``mix`` and the bit mask of the
-    weights that count as zero, exact zeros for exact weights and float weights at
-    or below 0 otherwise (what ``simplex_max``, which clamps tolerated negative
-    round-off to 0, sees)."""
-    lam = mix.floats
-    if mix.exact:
-        return lam, sum(1 << i for i, v in enumerate(mix.lam) if not v)
-    return lam, sum(1 << i for i, v in enumerate(lam.tolist()) if v <= 0.0)
-
-
 def _coordinate_moves(lam, k, tol):
     """Whether some free coordinate of ``{s : lam + N s >= 0}`` at level k exceeds
     ``tol`` in modulus: each is maximized and minimized by the simplex."""
@@ -660,13 +664,13 @@ def _coordinate_moves(lam, k, tol):
     return False
 
 
-def _alternative_nonneg_point(mix, k, tol=1e-9, pattern=None):
+def _alternative_nonneg_point(mix, k, tol=1e-9):
     """A nonzero parameter vector ``s`` with ``lam + N s >= 0``, or None.
 
     The polytope ``{s : lam + N s >= 0}`` is bounded (weights sum to one),
     contains s = 0 and lies in the cone ``{s : N_Z s >= 0}`` of the rows at the
-    zero weights Z; a nonzero point of that cone scaled down is a nonzero point
-    of the polytope.  So the cached :func:`_level_direction` of ``(n, k, Z)``
+    zero weights Z (``mix.zero_mask``); a nonzero point of that cone scaled down
+    is a nonzero point of the polytope.  So the cached :func:`_level_direction` of ``(n, k, Z)``
     decides whether one exists, and the point returned is half the maximal step
     along that direction (one matvec and a ratio test over the rows outside Z),
     which keeps every weight outside Z at least half its value.
@@ -676,11 +680,10 @@ def _alternative_nonneg_point(mix, k, tol=1e-9, pattern=None):
     largest coordinate exceeds ``2 tol`` proves a coordinate LP value above
     ``tol``, and a smaller one is returned only when the coordinate LPs of
     :func:`_coordinate_moves` find such a value, so every float verdict is the
-    coordinate search's.  ``pattern`` is :func:`_weight_pattern` of ``mix``,
-    computed when not given.
+    coordinate search's.
     """
     n = mix.n
-    lam, zero_mask = _weight_pattern(mix) if pattern is None else pattern
+    lam, zero_mask = mix.floats, mix.zero_mask
     direction = _level_direction(n, k, zero_mask)
     if direction is None:
         return None
@@ -694,11 +697,13 @@ def _alternative_nonneg_point(mix, k, tol=1e-9, pattern=None):
     return None
 
 
-def _alternative_member(lam, k, point):
-    """The float weights ``lam + N s`` at ``s = point`` of the level-k family; the
-    zero-weight rows of ``N s`` are >= 0 up to round-off, which is clamped to 0."""
-    member = lam + _kernel_array(len(lam) - 1, k) @ point
-    np.maximum(member, 0.0, out=member, where=lam <= 0.0)
+def _alternative_member(mix, k, point):
+    """The float weights ``lam + N s`` at ``s = point`` of the level-k family of ``mix``;
+    the rows of ``N s`` at its zero weights are >= 0 up to round-off, so the member's
+    negative round-off there is clamped to 0."""
+    member = mix.floats + _kernel_array(mix.n, k) @ point
+    zero = (mix.zero_mask >> np.arange(mix.n + 1) & 1).astype(bool)
+    np.maximum(member, 0.0, out=member, where=zero)
     return member
 
 
@@ -708,9 +713,10 @@ def has_alternative_nonneg(mix, k, tol=1e-9):
     By the general-solution lemma this holds iff the determination length
     exceeds k (for k >= 2, where marginal collections pin the symmetric
     form).  The cached cone test of :func:`_level_direction` on the zero
-    pattern answers it exactly for exact weights, whatever ``tol``.  For float
-    weights an alternative counts only when some free coordinate can move by
-    more than ``tol`` (see :func:`_alternative_nonneg_point`).  BAD_TOL unless
+    pattern ``mix.zero_mask`` (exact zeros, or float weights at most
+    ``NONZERO_TOL`` in modulus) answers it exactly for exact weights, whatever
+    ``tol``.  For float weights an alternative counts only when some free
+    coordinate can move by more than ``tol`` (see :func:`_alternative_nonneg_point`).  BAD_TOL unless
     ``tol`` is finite and at least 0.
     """
     _check_level(mix.n, k)
@@ -733,16 +739,15 @@ def sdl_full_level(mix):
     """Whether determination needs the full n-qubit marginal.
 
     True iff (i) lam_0 lam_n != 0, or (ii) every odd-index weight is nonzero,
-    or (iii) every even-index weight is nonzero.
+    or (iii) every even-index weight is nonzero, with the zeros of ``mix.zero_mask``.
     """
-    n = mix.n
-    exact = mix.exact
-    nz = [_nonzero(v, exact) for v in mix.lam]
-    if nz[0] and nz[n]:
+    n, zero = mix.n, mix.zero_mask
+    if not zero & (1 | 1 << n):
         return FullLevelVerdict(True, "extremal_pair")
-    if all(nz[i] for i in range(1, n + 1, 2)):
+    even = sum(1 << i for i in range(0, n + 1, 2))
+    if not zero & ~even:
         return FullLevelVerdict(True, "all_odd")
-    if all(nz[i] for i in range(0, n + 1, 2)):
+    if not zero & even:
         return FullLevelVerdict(True, "all_even")
     return FullLevelVerdict(False, None)
 
@@ -783,19 +788,21 @@ class SdlResult:
 def sdl_diagonal(mix, tol=1e-9):
     """Determination length of a diagonal symmetric state.
 
-    Resolution order: full-level conditions; bit-flip normalization to the
-    smaller maximal support index k; closed form when at most one weight
-    vanishes on {0..k}; otherwise a bracket from the level-m linear
-    programs: the lower bound is one above the largest m with an alternative
-    solution, and the upper bound k, or one above the largest m whose zero
-    pattern's cone has a direction when that is larger.  Each level is settled
+    Which weights vanish is decided once, by ``mix.zero_mask`` (exact zeros, or
+    float weights at most ``NONZERO_TOL`` in modulus), and every step below reads
+    that one pattern.  Resolution order: full-level conditions; bit-flip
+    normalization to the smaller maximal support index k; closed form when at
+    most one weight vanishes on {0..k}; otherwise a bracket from the level-m
+    linear programs: the lower bound is one above the largest m with an
+    alternative solution, and the upper bound k, or one above the largest m
+    whose zero pattern's cone has a direction when that is larger.  Each level is settled
     by one cached cone direction per ``(n, m, zero set)`` (see
     :func:`_alternative_nonneg_point`; float weights fall back to coordinate
     LPs only when the step along it is at most ``2 tol``, so a tiny float
-    weight can lower the lower bound, never the upper one).  The float weights
-    are read once per call.  The alternative ``lam + N s`` is formed in floats,
-    with round-off on the zero-weight rows clamped to 0, and reported in the
-    input's frame, reversed back when the bit flip was taken.
+    weight can lower the lower bound, never the upper one).  The alternative
+    ``lam + N s`` is formed in floats, with round-off on the zero-weight rows
+    clamped to 0, and reported in the input's frame, reversed back when the bit
+    flip was taken.
     """
     qcore._check_tol(tol)
     n = mix.n
@@ -816,8 +823,7 @@ def sdl_diagonal(mix, tol=1e-9):
         # pure |0...0>: a product state, single-qubit marginals already determine it
         return SdlResult(1, 1, "EXACT", {"route": "rank_criterion", "flipped": flipped})
 
-    exact = work.exact
-    zeros = [i for i in range(k + 1) if not _nonzero(work.lam[i], exact)]
+    zeros = [i for i in range(k + 1) if work.zero_mask >> i & 1]
     if len(zeros) == 0:
         value = k + min(1, n - k)
         cert = {"route": "closed_form", "k": k, "i_star": None, "flipped": flipped}
@@ -839,16 +845,15 @@ def sdl_diagonal(mix, tol=1e-9):
     # at m-1), so scan downward for the first hit.  The cone test is exact on the
     # weights as given, so no level above m_cone has an alternative however small
     # its step; the scan for a point starts there.
-    lam, zero_mask = pattern = _weight_pattern(work)
     m_cone = next((m for m in range(n - 1, 1, -1)
-                   if _level_direction(n, m, zero_mask) is not None), 1)
+                   if _level_direction(n, m, work.zero_mask) is not None), 1)
     m_max = None
     member = None
     for m in range(m_cone, 1, -1):
-        point = _alternative_nonneg_point(work, m, tol=tol, pattern=pattern)
+        point = _alternative_nonneg_point(work, m, tol=tol)
         if point is not None:
             m_max = m
-            member = _alternative_member(lam, m, point)
+            member = _alternative_member(work, m, point)
             break
     lo = 2 if m_max is None else m_max + 1
     hi = max(k, m_cone + 1)
@@ -988,8 +993,7 @@ def gap_mixed_family(n, lam):
     mix = lam if isinstance(lam, DickeMixture) else DickeMixture(n, tuple(lam))
     if mix.n != n:
         raise EdlkitError("DIM_MISMATCH", "weight vector does not match n=%d" % n)
-    exact = mix.exact
-    if not (_nonzero(mix.lam[0], exact) and _nonzero(mix.lam[n], exact)):
+    if mix.zero_mask & (1 | 1 << n):
         raise EdlkitError("BAD_LAMBDA", "need lam_0 lam_n != 0")
     quad = float(sum((n - i) * j * mix.lam[i] * mix.lam[j] * ((n - i - 1) * (j - 1) - i * (n - j))
                      for i in range(n + 1) for j in range(n + 1)))

@@ -37,9 +37,8 @@ from edlkit.symmetric import (
     _kernel_rows,
     _level_direction,
     _reduce_coeff_matrix,
-    _weight_pattern,
 )
-from check_pattern_domain import is_valid_alternative, pattern_mismatches
+from check_pattern_domain import is_valid_alternative, pattern_mismatches, roundoff_mismatches
 from check_symmetric_ppt import ppt_mismatches
 
 
@@ -676,7 +675,7 @@ def test_alternative_point_matches_coordinate_search(monkeypatch):
     fallbacks = points = 0
     for mix in mixes:
         for m in range(1, mix.n):
-            _level_direction(mix.n, m, _weight_pattern(mix)[1])  # fill the cache first
+            _level_direction(mix.n, m, mix.zero_mask)  # fill the cache first
             calls.clear()
             got = _alternative_nonneg_point(mix, m)
             want = oracle.alternative_nonneg_point_lp(mix, m)
@@ -685,9 +684,30 @@ def test_alternative_point_matches_coordinate_search(monkeypatch):
             fallbacks += bool(calls)
             if got is not None:
                 points += 1
-                member = _alternative_member(mix.floats, m, got)
+                member = _alternative_member(mix, m, got)
                 assert is_valid_alternative(mix, m, member), (mix.lam, m)
-    assert fallbacks == 3 and points > 100, (fallbacks, points)
+    assert fallbacks == 2 and points > 100, (fallbacks, points)
+
+
+def test_roundoff_weight_is_a_zero():
+    # a float weight at most NONZERO_TOL in modulus vanishes for the support, the closed
+    # forms and the cone pattern alike, so 1e-13 in place of a 0 keeps the bracket; the
+    # exact twin's 10^-13 is a weight, which gives the closed form
+    mix = DickeMixture(5, (0.4, 1e-13, 0, 0.6 - 1e-13, 0, 0))
+    clean = DickeMixture(5, (0.4, 0, 0, 0.6, 0, 0))
+    for m in (mix, clean):
+        res = sdl_diagonal(m)
+        assert (res.lo, res.hi, res.flag) == (3, 3, "EXACT"), m.lam
+    assert mix.zero_mask == clean.zero_mask == 0b110110
+    assert DickeMixture(4, (0.5, -1e-13, 0.5 + 1e-13, 0, 0)).zero_mask == 0b11010
+    tiny = Fraction(1, 10 ** 13)
+    twin = DickeMixture(5, (Fraction(2, 5), tiny, 0, Fraction(3, 5) - tiny, 0, 0))
+    assert twin.zero_mask == 0b110100
+    res = sdl_diagonal(twin)
+    assert (res.lo, res.hi, res.flag) == (4, 4, "EXACT")
+    assert res.certificate["route"] == "closed_form"
+    checked, bad = roundoff_mismatches()
+    assert checked == 333 and not bad, bad
 
 
 def test_tiny_exact_weight_keeps_the_exact_cone_verdict():
