@@ -28,10 +28,12 @@ term by term, as a reference for the Pascal walk of
 ``symmetric._reduce_coeff_matrix`` and the probe's reduction table
 ``witness._reduction_table``.
 :func:`alternative_nonneg_point_lp` runs the full coordinate-LP search for an
-alternative diagonal solution, as a reference for whether the cached cone
-direction of ``symmetric._alternative_nonneg_point`` exists (the point it
-returns is a step along that direction, not this search's vertex); it shares
-the kernel basis of ``symmetric.solution_family`` and ``simplex_max`` with it.
+alternative diagonal solution, as a reference for the closed-form cone test of
+``symmetric._level_direction`` (a count on the zero pattern, solving nothing)
+and the float fallback of ``symmetric._alternative_nonneg_point``.  The point
+the package returns is a step along one divided difference, not this search's
+vertex.  The search shares the kernel basis of ``symmetric.solution_family``
+with the package, and ``simplex_max`` only with that float fallback.
 :func:`lc_orbit_edge_sets` runs the
 local-complementation orbit search on ``SimpleGraph`` edge sets, as a
 reference for the adjacency-bitmask search of ``graphstate``.

@@ -38,6 +38,14 @@ Every PPT verdict on a diagonal marginal, the gap families' included, is the
 one Hankel rule of :func:`edl_diagonal`: elimination for exact moments, the
 smallest eigenvalues against ``-PSD_TOL`` for float ones.  The paper's closed
 forms for two and three qubits are references in ``oracle``.
+
+The level-m marginal map of a diagonal state annihilates exactly the weight
+vectors orthogonal to every polynomial of degree at most m on the points
+0..n, which the divided differences on m+2 of the points span.  So whether
+another diagonal state shares the level-m marginals of one with zero weights
+Z is a count on Z (:func:`_cone_top`), and the direction of that other state
+is one divided difference with integer weights (:func:`_level_direction`):
+the cone test of :func:`sdl_diagonal` solves no system.
 """
 
 from __future__ import annotations
@@ -559,16 +567,30 @@ def _check_level(n, k):
         raise EdlkitError("BAD_LEVEL", "need an integer 1 <= k <= n-1, got k=%r" % (k,))
 
 
+def _divided_difference(points):
+    """Coprime integer weights ``w`` of the divided difference on the distinct integers
+    ``points``: ``w_t`` is a positive multiple of ``1 / prod_(u != t) (t - u)``, so
+    ``sum_t w_t q(t) = 0`` for every polynomial q of degree below ``len(points) - 1``,
+    and the signs alternate along the sorted points, positive at the largest."""
+    prods = [math.prod(t - u for u in points if u != t) for t in points]
+    den = math.lcm(*prods)
+    weights = [den // p for p in prods]
+    g = math.gcd(*weights)
+    return [w // g for w in weights]
+
+
 @functools.lru_cache(maxsize=64)
 def _kernel_rows(n, k):
     """Exact kernel basis of the level-k diagonal marginal map: n+1 rows of n-k
-    Fractions (closed form in :func:`solution_family`), nested tuples, so read-only."""
+    Fractions (closed form in :func:`solution_family`), nested tuples, so read-only.
+    Column ``i - k - 1`` is the divided difference on ``0..k, i``, scaled to 1 at row i."""
     _check_level(n, k)
     rows = [[Fraction(0)] * (n - k) for _ in range(n + 1)]
     for col, i in enumerate(range(k + 1, n + 1)):
-        for r in range(k + 1):
-            rows[r][col] = Fraction((-1) ** (k - r + 1) * math.comb(i, k) * math.comb(k, r) * (i - k), i - r)
-        rows[i][col] = Fraction(1)
+        points = list(range(k + 1)) + [i]
+        weights = _divided_difference(points)
+        for r, w in zip(points, weights):
+            rows[r][col] = Fraction(w, weights[-1])
     return tuple(tuple(row) for row in rows)
 
 
@@ -592,60 +614,56 @@ def solution_family(mix, k):
     return SolutionFamily(mix.n, k, tuple(mix.lam), _kernel_rows(mix.n, k))
 
 
-def _exact_null_vector(rows, width):
-    """A nonzero Fraction vector ``x`` of length ``width`` with ``row . x = 0`` for
-    every row, or None when the rows have rank ``width``.
+def _zero_pattern(n, zero_mask):
+    """``(support, turns)`` of the zero weights Z of ``zero_mask``: the indices of the
+    nonzero weights, and the zeros, in ascending order, at which the parity of the
+    count of nonzero weights below differs from that at the previous zero taken (the
+    first zero is always taken)."""
+    support, turns, parity = [], [], None
+    for i in range(n + 1):
+        if not zero_mask >> i & 1:
+            support.append(i)
+        elif len(support) % 2 != parity:
+            turns.append(i)
+            parity = len(support) % 2
+    return support, turns
 
-    Gauss-Jordan elimination stops at the first column without a pivot: that free
-    coordinate is 1, each earlier pivot coordinate the negated entry of its reduced
-    row in the free column, every later coordinate 0.
-    """
-    rows = [list(row) for row in rows]
-    pivot_cols = []
-    for col in range(width):
-        rank = len(pivot_cols)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            x = [Fraction(0)] * width
-            x[col] = Fraction(1)
-            for r, c in enumerate(pivot_cols):
-                x[c] = -rows[r][col]
-            return x
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank][col]
-        rows[rank] = [a / head for a in rows[rank]]
-        for r in range(len(rows)):
-            f = rows[r][col]
-            if r != rank and f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-    return None
+
+def _cone_top(n, zero_mask):
+    """``f + c``: f nonzero weights, and c pairs of consecutive zeros with an odd
+    number of nonzero weights between them.  The least degree of a polynomial that
+    vanishes at the f nonzero indices and is positive at every zero, so the cone
+    of :func:`_level_direction` is more than ``{0}`` exactly at the levels below it."""
+    support, turns = _zero_pattern(n, zero_mask)
+    return len(support) + max(len(turns) - 1, 0)
 
 
 @functools.lru_cache(maxsize=4096)
 def _level_direction(n, k, zero_mask):
     """A read-only nonzero point of the cone ``{s : N_Z s >= 0}`` of the level-k
     kernel rows at the zero weights ``Z`` (bit i of ``zero_mask`` set iff weight i
-    vanishes), or None when the cone is ``{0}``.
+    vanishes), or None when the cone is ``{0}``.  Nothing is solved.
 
-    Rows of exact rank below n-k leave a kernel line in the cone, and the point is
-    an exact kernel vector of ``N_Z`` (a coordinate vector when Z is empty).
-    Otherwise the cone is pointed and one normalised LP decides it: maximise
-    ``1.A s`` subject to ``A s >= 0`` and ``1.A s <= 1`` (``A = N_Z``), whose
-    optimum is exactly 0 or 1; at 1 its optimal point is the direction.
+    The level-k kernel is the set of weight vectors that annihilate every
+    polynomial of degree at most k on the points 0..n, and ``N s`` is the one whose
+    entries above k are ``s``.  Divided differences on k+2 of the points span it,
+    and their signs alternate (Karlin & Studden 1966, *Tchebycheff Systems*).  By
+    Gordan's alternative the cone is ``{0}`` iff some polynomial of degree at most
+    k vanishes off Z and is positive on Z, and the least degree of one is
+    ``f + c`` (:func:`_cone_top`).  Below it the direction is the divided
+    difference on T: the first k+2 nonzero indices, or all f of them and the first
+    ``k + 2 - f`` zeros of :func:`_zero_pattern`.  Consecutive zeros of T have an
+    odd number of nonzero indices between them, so the divided difference has one
+    sign on the zeros of T and is taken >= 0 there.  The entries are integers
+    dividing n!, so exact in float up to n = 18.
     """
-    rows = _kernel_rows(n, k)
-    zeros = [i for i in range(n + 1) if zero_mask >> i & 1]
-    null = _exact_null_vector([rows[i] for i in zeros], n - k)
-    if null is not None:
-        direction = np.array([float(x) for x in null])
-    else:
-        a = _kernel_array(n, k)[zeros]
-        total = a.sum(axis=0)
-        value, direction = simplex_max(total, np.vstack([-a, total]),
-                                       np.append(np.zeros(len(zeros)), 1.0))
-        if value <= 0.5:
-            return None
+    if k >= _cone_top(n, zero_mask):
+        return None
+    support, turns = _zero_pattern(n, zero_mask)
+    points = sorted(support[:k + 2] + turns[:max(0, k + 2 - len(support))])
+    weights = dict(zip(points, _divided_difference(points)))
+    sign = -1 if any(weights[t] < 0 for t in turns if t in weights) else 1
+    direction = np.array([float(sign * weights.get(i, 0)) for i in range(k + 1, n + 1)])
     direction.flags.writeable = False
     return direction
 
@@ -670,12 +688,14 @@ def _alternative_nonneg_point(mix, k, tol=1e-9):
     The polytope ``{s : lam + N s >= 0}`` is bounded (weights sum to one),
     contains s = 0 and lies in the cone ``{s : N_Z s >= 0}`` of the rows at the
     zero weights Z (``mix.zero_mask``); a nonzero point of that cone scaled down
-    is a nonzero point of the polytope.  So the cached :func:`_level_direction` of ``(n, k, Z)``
-    decides whether one exists, and the point returned is half the maximal step
-    along that direction (one matvec and a ratio test over the rows outside Z),
-    which keeps every weight outside Z at least half its value.
+    is a nonzero point of the polytope.  So the cached closed form
+    :func:`_level_direction` of ``(n, k, Z)`` decides whether one exists, and the
+    point returned is half the maximal step along its divided difference (one
+    matvec and a ratio test over the rows outside Z), which keeps every weight
+    outside Z at least half its value.
 
-    Exact weights take that point however small: the cone test is exact.  Float
+    Exact weights take that point however small: the cone test is a count on the
+    zero pattern, so no float decides their verdict.  Float
     weights keep the ``tol`` threshold of the coordinate search: a point whose
     largest coordinate exceeds ``2 tol`` proves a coordinate LP value above
     ``tol``, and a smaller one is returned only when the coordinate LPs of
@@ -712,12 +732,14 @@ def has_alternative_nonneg(mix, k, tol=1e-9):
 
     By the general-solution lemma this holds iff the determination length
     exceeds k (for k >= 2, where marginal collections pin the symmetric
-    form).  The cached cone test of :func:`_level_direction` on the zero
-    pattern ``mix.zero_mask`` (exact zeros, or float weights at most
-    ``NONZERO_TOL`` in modulus) answers it exactly for exact weights, whatever
-    ``tol``.  For float weights an alternative counts only when some free
-    coordinate can move by more than ``tol`` (see :func:`_alternative_nonneg_point`).  BAD_TOL unless
-    ``tol`` is finite and at least 0.
+    form).  For exact weights the zero pattern ``mix.zero_mask`` alone answers
+    it, whatever ``tol``: an alternative exists iff ``k < f + c``, f the nonzero
+    weights and c the pairs of consecutive zeros with an odd number of them
+    between (:func:`_cone_top`).  For float weights (zeros at most
+    ``NONZERO_TOL`` in modulus) an alternative counts only when some free
+    coordinate can move by more than ``tol`` (see
+    :func:`_alternative_nonneg_point`).  BAD_TOL unless ``tol`` is finite and at
+    least 0.
     """
     _check_level(mix.n, k)
     qcore._check_tol(tol)
@@ -793,13 +815,14 @@ def sdl_diagonal(mix, tol=1e-9):
     that one pattern.  Resolution order: full-level conditions; bit-flip
     normalization to the smaller maximal support index k; closed form when at
     most one weight vanishes on {0..k}; otherwise a bracket from the level-m
-    linear programs: the lower bound is one above the largest m with an
-    alternative solution, and the upper bound k, or one above the largest m
-    whose zero pattern's cone has a direction when that is larger.  Each level is settled
-    by one cached cone direction per ``(n, m, zero set)`` (see
+    cone tests.  The zero pattern's cone has a direction exactly at the levels
+    m < f + c of :func:`_cone_top`, a count, so the upper bound is k, or
+    ``min(n, f + c)`` when that is larger.  The lower bound is one above the
+    largest m below that with an alternative solution: half the maximal step
+    along the cached divided difference of ``(n, m, zero set)`` (see
     :func:`_alternative_nonneg_point`; float weights fall back to coordinate
-    LPs only when the step along it is at most ``2 tol``, so a tiny float
-    weight can lower the lower bound, never the upper one).  The alternative
+    LPs only when that step is at most ``2 tol``, so a tiny float weight can
+    lower the lower bound, never the upper one).  The alternative
     ``lam + N s`` is formed in floats, with round-off on the zero-weight rows
     clamped to 0, and reported in the input's frame, reversed back when the bit
     flip was taken.
@@ -841,12 +864,12 @@ def sdl_diagonal(mix, tol=1e-9):
                          {"route": "single_dicke", "k": k, "flipped": flipped})
 
     # two or more vanishing weights below the support top: bracket by the level tests.
-    # Alternatives are monotone (an alternative at level m restricts to one
-    # at m-1), so scan downward for the first hit.  The cone test is exact on the
-    # weights as given, so no level above m_cone has an alternative however small
-    # its step; the scan for a point starts there.
-    m_cone = next((m for m in range(n - 1, 1, -1)
-                   if _level_direction(n, m, work.zero_mask) is not None), 1)
+    # The cone of the zero pattern has a direction exactly at the levels below its
+    # count f + c, so m_cone is the largest such level (1 when none is), and no level
+    # above it has an alternative however small its step.  Alternatives are monotone
+    # (an alternative at level m restricts to one at m-1), so the scan for a point
+    # runs down from m_cone to the first hit.
+    m_cone = max(1, min(n - 1, _cone_top(n, work.zero_mask) - 1))
     m_max = None
     member = None
     for m in range(m_cone, 1, -1):

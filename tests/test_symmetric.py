@@ -32,6 +32,7 @@ from edlkit.symmetric import (
     to_dense,
     _alternative_member,
     _alternative_nonneg_point,
+    _cone_top,
     _exact_psd,
     _kernel_array,
     _kernel_rows,
@@ -762,6 +763,44 @@ def test_float_twin_brackets_keep_the_exact_upper_bound():
         assert twin.hi == exact.hi and twin.lo <= exact.lo, lam
         lowered += twin.lo < exact.lo
     assert lowered >= 20
+
+
+def test_cone_direction_is_exact_past_the_dense_cap():
+    # the cone test is a count and its direction one divided difference, so it needs no
+    # LP at n = 24, where a float cone LP fails, and the direction is in the cone exactly
+    n = 24
+    for m, zeros in [(12, {0, 1, 3, 4, 5, 10, 11, 13, 15, 16, 18, 20, 22}),
+                     (14, {3, 5, 11, 12, 13, 15, 17, 18, 20, 22}),
+                     (15, {3, 5, 11, 12, 13, 15, 17, 18, 20, 22})]:
+        direction = _level_direction(n, m, sum(1 << i for i in zeros))
+        assert direction is not None, (m, zeros)
+        s = [Fraction(float(x)) for x in direction]
+        assert all(x.denominator == 1 for x in s) and any(s), (m, zeros)
+        rows = _kernel_rows(n, m)
+        assert all(sum(a * b for a, b in zip(rows[i], s)) >= 0 for i in zeros), (m, zeros)
+    # W + anti-W: support {1, n-1}, f = 2 nonzero weights and c = 2 parity turns among
+    # the zeros, so the bracket is [4, n-1] at every n
+    for n in range(7, 65):
+        assert _cone_top(n, (1 << (n + 1)) - 1 - (1 << 1) - (1 << (n - 1))) == 4, n
+
+
+def test_exact_weights_run_no_lp_on_a_cold_cache(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simplex_max(*args, **kwargs)
+
+    monkeypatch.setattr(symmetric, "simplex_max", counted)
+    third, sixth, half = Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)
+    for lam, want in [((0, 0, third, sixth, 0, 0, half, 0), (4, 5)),
+                      ((0, half, 0, 0, 0, 0, half, 0), (4, 6)),
+                      ((0, 0, Fraction(41, 79), Fraction(38, 79), 0, 0, 0), (2, 3))]:
+        _level_direction.cache_clear()
+        calls.clear()
+        res = sdl_diagonal(DickeMixture(len(lam) - 1, lam))
+        assert (res.lo, res.hi, res.flag) == want + ("INTERVAL",), lam
+        assert not calls, (lam, len(calls))
 
 
 def test_full_level_conditions():
