@@ -64,7 +64,10 @@ iteration (``ANDERSON_EVERY``) off the penalty iterations, kept only if its
 residual at the next iteration does not grow, and the memory cleared at every
 penalty change.  Every other iteration is the most often this can extrapolate:
 the safeguard and the stop test read the plain step after an extrapolated
-point.  The witness program runs the plain loop, whose iterates
+point.  The pairs live in a zero-padded buffer, so each extrapolation is one
+regularised solve of the normal equations over the whole buffer, with no
+eigendecomposition (regularised nonlinear acceleration, Scieur, d'Aspremont &
+Bach 2016).  The witness program runs the plain loop, whose iterates
 ``admm_reference`` keeps.
 Every program iterates on a stack of complex matrices and takes one of two
 closed-form affine steps.  The decomposition step (:func:`_decomposition`)
@@ -130,15 +133,17 @@ def svec(h):
 
 
 def smat(v, d):
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`, on the last axis of ``v``: a stack of packed vectors
+    gives the stack of their matrices."""
     v = np.asarray(v, dtype=float)
     iu = _triu(d)
     k = iu[0].size
-    out = np.zeros((d, d), dtype=complex)
-    out[np.diag_indices(d)] = v[:d]
-    upper = (v[d:d + k] + 1j * v[d + k:]) / math.sqrt(2.0)
-    out[iu] = upper
-    out[(iu[1], iu[0])] = upper.conj()
+    out = np.zeros(v.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    out[..., diag, diag] = v[..., :d]
+    upper = (v[..., d:d + k] + 1j * v[..., d + k:]) / math.sqrt(2.0)
+    out[..., iu[0], iu[1]] = upper
+    out[..., iu[1], iu[0]] = upper.conj()
     return out
 
 
@@ -204,16 +209,27 @@ class _Anderson:
     extrapolated point is kept only if its residual is no larger than that of the point
     it came from; otherwise that point's plain step is taken and the pairs are dropped.
     ``memory`` slots hold the pairs and the previous point, which takes the oldest
-    pair's slot once all are full: at most ``2 memory`` iterate-sized arrays, and
-    ``memory`` pairs at each extrapolation."""
+    pair's slot once all are full: at most ``2 memory`` iterate-sized arrays.
+
+    Every slot that holds no current pair is zero, so the fit always runs over the whole
+    buffer and an empty slot gets coefficient exactly 0.  The fit is one solve of the
+    normal equations ``G gamma = Re(dG g)``, ``G = Re(dG dG^H)`` with
+    ``memory eps trace(G)`` added to its diagonal (regularised nonlinear acceleration,
+    Scieur, d'Aspremont & Bach 2016): a rank-deficient history needs no eigenvalue cut.
+    A history whose residual differences all vanish (``trace(G) = 0``) gives the plain
+    step."""
 
     def __init__(self, memory, like):
         self.dv = np.empty((memory, like.size), like.dtype)
         self.dg = np.empty_like(self.dv)
+        # real coefficients: Re <a, b> of complex arrays is the dot of their float views
+        self.dv_real, self.dg_real = self.dv.view(np.float64), self.dg.view(np.float64)
         self.clear()
 
     def clear(self):
         """Drop every pair and the previous point (the fixed-point map changed)."""
+        self.dv.fill(0.0)
+        self.dg.fill(0.0)
         self.last = None  # slot of the previous point; the pairs fill the slots before it
         self.pairs = 0
         self.ref2 = None  # |g|^2 at the point the pending extrapolation came from
@@ -223,6 +239,10 @@ class _Anderson:
         plain step from ``v``."""
         ref2, self.ref2 = self.ref2, None
         if ref2 is not None and _sqnorm(g) > ref2:
+            # drop the pairs; slot last keeps the older point, which starts the next pair
+            for buf in (self.dv, self.dg):
+                buf[:self.last] = 0.0
+                buf[self.last + 1:] = 0.0
             self.pairs = 0
             return (self.dv[self.last] - self.dg[self.last]).reshape(v.shape), False
         memory = len(self.dv)
@@ -232,20 +252,16 @@ class _Anderson:
             np.subtract(flat_g, self.dg[self.last], out=self.dg[self.last])
             self.pairs += 1
         step = v - g
-        plain = not (extrapolate and self.pairs)
-        if not plain:
-            rows = slice(None) if self.pairs == memory else [
-                (self.last - j) % memory for j in range(self.pairs)]
-            dv, dg = self.dv[rows], self.dg[rows]
-            # real coefficients: Re <a, b> of complex arrays is the dot of their float views
-            dg_real = dg.view(np.float64)
-            # the k x k normal equations by eigh, cut like lstsq's default rcond; the loop
-            # runs eigh already, and a first lstsq call adds about 1 MB of resident memory
-            w, q = np.linalg.eigh(dg_real @ dg_real.T)
-            keep = w > len(w) * np.finfo(float).eps * w[-1]
-            gamma = q[:, keep] @ (q[:, keep].T @ (dg_real @ flat_g.view(np.float64)) / w[keep])
-            step -= (gamma @ dv - gamma @ dg).reshape(v.shape)
-            self.ref2 = _sqnorm(g)
+        plain = True
+        if extrapolate and self.pairs:
+            gram = self.dg_real @ self.dg_real.T
+            trace = np.trace(gram)
+            if trace > 0.0:
+                gram.flat[::memory + 1] += memory * np.finfo(float).eps * trace
+                gamma = np.linalg.solve(gram, self.dg_real @ flat_g.view(np.float64))
+                step -= (gamma @ self.dv_real - gamma @ self.dg_real).view(step.dtype).reshape(v.shape)
+                self.ref2 = _sqnorm(g)
+                plain = False
         self.last = 0 if self.last is None else (self.last + 1) % memory
         if self.pairs == memory:
             self.pairs -= 1
@@ -372,10 +388,10 @@ def _solve_pinned(c, span, anchor, what, tol, max_iter):
 def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """Solve an :class:`SdpProblem` with the operator-splitting loop.
 
-    The iterate is the ``(B, d, d)`` stack of the blocks.  Each svec row is read
-    once as a Hermitian functional on that stack (``smat`` of the unit vectors),
-    and one SVD of the functionals gives the pinned-row affine step
-    (:func:`_pinned_step`) and the consistency test: an inconsistent linear
+    The iterate is the ``(B, d, d)`` stack of the blocks.  One SVD of the real svec
+    rows gives the pinned-row affine step (:func:`_pinned_step`), its right singular
+    vectors read as Hermitian functionals on that stack (one ``smat`` of them all),
+    and the consistency test: an inconsistent linear
     system reports INFEASIBLE with 0 iterations.  The cone step clips the PSD
     blocks.  DIM_MISMATCH unless every block has one size and the rows fit the
     blocks.  Raises nothing on nonconvergence: inspect ``status`` on the returned
@@ -389,13 +405,13 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     b = np.asarray(problem.rhs, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape[0] != b.shape[0] or A.shape[1] != nb * d * d:
         raise EdlkitError("DIM_MISMATCH", "constraint matrix shape %r mismatch" % (A.shape,))
-    units = np.array([smat(e, d).ravel() for e in np.eye(d * d)])
     # svec is an isometry, so row j applied to the svec of the blocks is
-    # sum_b Tr(F_jb X_b) = vdot(F_j, X) with F_jb = smat(A_jb), Hermitian
-    u, s, wh = np.linalg.svd((A.reshape(len(A), nb, d * d) @ units.conj()).reshape(len(A), -1),
-                             full_matrices=False)
+    # sum_b Tr(F_jb X_b) = vdot(F_j, X) with F_jb = smat(A_jb), Hermitian; the SVD of
+    # these functionals is that of A, with smat of A's right singular vectors
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > max(1.0, s[0] if s.size else 1.0) * 1e-12))
-    ub = u[:, :rank].conj().T @ b
+    wh = smat(vt[:rank].reshape(rank, nb, d * d), d).reshape(rank, -1).conj()
+    ub = u[:, :rank].T @ b
     lin_res = float(np.linalg.norm(u[:, :rank] @ ub - b))
     if lin_res > 1e-8 * max(1.0, float(np.linalg.norm(b))):
         zeros = np.zeros((nb, d, d), dtype=complex)
@@ -410,7 +426,7 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     c = np.array([np.zeros((d, d)) if obj is None else obj for obj in problem.objective], dtype=complex)
     c = (c + c.conj().transpose(0, 2, 1)) / 2.0
     x, z, status, res_p, res_d, iters, _sigma = _admm(
-        c, _pinned_step(wh[:rank], ub / s[:rank]), project_cone, tol, max_iter, memory=ANDERSON_MEMORY)
+        c, _pinned_step(wh, ub / s[:rank]), project_cone, tol, max_iter, memory=ANDERSON_MEMORY)
     return SdpSolution(status, float(np.vdot(c, x).real), list(x), list(z), res_p, res_d, iters)
 
 

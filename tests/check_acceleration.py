@@ -15,7 +15,8 @@ No run may raise.  Not collected by pytest (~30 s); run it as
 
     PYTHONPATH=src python tests/check_acceleration.py
 
-It prints the ADMM iterations and wall time of each side, how many of the
+It prints the ADMM iterations, wall time and microseconds per iteration (wall
+time over iterations, set-up included) of each side, how many of the
 accelerated side's extrapolations the safeguard kept and rejected, and how many
 of its penalty iterations (multiples of ``witness.ADAPT_EVERY``) skipped the
 penalty rule because the step before them was a rejected extrapolation, and
@@ -152,7 +153,8 @@ def main():
     witness._Anderson.next_input = next_input
     print("checked %d cases: %d disagree" % (checked, len(bad)))
     for side in sides:
-        print("memory %2d: %6d ADMM iterations, %.2f s" % (side.memory, side.iterations, side.seconds))
+        print("memory %2d: %6d ADMM iterations, %.2f s, %.1f us per iteration"
+              % (side.memory, side.iterations, side.seconds, 1e6 * side.seconds / max(side.iterations, 1)))
     print("memory %2d: %d extrapolations kept, %d rejected by the safeguard"
           % (sides[0].memory, sides[0].kept, sides[0].rejected))
     print("memory %2d: %d of %d penalty iterations skipped the penalty rule after a rejected "

@@ -54,6 +54,7 @@ def test_svec_roundtrip_and_isometry(rng):
         a = random_hermitian(rng, d)
         b = random_hermitian(rng, d)
         assert np.max(np.abs(smat(svec(a), d) - a)) < 1e-13
+        assert np.array_equal(smat(np.array([svec(a), svec(b)]), d), [smat(svec(a), d), smat(svec(b), d)])
         hs = float(np.trace(a @ b).real)
         assert svec(a) @ svec(b) == pytest.approx(hs, abs=1e-12)
 
@@ -236,7 +237,11 @@ def test_admm_matches_reference_loop(monkeypatch):
     assert sigmas[0] == 1.0 and sigmas[1] != 1.0
 
 
-def test_anderson_safeguard_and_memory():
+def test_anderson_safeguard_and_memory(monkeypatch, rng):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the fit is one regularised solve, no eigendecomposition")
+
+    monkeypatch.setattr(witness.np.linalg, "eigh", no_eigh)
     acc = witness._Anderson(2, np.zeros(2))
     v0, g0 = np.array([1.0, 0.0]), np.array([0.5, 0.0])
     v1, g1 = np.array([0.5, 0.0]), np.array([0.0, 0.25])
@@ -251,6 +256,8 @@ def test_anderson_safeguard_and_memory():
     back, plain = acc.next_input(step, 10 * g1, False)
     assert not plain and np.array_equal(back, v1 - g1)
     assert acc.pairs == 0
+    # every slot but the one keeping v1 is zero again
+    assert not np.delete(acc.dv, acc.last, 0).any() and not np.delete(acc.dg, acc.last, 0).any()
     # the next pair runs from v1 to the plain step, and a smaller residual is kept
     v2, g2 = back, np.array([0.0, 0.125])
     step, plain = acc.next_input(v2, g2, True)
@@ -260,6 +267,38 @@ def test_anderson_safeguard_and_memory():
     assert plain and np.array_equal(kept, step - 0.5 * g2)
     # two pairs now, and this point takes the older one's slot
     assert acc.pairs == 1
+
+    def history(memory, vs, gs):
+        """The extrapolation at the last point of a history, and the least-squares one
+        over its last ``memory`` explicit pairs (real coefficients, minimum norm)."""
+        acc = witness._Anderson(memory, vs[0])
+        for v, g in zip(vs[:-1], gs[:-1]):
+            acc.next_input(v, g, False)
+        step, plain = acc.next_input(vs[-1], gs[-1], True)
+        dv, dg = np.diff(vs, axis=0)[-memory:], np.diff(gs, axis=0)[-memory:]
+        real = np.concatenate([dg.real, dg.imag], axis=1)
+        gamma = np.linalg.lstsq(real.T, np.concatenate([gs[-1].real, gs[-1].imag]), rcond=None)[0]
+        return acc, step, plain, vs[-1] - gs[-1] - gamma @ (dv - dg)
+
+    def points(count, size=6):
+        return rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
+
+    # three pairs in a memory of 5 (two zero slots), and a full ring of 3 wrapped by
+    # five points, against the explicit pairs
+    for memory, count in ((5, 4), (3, 5)):
+        acc, step, plain, ref = history(memory, points(count), points(count))
+        assert not plain and np.max(np.abs(step - ref)) < 1e-12, (memory, count)
+        # a slot that no point has reached stays zero
+        assert not acc.dv[count:].any() and not acc.dg[count:].any()
+    # a duplicated pair leaves the normal equations singular
+    vs, gs = points(4), points(4)
+    vs[2], gs[2] = 2 * vs[1] - vs[0], 2 * gs[1] - gs[0]
+    acc, step, plain, ref = history(3, vs, gs)
+    assert not plain and np.max(np.abs(step - ref)) < 1e-12
+    # residual differences that all vanish: the plain step, flagged plain
+    vs, gs = points(3), np.repeat(points(1), 3, axis=0)
+    acc, step, plain, _ref = history(3, vs, gs)
+    assert plain and np.array_equal(step, vs[-1] - gs[-1]) and acc.ref2 is None
 
 
 def test_accelerated_solves_stop_on_plain_iterations(monkeypatch):
